@@ -69,7 +69,7 @@ struct ChurnResult {
 
 // Timer churn: the retry/backoff pattern in its pure form. Every firing
 // cancels three armed decoys and re-arms three fresh ones, so the slab's
-// recycle path and the wheel's dead-entry purge dominate the profile
+// recycle path and the event heap's dead-entry purge dominate the profile
 // instead of the event dispatch itself.
 ChurnResult timer_churn(std::size_t timers, std::uint64_t total_fires) {
   sim::Simulator sim;

@@ -11,6 +11,9 @@
 //
 // Brute force is skipped above 1000 nodes; it would dominate the runtime
 // without adding information.
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -99,15 +102,24 @@ ScaleResult run_field(std::size_t n, bool indexed) {
   return r;
 }
 
-// --- Strong scaling on the conservative PDES engine --------------------------
+// --- Chain field: serial N-scaling and PDES strong scaling -------------------
 //
-// One fixed workload — a 10,000-node chain at campus spacing, hello +
-// maintenance traffic for a simulated minute — decomposed into a fixed
+// One workload family — an N-node chain at campus spacing, hello +
+// maintenance traffic for a simulated minute. Every node arms its
+// maintenance timer at the same µs, so N timers share one timestamp: the
+// phase-locked worst case for the serial event queue.
+//
+// Serial N-scaling runs the chain on the serial engine (workers = 0) at
+// 1,250 to 10,000 nodes: events/s should stay flat across N, and the event
+// count must be linear in N (checked in-run).
+//
+// PDES strong scaling decomposes the 10,000-node chain into a fixed
 // 8-region stripe partition, swept over 1/2/4/8 workers. The region count
 // never follows the worker count, so every sweep point executes the exact
-// same event set; events/s and speedup-vs-1-worker are the metrics.
-// Determinism doubles as the correctness check: the event count must be
-// identical at every worker count.
+// same event set; events/s, speedup-vs-1-worker and speedup-vs-serial (the
+// serial 10k run above) are the metrics. Determinism doubles as the
+// correctness check: the event count must be identical at every worker
+// count.
 
 struct PdesResult {
   double wall_s = 0.0;
@@ -162,7 +174,7 @@ TileResult run_tile_grid(std::size_t rows, std::size_t cols) {
   return r;
 }
 
-PdesResult run_pdes_field(std::size_t nodes, std::size_t workers) {
+PdesResult run_chain_field(std::size_t nodes, std::size_t workers) {
   lm::testbed::ScenarioConfig config = bench::campus_config(0xDE5ULL);
   config.mesh.hello_interval = Duration::seconds(10);
   config.mesh.maintenance_interval = Duration::seconds(2);
@@ -230,13 +242,61 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- PDES strong scaling ---------------------------------------------------
+  // --- Serial N-scaling -------------------------------------------------------
   constexpr std::size_t kPdesNodes = 10'000;
+  std::printf("\nSerial N-scaling: N-node chain on the serial engine, "
+              "1 simulated minute, median wall of 3 runs\n");
+  std::printf("%8s %12s %12s %14s\n", "nodes", "events", "wall s", "events/s");
+  const std::size_t chain_sizes[] = {1'250, 2'500, 5'000, kPdesNodes};
+  double first_events_per_s = 0.0;
+  double first_events_per_node = 0.0;
+  double serial_wall = 0.0;
+  for (const std::size_t n : chain_sizes) {
+    // The small fields finish in tens of milliseconds, where one host
+    // hiccup would swing the ratio, so each size reports its median run.
+    std::array<double, 3> walls{};
+    PdesResult r;
+    for (double& wall : walls) {
+      r = run_chain_field(n, /*workers=*/0);
+      wall = r.wall_s;
+    }
+    std::sort(walls.begin(), walls.end());
+    r.wall_s = walls[1];
+    const double events_per_s =
+        static_cast<double>(r.events) / std::max(r.wall_s, 1e-9);
+    const double events_per_node =
+        static_cast<double>(r.events) / static_cast<double>(n);
+    if (n == chain_sizes[0]) {
+      first_events_per_s = events_per_s;
+      first_events_per_node = events_per_node;
+    } else if (std::abs(events_per_node / first_events_per_node - 1.0) > 0.05) {
+      // Same per-node traffic at every N: a superlinear event count means
+      // the workload, not the engine, changed shape.
+      std::fprintf(stderr,
+                   "SERIAL N-SCALING MISMATCH: %zu nodes ran %.1f events/node, "
+                   "%zu nodes ran %.1f\n",
+                   n, events_per_node, chain_sizes[0], first_events_per_node);
+      return 1;
+    }
+    serial_wall = r.wall_s;  // ends on the 10k run PDES is compared against
+    reporter.point(bench::format("serial.n%zu", n), r.wall_s);
+    reporter.metric(bench::format("serial.n%zu.events", n),
+                    static_cast<double>(r.events));
+    reporter.metric(bench::format("serial.n%zu.events_per_s", n), events_per_s);
+    std::printf("%8zu %12llu %12.3f %14.0f\n", n,
+                static_cast<unsigned long long>(r.events), r.wall_s,
+                events_per_s);
+    if (n == kPdesNodes) {
+      reporter.metric("serial.n10000_vs_n1250", events_per_s / first_events_per_s);
+    }
+  }
+
+  // --- PDES strong scaling ---------------------------------------------------
   std::printf("\nPDES strong scaling: %zu-node chain, fixed 8-region stripe "
               "partition, 1 simulated minute (host: %u hardware threads)\n",
               kPdesNodes, std::thread::hardware_concurrency());
-  std::printf("%8s %8s %12s %14s %10s\n", "workers", "regions", "wall s",
-              "events/s", "speedup");
+  std::printf("%8s %8s %12s %14s %10s %10s\n", "workers", "regions", "wall s",
+              "events/s", "speedup", "vs serial");
   reporter.metric("pdes.hw_threads",
                   static_cast<double>(std::thread::hardware_concurrency()));
 
@@ -244,7 +304,7 @@ int main(int argc, char** argv) {
   std::uint64_t events_1w = 0;
   for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                                     std::size_t{8}}) {
-    const PdesResult r = run_pdes_field(kPdesNodes, workers);
+    const PdesResult r = run_chain_field(kPdesNodes, workers);
     if (workers == 1) {
       wall_1w = r.wall_s;
       events_1w = r.events;
@@ -263,12 +323,14 @@ int main(int argc, char** argv) {
     const double events_per_s =
         static_cast<double>(r.events) / std::max(r.wall_s, 1e-9);
     const double speedup = wall_1w / std::max(r.wall_s, 1e-9);
+    const double vs_serial = serial_wall / std::max(r.wall_s, 1e-9);
     reporter.point(bench::format("pdes.w%zu", workers), r.wall_s);
     reporter.metric(bench::format("pdes.w%zu.events_per_s", workers),
                     events_per_s);
     reporter.metric(bench::format("pdes.w%zu.speedup", workers), speedup);
-    std::printf("%8zu %8zu %12.3f %14.0f %9.2fx\n", workers, r.regions,
-                r.wall_s, events_per_s, speedup);
+    reporter.metric(bench::format("pdes.w%zu.vs_serial", workers), vs_serial);
+    std::printf("%8zu %8zu %12.3f %14.0f %9.2fx %9.2fx\n", workers, r.regions,
+                r.wall_s, events_per_s, speedup, vs_serial);
   }
 
   // --- PDES tile-grid sweep --------------------------------------------------

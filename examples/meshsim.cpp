@@ -6,8 +6,8 @@
 // without writing code.
 //
 //   ./build/examples/meshsim --topology chain --nodes 8 --hours 2
-//   ./build/examples/meshsim --topology field --nodes 20 --sf 9 \
-//       --hello 120 --interval 60 --seed 3 --loss 0.1
+//   ./build/examples/meshsim --topology field --nodes 20 --sf 9
+//       --hello 120 --interval 60 --seed 3 --loss 0.1   (one command line)
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>

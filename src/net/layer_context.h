@@ -86,14 +86,14 @@ struct LayerContext {
   /// The node's single randomness stream (jitter, backoff, retry fuzz,
   /// session seeds). All layers draw from here, in event order.
   Rng rng;
-  NodeStats stats;
+  NodeStats stats{};
   /// Flight recorder; null = detached. Instrumentation sites guard on this
   /// pointer so the untraced hot path never evaluates arguments.
   trace::Tracer* tracer = nullptr;
   bool running = false;
   /// The node's oscillator (config.clock). Identity by default, in which
   /// case every conversion below is bit-exact passthrough.
-  sim::NodeClock clock;
+  sim::NodeClock clock{};
   /// Live battery, owned by the testbed; null = unmetered (infinite).
   /// Routing strategies read state of charge for energy-aware metrics.
   const radio::EnergyModel* energy = nullptr;

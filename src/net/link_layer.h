@@ -115,7 +115,7 @@ class LinkLayer final : public radio::RadioListener {
     // first pump. Duty defers and CAD backoffs re-enter pump() for the same
     // packet; the frame size and modulation cannot change while it waits
     // (late next-hop resolution rewrites the dst, not the length).
-    Duration airtime;
+    Duration airtime{};
   };
 
   void pump();

@@ -61,7 +61,7 @@ void ParallelEngine::exchange() {
 void ParallelEngine::run_until(TimePoint t) {
   for (;;) {
     // Skip-ahead: open the next window at the earliest pending event
-    // anywhere. A cancelled-but-unswept wheel entry may pull t0 early —
+    // anywhere. A cancelled-but-unswept queue entry may pull t0 early —
     // that only costs an empty window, never correctness. Barrier-applied
     // messages can sit exactly at now_ (a ghost ending on the boundary),
     // hence the clamp.

@@ -2,9 +2,8 @@
 //
 // One scenario, many cores: the node field is decomposed into contiguous
 // spatial regions (sim/pdes/region_partition.h), each region owns a full
-// Simulator (timer wheel + pooled event slab — the PR 6 hot path, reused
-// unchanged), and regions advance in barrier-synchronized lookahead
-// windows:
+// Simulator (event heap + pooled event slab, reused unchanged), and regions
+// advance in barrier-synchronized lookahead windows:
 //
 //   loop:
 //     t0    = earliest pending event across all regions   (skip-ahead)

@@ -1,5 +1,7 @@
 #include "sim/simulator.h"
 
+#include <algorithm>
+
 #include "support/assert.h"
 #include "support/log.h"
 
@@ -27,7 +29,8 @@ TimerId Simulator::schedule_at(TimePoint t, std::function<void()> fn) {
   s.live = true;
   s.at_us = t.us();
   s.fn = std::move(fn);
-  wheel_.insert(TimerWheel::Entry{t.us(), next_seq_++, slot, s.gen});
+  queue_.push_back(Entry{t.us(), next_seq_++, slot, s.gen});
+  std::push_heap(queue_.begin(), queue_.end(), later);
   ++live_count_;
   return make_id(slot, s.gen);
 }
@@ -55,10 +58,10 @@ void Simulator::cancel(TimerId id) {
   s.fn = nullptr;  // release the closure (and its captures) right now
   free_.push_back(slot);
   --live_count_;
-  // The wheel entry stays behind as a stale (slot, gen) key; it is
+  // The queue entry stays behind as a stale (slot, gen) key; it is
   // discarded when its timestamp surfaces, or swept here in bulk if
   // cancellations outpace pops.
-  ++dead_in_wheel_;
+  ++dead_in_queue_;
   maybe_purge();
 }
 
@@ -73,13 +76,13 @@ std::optional<std::pair<TimePoint, std::function<void()>>> Simulator::extract(
   if (!s.live || s.gen != gen) return std::nullopt;
   std::pair<TimePoint, std::function<void()>> out{TimePoint::from_us(s.at_us),
                                                   std::move(s.fn)};
-  // From here this is cancel(): the slot frees now and the wheel entry stays
+  // From here this is cancel(): the slot frees now and the queue entry stays
   // behind as a stale key until popped or purged.
   s.live = false;
   s.fn = nullptr;
   free_.push_back(slot);
   --live_count_;
-  ++dead_in_wheel_;
+  ++dead_in_queue_;
   maybe_purge();
   return out;
 }
@@ -94,27 +97,29 @@ void Simulator::migrate_timer(Simulator& from, Simulator& to, TimerId& id) {
   id = to.schedule_at(pending->first, std::move(pending->second));
 }
 
-std::optional<TimePoint> Simulator::next_event_time() {
-  TimerWheel::Entry e;
-  if (!wheel_.peek(e)) return std::nullopt;
-  return TimePoint::from_us(e.at);
+std::optional<TimePoint> Simulator::next_event_time() const {
+  if (queue_.empty()) return std::nullopt;
+  return TimePoint::from_us(queue_.front().at);
 }
 
 void Simulator::maybe_purge() {
-  if (dead_in_wheel_ <= 1024 || dead_in_wheel_ <= live_count_) return;
-  const std::size_t removed = wheel_.purge(
-      [this](const TimerWheel::Entry& e) { return entry_live(e); });
-  LM_ASSERT(removed == dead_in_wheel_);
-  dead_in_wheel_ = 0;
+  if (dead_in_queue_ <= 1024 || dead_in_queue_ <= live_count_) return;
+  const auto dead = std::remove_if(queue_.begin(), queue_.end(),
+                                   [this](const Entry& e) { return !entry_live(e); });
+  LM_ASSERT(static_cast<std::size_t>(queue_.end() - dead) == dead_in_queue_);
+  queue_.erase(dead, queue_.end());
+  std::make_heap(queue_.begin(), queue_.end(), later);
+  dead_in_queue_ = 0;
 }
 
 bool Simulator::fire_next(TimePoint limit) {
-  TimerWheel::Entry e;
   for (;;) {
-    if (!wheel_.peek(e) || e.at > limit.us()) return false;
-    wheel_.pop_min();
+    if (queue_.empty() || queue_.front().at > limit.us()) return false;
+    std::pop_heap(queue_.begin(), queue_.end(), later);
+    const Entry e = queue_.back();
+    queue_.pop_back();
     if (!entry_live(e)) {
-      --dead_in_wheel_;
+      --dead_in_queue_;
       continue;
     }
     Slot& s = slots_[e.slot];

@@ -6,15 +6,17 @@
 // single-threaded and reproducibly: events at equal timestamps fire in
 // scheduling order (FIFO), and no wall-clock time ever leaks in.
 //
-// Storage layout: closures live in a slab of reusable slots; the timer
-// wheel (sim/timer_wheel.h) holds only POD (time, sequence, slot,
-// generation) keys. Popping the wheel therefore never copies a
+// Storage layout: closures live in a slab of reusable slots; the event
+// queue is a binary min-heap (std::push_heap/pop_heap) of POD (time,
+// sequence, slot, generation) keys. Popping therefore never copies a
 // std::function, cancel() releases the closure (and everything it captures)
 // immediately rather than when the timestamp is reached, and liveness is a
 // generation compare instead of a hash-set lookup per pop. Cancelled
-// entries left behind in the wheel are swept in bulk once they outnumber
+// entries left behind in the heap are swept in bulk once they outnumber
 // the live ones, so cancel-heavy workloads (retry timers that almost always
-// get cancelled) stay O(1) amortized.
+// get cancelled) stay O(1) amortized. Every push and pop is O(log n) no
+// matter how many entries share a timestamp, so phase-locked timers (every
+// node armed at the same µs) cost no more than spread-out ones.
 //
 // Usage:
 //   Simulator sim;
@@ -28,7 +30,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/timer_wheel.h"
 #include "support/time.h"
 
 namespace lm::sim {
@@ -62,7 +63,7 @@ class Simulator {
 
   /// Removes a pending event and hands back its (due time, closure) pair —
   /// cancel() that preserves the work instead of dropping it. Nullopt for a
-  /// stale/fired/zero id. The wheel bookkeeping matches cancel() exactly.
+  /// stale/fired/zero id. The queue bookkeeping matches cancel() exactly.
   std::optional<std::pair<TimePoint, std::function<void()>>> extract(
       TimerId id);
 
@@ -102,7 +103,7 @@ class Simulator {
   /// yet swept may report its (dead) timestamp, so the value is a
   /// conservative lower bound on the next live event — exactly what the
   /// PDES window scheduler (sim/pdes) needs; it never overestimates.
-  std::optional<TimePoint> next_event_time();
+  std::optional<TimePoint> next_event_time() const;
 
   /// Total events executed over this simulator's lifetime (perf metric).
   std::uint64_t events_processed() const { return events_processed_; }
@@ -113,7 +114,7 @@ class Simulator {
 
  private:
   // One reusable home for a scheduled closure. `gen` is bumped every time
-  // the slot is (re)allocated; a TimerId and a wheel entry carry the
+  // the slot is (re)allocated; a TimerId and a queue entry carry the
   // generation they were issued with, so stale references are detected by a
   // single compare.
   struct Slot {
@@ -123,15 +124,29 @@ class Simulator {
     std::function<void()> fn;
   };
 
+  // One queued key. Firing order is (at, seq): seq is the global schedule
+  // order, so same-timestamp events fire FIFO.
+  struct Entry {
+    std::int64_t at;     // absolute time, microseconds
+    std::uint64_t seq;   // global schedule order: FIFO tie-break
+    std::uint32_t slot;  // closure slab index
+    std::uint32_t gen;   // slab generation for liveness checks
+  };
+  // Heap comparator: true when `a` fires after `b`, which puts the (at, seq)
+  // minimum at queue_.front().
+  static bool later(const Entry& a, const Entry& b) {
+    return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+  }
+
   static TimerId make_id(std::uint32_t slot, std::uint32_t gen) {
     return (static_cast<TimerId>(slot) << 32) | gen;
   }
   const Slot* find_live(TimerId id) const;
-  bool entry_live(const TimerWheel::Entry& e) const {
+  bool entry_live(const Entry& e) const {
     const Slot& s = slots_[e.slot];
     return s.live && s.gen == e.gen;
   }
-  /// Evicts dead wheel entries once they outnumber live ones.
+  /// Evicts dead queue entries once they outnumber live ones.
   void maybe_purge();
   /// Pops and fires the next live event with timestamp <= limit. Dead
   /// entries up to the limit are discarded along the way.
@@ -139,11 +154,11 @@ class Simulator {
 
   TimePoint now_ = TimePoint::origin();
   std::uint64_t next_seq_ = 1;
-  TimerWheel wheel_;
+  std::vector<Entry> queue_;  // min-heap under later()
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;  // indices of slots ready for reuse
   std::size_t live_count_ = 0;
-  std::size_t dead_in_wheel_ = 0;  // cancelled entries not yet popped/purged
+  std::size_t dead_in_queue_ = 0;  // cancelled entries not yet popped/purged
   std::uint64_t events_processed_ = 0;
   bool stop_requested_ = false;
   bool logger_attached_ = false;

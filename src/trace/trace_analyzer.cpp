@@ -11,6 +11,7 @@ namespace {
 
 constexpr std::uint16_t kBroadcastAddr = 0xFFFF;
 constexpr std::uint8_t kRoutingType = 1;
+constexpr std::uint8_t kSyncType = 3;
 constexpr std::uint8_t kAckedDataType = 9;
 
 bool has_packet_identity(const TraceEvent& e) {
@@ -160,7 +161,11 @@ std::vector<std::string> TraceAnalyzer::check_invariants(
   // relays: flooding data, RREQ waves, tree beacons) keep one packet_id
   // across every branch of the wave, and only *causal* order — not the
   // chronological interleaving of independent branches — guarantees
-  // monotone hops, so they are exempt too; unicast chains are causal.
+  // monotone hops, so they are exempt too; unicast chains are causal. A
+  // completed reliable transfer logs one transfer-level Deliver (type Sync,
+  // hops/ttl 0, packet_id = transfer seq) that is no wire copy at all; it
+  // joins a routed SYNC frame's journey whenever the two ids collide, so it
+  // is skipped here.
   for (const auto& [key, journey] : journeys_) {
     if (key.packet_type == kAckedDataType || key.packet_type == kRoutingType) {
       continue;
@@ -173,6 +178,7 @@ std::vector<std::string> TraceAnalyzer::check_invariants(
         continue;
       }
       if (e.via == kBroadcastAddr) continue;
+      if (e.kind == EventKind::Deliver && e.packet_type == kSyncType) continue;
       if (e.hops < last_hops || e.ttl > last_ttl) {
         std::snprintf(msg, sizeof msg,
                       "hop/ttl not monotone: origin %u id %u type %u at "

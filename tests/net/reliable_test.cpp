@@ -328,7 +328,7 @@ TEST_F(ReliableReceiverTest, ReassemblesInOrderDelivery) {
 TEST_F(ReliableReceiverTest, ReassemblesOutOfOrderArrival) {
   const auto payload = pattern(1000);
   auto r = make(sync(1000));
-  for (std::uint16_t i : {4, 0, 2, 1, 3}) {
+  for (int i : {4, 0, 2, 1, 3}) {
     r->on_fragment(fragment(payload, static_cast<std::uint16_t>(i)));
   }
   EXPECT_EQ(deliveries_, 1);

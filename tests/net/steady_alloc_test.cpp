@@ -46,6 +46,10 @@ void* counted_aligned_alloc(std::size_t size, std::size_t alignment) {
   return p;
 }
 
+// Out of line so GCC cannot inline free() into a `new T` call site and
+// report the replaced new/delete pair as mismatched.
+[[gnu::noinline]] void counted_free(void* p) noexcept { std::free(p); }
+
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -83,21 +87,21 @@ void* operator new[](std::size_t size, std::align_val_t al,
   return counted_aligned_alloc(size, static_cast<std::size_t>(al));
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { counted_free(p); }
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+  counted_free(p);
 }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { counted_free(p); }
 void operator delete(void* p, std::align_val_t, std::size_t) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 void operator delete[](void* p, std::align_val_t, std::size_t) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 
 namespace lm::testbed {

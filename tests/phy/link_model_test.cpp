@@ -66,7 +66,9 @@ TEST(LoraParams, SensitivityOrdering) {
                              SpreadingFactor::SF9, SpreadingFactor::SF10,
                              SpreadingFactor::SF11, SpreadingFactor::SF12}) {
     const double s = sensitivity_dbm(sf, Bandwidth::BW125);
-    if (!first) EXPECT_LT(s, prev);
+    if (!first) {
+      EXPECT_LT(s, prev);
+    }
     prev = s;
     first = false;
     EXPECT_LT(sensitivity_dbm(sf, Bandwidth::BW125),

@@ -170,9 +170,9 @@ INSTANTIATE_TEST_SUITE_P(
                       TransferCase{5000, 0.0}, TransferCase{5000, 0.15},
                       TransferCase{5000, 0.3}, TransferCase{240, 0.1},
                       TransferCase{239, 0.0}, TransferCase{478, 0.1}),
-    [](const ::testing::TestParamInfo<TransferCase>& info) {
-      return std::to_string(info.param.payload_bytes) + "B_loss" +
-             std::to_string(static_cast<int>(info.param.loss * 100));
+    [](const ::testing::TestParamInfo<TransferCase>& tc) {
+      return std::to_string(tc.param.payload_bytes) + "B_loss" +
+             std::to_string(static_cast<int>(tc.param.loss * 100));
     });
 
 }  // namespace

@@ -38,12 +38,16 @@ void check_invariants(const RoutingTable& t) {
     // Exactly one entry per destination.
     ASSERT_TRUE(seen.insert(e.destination).second);
     // Direct neighbors route through themselves.
-    if (e.metric == 1) ASSERT_EQ(e.via, e.destination);
+    if (e.metric == 1) {
+      ASSERT_EQ(e.via, e.destination);
+    }
   }
   // route_to never returns an unusable (saturated) route.
   for (const RouteEntry& e : t.entries()) {
     const auto r = t.route_to(e.destination);
-    if (r) ASSERT_LT(r->metric, kInfiniteMetric);
+    if (r) {
+      ASSERT_LT(r->metric, kInfiniteMetric);
+    }
   }
 }
 
@@ -92,7 +96,9 @@ TEST_P(RoutingProperty, AdvertisementIsWellFormed) {
     // truncation (it sorts first by metric).
     bool has_self = false;
     for (std::size_t i = 0; i < adv.size(); ++i) {
-      if (i > 0) ASSERT_LT(adv[i - 1].address, adv[i].address);
+      if (i > 0) {
+        ASSERT_LT(adv[i - 1].address, adv[i].address);
+      }
       if (adv[i].address == kSelf) {
         has_self = true;
         ASSERT_EQ(adv[i].metric, 0);

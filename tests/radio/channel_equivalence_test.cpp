@@ -170,7 +170,7 @@ Script random_script(std::uint64_t seed, bool mobile) {
   const auto pick_pair = [&rng, n]() -> std::pair<RadioId, RadioId> {
     const auto a = static_cast<RadioId>(rng.uniform_int(1, static_cast<std::int64_t>(n)));
     auto b = static_cast<RadioId>(rng.uniform_int(1, static_cast<std::int64_t>(n)));
-    if (b == a) b = (b % n) + 1;
+    if (b == a) b = static_cast<RadioId>((b % n) + 1);
     return {a, b};
   };
   for (std::size_t i = 0; i < n / 4; ++i) s.blocked.push_back(pick_pair());

@@ -311,6 +311,43 @@ TEST(Invariants, AckedDataRetriesAreExemptFromMonotonicity) {
   EXPECT_TRUE(analyzer.check_invariants(opts).empty());
 }
 
+TEST(Invariants, TransferDeliverDoesNotJoinSyncFrameMonotonicity) {
+  // A routed SYNC frame (origin 1, id 5) crosses two hops; node 3 then
+  // completes a reliable transfer whose seq is also 5. The transfer-level
+  // Deliver carries hops/ttl 0 and lands in the frame's journey, but it is
+  // no wire copy and must not read as a hop regression.
+  constexpr std::uint8_t kSyncType = 3;
+  std::vector<TraceEvent> t;
+  auto tx1 = make_packet(EventKind::MeshTx, 10, 1, 1, 5, kSyncType);
+  tx1.ttl = 10;
+  tx1.via = 2;
+  t.push_back(tx1);
+  auto fwd = make_packet(EventKind::Forward, 20, 2, 1, 5, kSyncType);
+  fwd.hops = 1;
+  fwd.ttl = 9;
+  t.push_back(fwd);
+  auto tx2 = make_packet(EventKind::MeshTx, 30, 2, 1, 5, kSyncType);
+  tx2.hops = 1;
+  tx2.ttl = 9;
+  tx2.via = 3;
+  t.push_back(tx2);
+  auto done = make_packet(EventKind::Deliver, 40, 3, 1, 5, kSyncType);
+  done.final_dst = 3;
+  done.bytes = 1000;
+  t.push_back(done);
+  InvariantOptions opts;
+  opts.check_routes = false;
+  EXPECT_TRUE(TraceAnalyzer(t).check_invariants(opts).empty());
+
+  // A wire copy of the same unicast going back a hop still reports.
+  auto back = make_packet(EventKind::Forward, 35, 3, 1, 5, kSyncType);
+  back.ttl = 9;  // hops 0 after 1
+  t.insert(t.end() - 1, back);
+  const auto violations = TraceAnalyzer(std::move(t)).check_invariants(opts);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_NE(violations[0].find("not monotone"), std::string::npos);
+}
+
 TEST(Invariants, DetectsDutyBudgetOverrun) {
   // limit 0.1 over a 1 s window = 100 ms budget; two 80 ms frames 100 ms
   // apart blow through it on the second emission.
