@@ -117,7 +117,8 @@ class Reporter {
   std::string to_json() const {
     std::string out = "{\"name\":\"" + name_ + "\"";
     for (const auto& [key, value] : metrics_) {
-      out += ",\"" + key + "\":" + format("%.6g", value);
+      // 10 significant digits keep event counters past a million exact.
+      out += ",\"" + key + "\":" + format("%.10g", value);
     }
     out += "}";
     return out;

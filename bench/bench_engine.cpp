@@ -1,21 +1,26 @@
 // Engine microbenchmark — the perf-trajectory anchor for the simulation
 // core itself (no paper experiment attached).
 //
-// Two measurements:
+// Measurements:
 //  * raw event loop: self-rescheduling timers with no radio or protocol
 //    work, isolating scheduler overhead (slab allocation, heap push/pop);
+//  * routing-table merge: one 120-entry table taking full beacons from 8
+//    neighbours and building its own, without any simulator around it;
 //  * 16-node mesh: a full campus-field deployment with beacons, CSMA and
 //    Poisson traffic — events/sec and simulated-seconds per wall-second as
 //    experienced by real experiments.
 //
 // Cancel-heavy churn is included in the raw loop because protocol code
 // cancels timers constantly (CSMA backoff, retransmission timers).
+#include <algorithm>
 #include <array>
+#include <chrono>
 #include <cstdio>
 
 #include "bench_common.h"
 #include "metrics/packet_tracker.h"
 #include "net/packet.h"
+#include "net/routing_table.h"
 #include "sim/simulator.h"
 #include "support/pool.h"
 #include "testbed/topology.h"
@@ -147,6 +152,74 @@ AllocResult alloc_pressure(std::uint64_t packets) {
   return r;
 }
 
+struct BeaconResult {
+  double apply_ns = 0.0;      // mean wall time of one apply_beacon()
+  double advertise_ns = 0.0;  // mean wall time of one advertisement()
+  std::uint64_t routing_changes = 0;  // beacons that changed the table
+  std::size_t table_size = 0;
+};
+
+// The distance-vector merge in isolation, at city-field table sizes. 120
+// destinations sit on an address grid around the receiver; 8 of them are
+// its neighbours. Each neighbour's beacon is a full frame: its metric-0
+// self entry plus the 61 grid addresses nearest to it, in address order,
+// with hop counts that grow with grid distance. One beacon in four reports
+// one of its routes a hop worse than usual, so some beacons move routes and
+// most only refresh them. After every beacon the receiver builds its own
+// advertisement, as a node does before its next broadcast.
+BeaconResult beacon_merge(std::size_t rounds) {
+  constexpr std::size_t kGrid = 120;
+  constexpr std::size_t kNeighbors = 8;
+  constexpr std::size_t kSpan = net::kMaxRoutingEntries;  // entries per beacon
+  const auto address = [](std::size_t i) {
+    return static_cast<net::Address>(0x0400 + 5 * i);
+  };
+  const net::Address self = address(kGrid / 2) + 2;  // off the grid
+  net::RoutingTable table(self, Duration::minutes(10));
+  Rng rng(13);
+  std::vector<net::RoutingEntry> beacon;
+  std::uint64_t apply_ns = 0;
+  std::uint64_t advertise_ns = 0;
+  BeaconResult r;
+  for (std::size_t round = 0; round < rounds; ++round) {
+    const TimePoint now = TimePoint::origin() + Duration::seconds(
+        60 * static_cast<std::int64_t>(round));
+    for (std::size_t n = 0; n < kNeighbors; ++n) {
+      const std::size_t home = 7 + 15 * n;  // the neighbour's grid index
+      beacon.clear();
+      const std::size_t worse = rng.index(4) == 0 ? rng.index(kSpan) : kSpan;
+      for (std::size_t k = 0; k < kSpan; ++k) {
+        const std::size_t i = (home + kGrid - kSpan / 2 + k) % kGrid;
+        const std::size_t distance = i > home ? i - home : home - i;
+        const std::size_t ring = std::min(distance, kGrid - distance);
+        const auto metric = static_cast<std::uint8_t>(
+            i == home ? 0 : 1 + ring / 8 + (k == worse ? 1 : 0));
+        beacon.push_back({address(i), metric, net::roles::kNone});
+      }
+      std::sort(beacon.begin(), beacon.end(),
+                [](const net::RoutingEntry& a, const net::RoutingEntry& b) {
+                  return a.address < b.address;
+                });
+      const auto t0 = std::chrono::steady_clock::now();
+      const bool changed = table.apply_beacon(address(home), beacon, now);
+      const auto t1 = std::chrono::steady_clock::now();
+      const auto adv = table.advertisement();
+      const auto t2 = std::chrono::steady_clock::now();
+      if (changed) ++r.routing_changes;
+      if (adv.size() != kSpan) return {};  // a full table fills the frame
+      apply_ns += static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
+      advertise_ns += static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(t2 - t1).count());
+    }
+  }
+  const double calls = static_cast<double>(rounds * kNeighbors);
+  r.apply_ns = static_cast<double>(apply_ns) / calls;
+  r.advertise_ns = static_cast<double>(advertise_ns) / calls;
+  r.table_size = table.size();
+  return r;
+}
+
 struct MeshResult {
   double events_per_sec = 0.0;
   double sim_s_per_wall_s = 0.0;
@@ -155,7 +228,7 @@ struct MeshResult {
   double pdr = 0.0;
 };
 
-// The reference workload: 16-node campus field, convergence, then two hours
+// The reference workload: 16-node campus field, convergence, then five days
 // of beacons + 4 Poisson flows.
 MeshResult mesh_16(std::uint64_t seed) {
   auto cfg = bench::campus_config(seed);
@@ -176,7 +249,7 @@ MeshResult mesh_16(std::uint64_t seed) {
     flows.back()->start();
   }
 
-  const Duration span = Duration::hours(2);
+  const Duration span = Duration::hours(120);
   bench::WallTimer wall;
   const std::uint64_t before = s.simulator().events_processed();
   s.run_for(span);
@@ -229,7 +302,21 @@ int main(int argc, char** argv) {
   reporter.metric("alloc.pool_hit_rate", alloc.pool_hit_rate);
   reporter.metric("alloc.refills", static_cast<double>(alloc.refills));
 
-  std::printf("\n16-node mesh, 2 simulated hours of beacons + 4 Poisson "
+  std::printf("\nrouting-table merge (120-entry table, 62-entry beacons from 8 "
+              "neighbours, 2,000 rounds):\n");
+  const auto merge = beacon_merge(2'000);
+  std::printf("  %.0f ns per apply_beacon, %.0f ns per advertisement, "
+              "%llu of %d beacons changed the table (%zu entries)\n",
+              merge.apply_ns, merge.advertise_ns,
+              static_cast<unsigned long long>(merge.routing_changes), 2'000 * 8,
+              merge.table_size);
+  reporter.metric("beacon.apply_ns", merge.apply_ns);
+  reporter.metric("beacon.advertise_ns", merge.advertise_ns);
+  reporter.metric("beacon.routing_changes",
+                  static_cast<double>(merge.routing_changes));
+  reporter.metric("beacon.table_size", static_cast<double>(merge.table_size));
+
+  std::printf("\n16-node mesh, 120 simulated hours of beacons + 4 Poisson "
               "flows:\n");
   const auto mesh = mesh_16(7);
   std::printf("  %.2f s wall for %llu events\n", mesh.wall_s,

@@ -1,6 +1,7 @@
 #include "net/routing_table.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 
 #include "support/assert.h"
@@ -20,27 +21,12 @@ RoutingTable::RoutingTable(Address self, Duration route_timeout,
 }
 
 RouteEntry* RoutingTable::find(Address destination) {
-  const auto it = by_destination_.find(destination);
-  if (it == by_destination_.end()) return nullptr;
-  return &entries_[it->second];
+  const auto it = lower_bound(destination);
+  return it != entries_.end() && it->destination == destination ? &*it : nullptr;
 }
 
 const RouteEntry* RoutingTable::find(Address destination) const {
   return const_cast<RoutingTable*>(this)->find(destination);
-}
-
-void RoutingTable::append(RouteEntry entry) {
-  by_destination_.try_emplace(entry.destination,
-                              static_cast<std::uint32_t>(entries_.size()));
-  entries_.push_back(entry);
-}
-
-void RoutingTable::reindex() {
-  by_destination_.clear();  // keeps capacity
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    by_destination_.try_emplace(entries_[i].destination,
-                                static_cast<std::uint32_t>(i));
-  }
 }
 
 bool RoutingTable::apply_beacon(Address neighbor,
@@ -50,26 +36,29 @@ bool RoutingTable::apply_beacon(Address neighbor,
   if (neighbor == self_) return false;  // own beacon echoed back — ignore
   bool changed = false;
   const TimePoint deadline = now + route_timeout_;
+  next_expiry_ = std::min(next_expiry_, deadline);
 
   // (a) The sender itself is a 1-hop neighbor. Its role arrives with its
   // metric-0 self entry in step (b); keep whatever we know meanwhile.
-  if (RouteEntry* direct = find(neighbor)) {
-    if (direct->metric != 1 || direct->via != neighbor) {
-      direct->metric = 1;
-      direct->via = neighbor;
-      changed = true;
-      notify(*direct);
-    }
-    direct->expires_at = deadline;
-  } else {
-    append(RouteEntry{neighbor, neighbor, 1, roles::kNone, deadline});
+  auto direct = lower_bound(neighbor);
+  if (direct == entries_.end() || direct->destination != neighbor) {
+    direct = entries_.insert(direct, {neighbor, neighbor, 1, roles::kNone, deadline});
     changed = true;
-    notify(entries_.back());
+    notify(*direct);
+  } else if (direct->metric != 1 || direct->via != neighbor) {
+    direct->metric = 1;
+    direct->via = neighbor;
+    changed = true;
+    notify(*direct);
   }
+  direct->expires_at = deadline;
 
   // (b) Bellman-Ford on the advertised entries. The sender's own metric-0
   // entry lands here too (adv.address == neighbor): it refreshes the direct
-  // route and carries the sender's role.
+  // route and carries the sender's role. Beacons list addresses in
+  // ascending order, so one forward cursor walks the table alongside them;
+  // it rewinds only when an address does not ascend (a crafted frame).
+  std::size_t cursor = 0;
   for (const RoutingEntry& adv : entries) {
     if (adv.address == self_ || adv.address == kBroadcast ||
         adv.address == kUnassigned) {
@@ -80,12 +69,16 @@ bool RoutingTable::apply_beacon(Address neighbor,
     if (adv.metric == 0 && adv.address != neighbor) continue;
     const std::uint8_t candidate = static_cast<std::uint8_t>(
         std::min<int>(adv.metric + 1, max_metric_));
-    RouteEntry* cur = find(adv.address);
-    if (cur == nullptr) {
+    if (cursor > 0 && entries_[cursor - 1].destination >= adv.address) cursor = 0;
+    while (cursor < entries_.size() && entries_[cursor].destination < adv.address) {
+      ++cursor;
+    }
+    const auto cur = entries_.begin() + static_cast<std::ptrdiff_t>(cursor);
+    if (cur == entries_.end() || cur->destination != adv.address) {
       if (candidate < max_metric_) {
-        append(RouteEntry{adv.address, neighbor, candidate, adv.role, deadline});
+        notify(*entries_.insert(
+            cur, {adv.address, neighbor, candidate, adv.role, deadline}));
         changed = true;
-        notify(entries_.back());
       }
       continue;
     }
@@ -93,10 +86,7 @@ bool RoutingTable::apply_beacon(Address neighbor,
       // Our next hop re-advertised the route: follow it unconditionally
       // (bad news must stick), withdrawing on saturation.
       if (candidate >= max_metric_ && adv.address != neighbor) {
-        std::erase_if(entries_, [&](const RouteEntry& e) {
-          return e.destination == adv.address;
-        });
-        reindex();
+        entries_.erase(cur);
         changed = true;
         continue;
       }
@@ -129,15 +119,14 @@ bool RoutingTable::upsert(Address destination, Address via,
   if (destination == self_) return false;
   metric = std::min<std::uint8_t>(metric, max_metric_ - 1);
   const TimePoint deadline = now + route_timeout_;
-  RouteEntry* cur = find(destination);
-  if (cur == nullptr) {
-    append(RouteEntry{destination, via, metric, role, deadline});
-    notify(entries_.back());
+  next_expiry_ = std::min(next_expiry_, deadline);
+  const auto cur = lower_bound(destination);
+  if (cur == entries_.end() || cur->destination != destination) {
+    notify(*entries_.insert(cur, {destination, via, metric, role, deadline}));
     return true;
   }
   const bool new_pairing = cur->via != via;
-  const bool changed =
-      new_pairing || cur->metric != metric || cur->role != role;
+  const bool changed = new_pairing || cur->metric != metric || cur->role != role;
   cur->via = via;
   cur->metric = metric;
   cur->role = role;
@@ -147,39 +136,40 @@ bool RoutingTable::upsert(Address destination, Address via,
 }
 
 bool RoutingTable::invalidate(Address destination) {
-  const std::size_t removed = std::erase_if(entries_, [&](const RouteEntry& e) {
-    return e.destination == destination;
-  });
-  if (removed != 0) reindex();
-  return removed != 0;
+  const auto at = lower_bound(destination);
+  if (at == entries_.end() || at->destination != destination) return false;
+  entries_.erase(at);
+  return true;
 }
 
 bool RoutingTable::touch(Address destination, TimePoint now) {
   RouteEntry* cur = find(destination);
   if (cur == nullptr) return false;
   cur->expires_at = now + route_timeout_;
+  next_expiry_ = std::min(next_expiry_, cur->expires_at);
   return true;
 }
 
 std::size_t RoutingTable::expire(TimePoint now) {
+  if (now < next_expiry_) return 0;  // nothing can have lapsed yet
   // Direct casualties: hold timer lapsed.
   std::size_t removed = std::erase_if(
       entries_, [now](const RouteEntry& e) { return e.expires_at <= now; });
-  if (removed == 0) return 0;
-  reindex();
   // Cascade: a route is only usable while its next hop is a live neighbor.
   // (Entries via a dead neighbor stop being refreshed and would lapse on
   // their own within one timeout; removing them now keeps the table
   // internally consistent — next_hop() never returns a vanished neighbor.)
-  // Each pass tests membership against the index snapshot from before the
-  // pass (the vector is in flux inside erase_if), iterating to fixed point.
-  for (;;) {
-    const std::size_t cascade = std::erase_if(entries_, [this](const RouteEntry& e) {
-      return e.via != e.destination && !by_destination_.contains(e.via);
-    });
-    reindex();
-    if (cascade == 0) break;
-    removed += cascade;
+  // Each pass marks against the table as it was before the pass (metric 0,
+  // never stored, is the mark), then compacts, iterating to a fixed point.
+  for (std::size_t cascade = removed; cascade != 0; removed += cascade) {
+    for (RouteEntry& e : entries_) {
+      if (e.via != e.destination && find(e.via) == nullptr) e.metric = 0;
+    }
+    cascade = std::erase_if(entries_, [](auto& e) { return e.metric == 0; });
+  }
+  next_expiry_ = TimePoint::max();
+  for (const RouteEntry& e : entries_) {
+    next_expiry_ = std::min(next_expiry_, e.expires_at);
   }
   return removed;
 }
@@ -209,29 +199,32 @@ std::vector<RouteEntry> RoutingTable::routes_with_role(Role role_mask) const {
 std::optional<RouteEntry> RoutingTable::nearest_with_role(Role role_mask) const {
   std::optional<RouteEntry> best;
   for (const RouteEntry& e : routes_with_role(role_mask)) {
-    if (!best || e.metric < best->metric ||
-        (e.metric == best->metric && e.destination < best->destination)) {
-      best = e;
-    }
+    if (!best || e.metric < best->metric) best = e;  // ties keep the lower address
   }
   return best;
 }
 
 support::PooledVector<RoutingEntry> RoutingTable::advertisement() const {
+  // The metric-0 self entry always makes the cut; the other slots go to the
+  // lowest (metric, address) entries. A metric histogram finds the cut-off
+  // metric; ties at the cut-off go to the lowest addresses, i.e. to the
+  // first ones the address-ordered walk meets.
+  std::size_t room = kMaxRoutingEntries - 1;
+  std::size_t cutoff = 256;  // above every metric: no truncation
+  if (entries_.size() > room) {
+    std::array<std::size_t, 256> histogram{};
+    for (const RouteEntry& e : entries_) ++histogram[e.metric];
+    for (cutoff = 0; histogram[cutoff] < room; ++cutoff) room -= histogram[cutoff];
+  }
   support::PooledVector<RoutingEntry> adv;
-  adv.reserve(entries_.size() + 1);
-  adv.push_back(RoutingEntry{self_, 0, own_role_});  // carries our role
+  adv.reserve(std::min(entries_.size() + 1, kMaxRoutingEntries));
   for (const RouteEntry& e : entries_) {
+    if (e.metric > cutoff || (e.metric == cutoff && room == 0)) continue;
+    if (e.metric == cutoff) --room;
     adv.push_back(RoutingEntry{e.destination, e.metric, e.role});
   }
-  std::sort(adv.begin(), adv.end(), [](const RoutingEntry& a, const RoutingEntry& b) {
-    if (a.metric != b.metric) return a.metric < b.metric;
-    return a.address < b.address;
-  });
-  if (adv.size() > kMaxRoutingEntries) adv.resize(kMaxRoutingEntries);
-  std::sort(adv.begin(), adv.end(), [](const RoutingEntry& a, const RoutingEntry& b) {
-    return a.address < b.address;
-  });
+  adv.insert(std::ranges::lower_bound(adv, self_, {}, &RoutingEntry::address),
+             RoutingEntry{self_, 0, own_role_});  // carries our role
   return adv;
 }
 
@@ -283,22 +276,24 @@ bool RoutingTable::restore(std::span<const std::uint8_t> snapshot, TimePoint now
     restored.push_back(e);
   }
   if (!r.exhausted()) return false;
+  std::ranges::sort(restored, {}, &RouteEntry::destination);
+  if (std::ranges::adjacent_find(restored, {}, &RouteEntry::destination) !=
+      restored.end()) {
+    return false;  // one destination listed twice: corrupt
+  }
   entries_ = std::move(restored);
-  reindex();
-  for (const RouteEntry& e : entries_) notify(e);
+  for (const RouteEntry& e : entries_) {
+    next_expiry_ = std::min(next_expiry_, e.expires_at);
+    notify(e);
+  }
   return true;
 }
 
 std::string RoutingTable::to_string() const {
   std::string out = "routing table of " + lm::net::to_string(self_) + " (" +
                     std::to_string(entries_.size()) + " entries)\n";
-  std::vector<RouteEntry> sorted = entries_;
-  std::sort(sorted.begin(), sorted.end(),
-            [](const RouteEntry& a, const RouteEntry& b) {
-              return a.destination < b.destination;
-            });
   char line[128];
-  for (const RouteEntry& e : sorted) {
+  for (const RouteEntry& e : entries_) {
     std::snprintf(line, sizeof line, "  dst=%s via=%s metric=%u role=%s\n",
                   lm::net::to_string(e.destination).c_str(),
                   lm::net::to_string(e.via).c_str(), e.metric,

@@ -9,8 +9,11 @@
 // saturate at kInfiniteMetric (treated as unreachable) and every entry
 // carries a hold timer refreshed only by its own next hop, so silent
 // neighbors age out together with everything learned through them.
+// Storage is one destination-sorted vector: beacons (sent in address order)
+// merge into it with one forward cursor, and advertisement() needs no sort.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -20,7 +23,6 @@
 
 #include "net/address.h"
 #include "net/packet.h"
-#include "support/flat_map.h"
 #include "support/time.h"
 
 namespace lm::net {
@@ -81,7 +83,8 @@ class RoutingTable {
   /// Returns whether the destination was known.
   bool touch(Address destination, TimePoint now);
 
-  /// Removes entries whose hold timer has lapsed. Returns how many.
+  /// Removes lapsed entries and, to a fixed point, routes whose next hop is
+  /// gone. Returns how many; O(1) while `now` is before every deadline.
   std::size_t expire(TimePoint now);
 
   /// Full route lookup. nullopt when the destination is unknown.
@@ -102,13 +105,14 @@ class RoutingTable {
   Role own_role() const { return own_role_; }
 
   /// Entries to advertise in the next beacon: a metric-0 self entry (which
-  /// carries this node's role) followed by (destination, metric, role)
-  /// tuples, sorted by destination, truncated to what one frame can carry
-  /// (the lowest-metric — nearest — destinations win when truncating,
+  /// carries this node's role) plus (destination, metric, role) tuples, all
+  /// in address order, truncated to what one frame can carry (the
+  /// lowest-(metric, address) — nearest — destinations win when truncating,
   /// keeping the most reliable information flowing). Pool-backed so the
   /// periodic beacon path recycles its storage.
   support::PooledVector<RoutingEntry> advertisement() const;
 
+  /// Every stored route, sorted by destination.
   const std::vector<RouteEntry>& entries() const { return entries_; }
   std::size_t size() const { return entries_.size(); }
   Address self() const { return self_; }
@@ -132,15 +136,18 @@ class RoutingTable {
   /// Restores a snapshot into an empty table, re-basing lifetimes on `now`
   /// minus `downtime` already elapsed (entries whose lifetime lapsed are
   /// skipped). Returns false — leaving the table unchanged — on malformed
-  /// input. Requires the table to be empty.
+  /// input, including two live entries for one destination. Requires the
+  /// table to be empty.
   bool restore(std::span<const std::uint8_t> snapshot, TimePoint now,
                Duration downtime = Duration::zero());
 
  private:
+  std::vector<RouteEntry>::iterator lower_bound(Address destination) {
+    return std::ranges::lower_bound(entries_, destination, {},
+                                    &RouteEntry::destination);
+  }
   RouteEntry* find(Address destination);
   const RouteEntry* find(Address destination) const;
-  void append(RouteEntry entry);
-  void reindex();
 
   void notify(const RouteEntry& entry) {
     if (observer_) observer_(entry);
@@ -151,13 +158,11 @@ class RoutingTable {
   std::function<void(const RouteEntry&)> observer_;
   std::uint8_t max_metric_;
   Role own_role_;
-  std::vector<RouteEntry> entries_;
-  // destination -> index into entries_. Forwarding does one next_hop()
-  // lookup per data packet; a sorted flat map keeps that lookup inside one
-  // or two cache lines (tables hold tens of entries) and reuses its
-  // capacity across the rebuilds after removals (rare: expiry and
-  // withdrawals only).
-  support::FlatMap<Address, std::uint32_t> by_destination_;
+  std::vector<RouteEntry> entries_;  // sorted by destination, no duplicates
+  // Lower bound on every expires_at: an idle expire() is one comparison.
+  // Each deadline write lowers it; a postponing refresh leaves it loose,
+  // costing one real sweep, which recomputes it exactly.
+  TimePoint next_expiry_ = TimePoint::max();
 };
 
 }  // namespace lm::net

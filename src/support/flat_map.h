@@ -1,12 +1,14 @@
 // Sorted-vector flat map/set for small hot-path tables.
 //
-// Routing tables, transport session maps and dedup caches in this codebase
-// hold tens of entries, not thousands. At that size a contiguous sorted
-// vector beats node-based std::map/std::set on every axis that matters on
-// the per-packet path: lookups are a binary search over one or two cache
-// lines, iteration is linear memory, and — crucially for the steady-state
-// zero-allocation goal — insert/erase reuse the vector's capacity instead of
-// churning a heap node per element.
+// Transport session maps, dedup caches, link-layer neighbour state and
+// channel caches in this codebase are keyed by address or id and hold tens
+// to a few hundred entries. A contiguous sorted vector beats node-based
+// std::map/std::set on every axis that matters on the per-packet path:
+// lookups are a binary search over contiguous memory, iteration is linear
+// memory, and — crucially for the steady-state zero-allocation goal —
+// insert/erase reuse the vector's capacity instead of churning a heap node
+// per element. (The routing table is not a FlatMap: it is its own sorted
+// vector of RouteEntry, see net/routing_table.h.)
 //
 // The API is the subset of std::map/std::set the protocol stack uses.
 // Iteration order is sorted by key, i.e. exactly std::map's order, so

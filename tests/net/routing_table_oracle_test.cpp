@@ -1,0 +1,374 @@
+// Differential oracle for RoutingTable.
+//
+// ReferenceTable is the straightforward distance-vector table: an
+// insertion-ordered vector, a std::map index rebuilt after every removal,
+// and an advertisement built by sort → truncate → sort. RoutingTable keeps
+// one address-sorted vector, merges beacons with a cursor, cuts the
+// advertisement with a metric histogram and skips idle expiry sweeps. Both
+// are driven through the same seeded random histories and must agree after
+// every step on lookups, size, advertisement, observer notifications and
+// expire() counts.
+#include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "net/routing_table.h"
+#include "support/rng.h"
+
+namespace lm::net {
+namespace {
+
+class ReferenceTable {
+ public:
+  ReferenceTable(Address self, Duration timeout, std::uint8_t max_metric)
+      : self_(self), timeout_(timeout), max_metric_(max_metric) {}
+
+  std::vector<RouteEntry> notified;
+
+  bool apply_beacon(Address neighbor, const std::vector<RoutingEntry>& entries,
+                    TimePoint now) {
+    if (neighbor == self_) return false;
+    bool changed = false;
+    const TimePoint deadline = now + timeout_;
+    if (RouteEntry* direct = find(neighbor)) {
+      if (direct->metric != 1 || direct->via != neighbor) {
+        direct->metric = 1;
+        direct->via = neighbor;
+        changed = true;
+        notified.push_back(*direct);
+      }
+      direct->expires_at = deadline;
+    } else {
+      append(RouteEntry{neighbor, neighbor, 1, roles::kNone, deadline});
+      changed = true;
+    }
+    for (const RoutingEntry& adv : entries) {
+      if (adv.address == self_ || adv.address == kBroadcast ||
+          adv.address == kUnassigned) {
+        continue;
+      }
+      if (adv.metric == 0 && adv.address != neighbor) continue;
+      const std::uint8_t candidate = static_cast<std::uint8_t>(
+          std::min<int>(adv.metric + 1, max_metric_));
+      RouteEntry* cur = find(adv.address);
+      if (cur == nullptr) {
+        if (candidate < max_metric_) {
+          append(RouteEntry{adv.address, neighbor, candidate, adv.role, deadline});
+          changed = true;
+        }
+        continue;
+      }
+      if (cur->via == neighbor) {
+        if (candidate >= max_metric_ && adv.address != neighbor) {
+          std::erase_if(entries_, [&](const RouteEntry& e) {
+            return e.destination == adv.address;
+          });
+          reindex();
+          changed = true;
+          continue;
+        }
+        if (cur->metric != candidate && adv.address != neighbor) {
+          cur->metric = candidate;
+          changed = true;
+        }
+        if (cur->role != adv.role) {
+          cur->role = adv.role;
+          changed = true;
+        }
+        cur->expires_at = deadline;
+      } else if (candidate < cur->metric) {
+        cur->via = neighbor;
+        cur->metric = candidate;
+        cur->role = adv.role;
+        cur->expires_at = deadline;
+        changed = true;
+        notified.push_back(*cur);
+      }
+    }
+    return changed;
+  }
+
+  bool upsert(Address destination, Address via, std::uint8_t metric, Role role,
+              TimePoint now) {
+    if (destination == self_) return false;
+    metric = std::min<std::uint8_t>(metric, max_metric_ - 1);
+    const TimePoint deadline = now + timeout_;
+    RouteEntry* cur = find(destination);
+    if (cur == nullptr) {
+      append(RouteEntry{destination, via, metric, role, deadline});
+      return true;
+    }
+    const bool new_pairing = cur->via != via;
+    const bool changed = new_pairing || cur->metric != metric || cur->role != role;
+    cur->via = via;
+    cur->metric = metric;
+    cur->role = role;
+    cur->expires_at = deadline;
+    if (new_pairing) notified.push_back(*cur);
+    return changed;
+  }
+
+  bool invalidate(Address destination) {
+    const std::size_t removed = std::erase_if(
+        entries_, [&](const RouteEntry& e) { return e.destination == destination; });
+    reindex();
+    return removed != 0;
+  }
+
+  bool touch(Address destination, TimePoint now) {
+    RouteEntry* cur = find(destination);
+    if (cur == nullptr) return false;
+    cur->expires_at = now + timeout_;
+    return true;
+  }
+
+  std::size_t expire(TimePoint now) {
+    std::size_t removed = std::erase_if(
+        entries_, [now](const RouteEntry& e) { return e.expires_at <= now; });
+    if (removed == 0) return 0;
+    reindex();
+    for (;;) {
+      const std::size_t cascade = std::erase_if(entries_, [this](const RouteEntry& e) {
+        return e.via != e.destination && !index_.contains(e.via);
+      });
+      reindex();
+      if (cascade == 0) break;
+      removed += cascade;
+    }
+    return removed;
+  }
+
+  std::optional<RouteEntry> route_to(Address destination) const {
+    const auto it = index_.find(destination);
+    if (it == index_.end() || entries_[it->second].metric >= max_metric_) {
+      return std::nullopt;
+    }
+    return entries_[it->second];
+  }
+
+  std::size_t size() const { return entries_.size(); }
+
+  std::optional<TimePoint> earliest_deadline() const {
+    if (entries_.empty()) return std::nullopt;
+    return std::ranges::min(entries_, {}, &RouteEntry::expires_at).expires_at;
+  }
+
+  std::vector<RoutingEntry> advertisement() const {
+    std::vector<RoutingEntry> adv;
+    adv.push_back(RoutingEntry{self_, 0, roles::kNone});
+    for (const RouteEntry& e : entries_) {
+      adv.push_back(RoutingEntry{e.destination, e.metric, e.role});
+    }
+    std::sort(adv.begin(), adv.end(), [](const RoutingEntry& a, const RoutingEntry& b) {
+      if (a.metric != b.metric) return a.metric < b.metric;
+      return a.address < b.address;
+    });
+    if (adv.size() > kMaxRoutingEntries) adv.resize(kMaxRoutingEntries);
+    std::sort(adv.begin(), adv.end(), [](const RoutingEntry& a, const RoutingEntry& b) {
+      return a.address < b.address;
+    });
+    return adv;
+  }
+
+ private:
+  RouteEntry* find(Address destination) {
+    const auto it = index_.find(destination);
+    return it == index_.end() ? nullptr : &entries_[it->second];
+  }
+
+  void append(RouteEntry entry) {
+    index_.emplace(entry.destination, entries_.size());
+    entries_.push_back(entry);
+    notified.push_back(entry);
+  }
+
+  void reindex() {
+    index_.clear();
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+      index_.emplace(entries_[i].destination, i);
+    }
+  }
+
+  Address self_;
+  Duration timeout_;
+  std::uint8_t max_metric_;
+  std::vector<RouteEntry> entries_;
+  std::map<Address, std::size_t> index_;
+};
+
+constexpr Address kSelf = 0x0040;
+const Duration kTimeout = Duration::seconds(600);
+
+// 96 destinations around kSelf (more than one beacon can carry, so the
+// advertisement truncates), the first 8 of which act as neighbors.
+std::vector<Address> address_pool() {
+  std::vector<Address> pool;
+  for (Address a = 0x0010; pool.size() < 96; ++a) {
+    if (a != kSelf) pool.push_back(a);
+  }
+  return pool;
+}
+
+struct History {
+  Rng rng;
+  std::uint8_t max_metric;
+  std::vector<Address> pool = address_pool();
+  std::int64_t clock_s = 0;
+
+  Address pick() { return pool[rng.index(pool.size())]; }
+  Address neighbor() { return pool[rng.index(8)]; }
+  Role role() { return static_cast<Role>(rng.index(4)); }
+
+  std::uint8_t metric() {
+    if (rng.bernoulli(0.05)) return static_cast<std::uint8_t>(max_metric + rng.index(3));
+    return static_cast<std::uint8_t>(rng.uniform_int(1, max_metric - 1));
+  }
+
+  // Mostly forward, sometimes a skewed node clock that runs backwards.
+  TimePoint now() {
+    clock_s += rng.bernoulli(0.1) ? -rng.uniform_int(0, 400) : rng.uniform_int(0, 120);
+    return TimePoint::origin() + Duration::seconds(clock_s + 10'000);
+  }
+
+  std::vector<RoutingEntry> beacon(Address sender) {
+    std::vector<RoutingEntry> entries;
+    const std::size_t n = rng.index(kMaxRoutingEntries + 1);
+    for (std::size_t i = 0; i < n; ++i) entries.push_back({pick(), metric(), role()});
+    if (rng.bernoulli(0.5)) entries.push_back({sender, 0, role()});  // self entry
+    const double kind = rng.uniform();
+    if (kind < 0.05) {
+      entries.push_back({pick(), 0, role()});  // spoofed metric-0 claim
+      entries.push_back({kSelf, 1, role()});
+      entries.push_back({kBroadcast, 1, role()});
+      entries.push_back({kUnassigned, 1, role()});
+    }
+    if (kind < 0.75) {
+      // Well-formed: address order, one entry per address, as sent by
+      // RoutingTable::advertisement().
+      std::sort(entries.begin(), entries.end(),
+                [](const RoutingEntry& a, const RoutingEntry& b) {
+                  return a.address < b.address;
+                });
+      entries.erase(std::unique(entries.begin(), entries.end(),
+                                [](const RoutingEntry& a, const RoutingEntry& b) {
+                                  return a.address == b.address;
+                                }),
+                    entries.end());
+    } else if (kind < 0.9) {
+      // Sorted with duplicates left in (one address, several metrics).
+      std::stable_sort(entries.begin(), entries.end(),
+                       [](const RoutingEntry& a, const RoutingEntry& b) {
+                         return a.address < b.address;
+                       });
+    }  // else: arbitrary order
+    return entries;
+  }
+};
+
+std::string describe(const std::vector<RouteEntry>& seq) {
+  std::string out;
+  for (const RouteEntry& e : seq) {
+    out += to_string(e.destination) + "/" + to_string(e.via) + "/" +
+           std::to_string(e.metric) + " ";
+  }
+  return out;
+}
+
+// How often a history reached the paths worth differencing.
+struct Coverage {
+  int truncated = 0;    // advertisements cut to one frame
+  int expired = 0;      // sweeps that removed something
+  int cascaded = 0;     // ... more than their lapsed entries alone
+  int withdrawals = 0;  // beacons that shrank the table
+};
+
+void run_history(std::uint64_t seed, std::uint8_t max_metric, int steps,
+                 Coverage& seen) {
+  History h{Rng(seed), max_metric};
+  RoutingTable table(kSelf, kTimeout, max_metric);
+  ReferenceTable ref(kSelf, kTimeout, max_metric);
+  std::vector<RouteEntry> notified;
+  table.set_observer([&](const RouteEntry& e) { notified.push_back(e); });
+
+  for (int step = 0; step < steps; ++step) {
+    SCOPED_TRACE("seed " + std::to_string(seed) + " step " + std::to_string(step));
+    TimePoint now = h.now();
+    const double op = h.rng.uniform();
+    if (op < 0.45) {
+      const Address sender = h.neighbor();
+      const auto entries = h.beacon(sender);
+      const std::size_t before = ref.size();
+      ASSERT_EQ(table.apply_beacon(sender, entries, now),
+                ref.apply_beacon(sender, entries, now));
+      if (ref.size() < before) seen.withdrawals++;
+    } else if (op < 0.6) {
+      const Address dst = h.pick();
+      const Address via = h.rng.bernoulli(0.3) ? dst : h.neighbor();
+      const std::uint8_t metric = static_cast<std::uint8_t>(h.rng.uniform_int(1, 20));
+      const Role role = h.role();
+      ASSERT_EQ(table.upsert(dst, via, metric, role, now),
+                ref.upsert(dst, via, metric, role, now));
+    } else if (op < 0.7) {
+      const Address dst = h.pick();
+      ASSERT_EQ(table.invalidate(dst), ref.invalidate(dst));
+    } else if (op < 0.8) {
+      const Address dst = h.pick();
+      ASSERT_EQ(table.touch(dst, now), ref.touch(dst, now));
+    } else {
+      // Half the sweeps probe exactly the earliest deadline: a skipped sweep
+      // there means the table lost track of when its next entry lapses.
+      const auto earliest = ref.earliest_deadline();
+      if (earliest && h.rng.bernoulli(0.5)) now = *earliest;
+      const std::size_t lapsed = static_cast<std::size_t>(std::count_if(
+          table.entries().begin(), table.entries().end(),
+          [now](const RouteEntry& e) { return e.expires_at <= now; }));
+      const std::size_t removed = table.expire(now);
+      ASSERT_EQ(removed, ref.expire(now));
+      if (removed > 0) seen.expired++;
+      if (removed > lapsed) seen.cascaded++;
+    }
+    if (ref.size() + 1 > kMaxRoutingEntries) seen.truncated++;
+
+    ASSERT_EQ(table.size(), ref.size());
+    for (const Address a : h.pool) {
+      ASSERT_EQ(table.route_to(a), ref.route_to(a)) << to_string(a);
+    }
+    ASSERT_FALSE(table.route_to(kSelf).has_value());
+    const auto adv = table.advertisement();
+    ASSERT_EQ(std::vector<RoutingEntry>(adv.begin(), adv.end()), ref.advertisement());
+    ASSERT_EQ(notified, ref.notified) << "table: " << describe(notified)
+                                      << "\nreference: " << describe(ref.notified);
+  }
+}
+
+void expect_covered(const Coverage& seen) {
+  EXPECT_GT(seen.truncated, 0);
+  EXPECT_GT(seen.expired, 0);
+  EXPECT_GT(seen.cascaded, 0);
+  EXPECT_GT(seen.withdrawals, 0);
+}
+
+TEST(RoutingTableOracle, AgreesWithReferenceThroughRandomHistories) {
+  Coverage seen;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    run_history(seed, kInfiniteMetric, 300, seen);
+    if (HasFatalFailure()) return;
+  }
+  expect_covered(seen);
+}
+
+TEST(RoutingTableOracle, AgreesWithSmallMetricCeiling) {
+  // A low ceiling makes saturation, withdrawal and clamping common.
+  Coverage seen;
+  for (std::uint64_t seed = 101; seed <= 120; ++seed) {
+    run_history(seed, 4, 300, seen);
+    if (HasFatalFailure()) return;
+  }
+  expect_covered(seen);
+}
+
+}  // namespace
+}  // namespace lm::net

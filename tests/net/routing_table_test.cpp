@@ -1,5 +1,7 @@
 #include "net/routing_table.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "support/assert.h"
@@ -206,7 +208,7 @@ TEST(RoutingTableUpsert, InvalidateDropsImmediatelyAndKeepsIndexSound) {
   EXPECT_TRUE(t.invalidate(kB));
   EXPECT_FALSE(t.invalidate(kB));  // already gone
   EXPECT_FALSE(t.has_route(kB));
-  // The index survives the mid-vector removal: remaining lookups stay true.
+  // Lookups survive the mid-vector removal.
   EXPECT_EQ(t.next_hop(kA), kA);
   EXPECT_EQ(t.route_to(kC)->metric, 3);
 }
@@ -272,6 +274,46 @@ TEST(RoutingTableExpiry, DeadNeighborCascadesAheadOfItsDependentsDeadlines) {
   EXPECT_EQ(t.expire(at(0) + kTimeout), 2u);
   EXPECT_FALSE(t.has_route(kA));
   EXPECT_FALSE(t.has_route(kC));
+  EXPECT_EQ(t.size(), 0u);
+}
+
+// expire() skips its scan while `now` is below a lower bound on every
+// deadline. These pin the bound's bookkeeping: refreshes may only loosen
+// it, and every deadline write — however early its clock — lowers it.
+TEST(RoutingTableExpiry, RefreshingTheEarliestDeadlineHidesNoLaterEntry) {
+  RoutingTable t(kSelf, kTimeout);
+  t.upsert(kA, kA, 1, roles::kNone, at(0));  // holds the earliest deadline
+  t.upsert(kB, kB, 1, roles::kNone, at(10));
+  t.upsert(kC, kC, 1, roles::kNone, at(20));
+  EXPECT_EQ(t.expire(at(5)), 0u);
+  EXPECT_TRUE(t.touch(kA, at(100)));    // kA now lapses last...
+  t.apply_beacon(kB, {}, at(30));       // ...and kB after kC
+  EXPECT_EQ(t.expire(at(20) + kTimeout), 1u);  // kC is due first
+  EXPECT_FALSE(t.has_route(kC));
+  EXPECT_EQ(t.expire(at(30) + kTimeout), 1u);
+  EXPECT_FALSE(t.has_route(kB));
+  EXPECT_EQ(t.expire(at(99) + kTimeout), 0u);
+  EXPECT_EQ(t.expire(at(100) + kTimeout), 1u);
+  EXPECT_EQ(t.size(), 0u);
+}
+
+TEST(RoutingTableExpiry, EarlierClockLowersTheBound) {
+  // A skewed node clock can hand the table a `now` earlier than the one
+  // that set the current bound; the entry it writes lapses first.
+  RoutingTable t(kSelf, kTimeout);
+  t.upsert(kA, kA, 1, roles::kNone, at(100));
+  EXPECT_EQ(t.expire(at(50) + kTimeout), 0u);
+  t.upsert(kB, kB, 1, roles::kNone, at(0));
+  EXPECT_EQ(t.expire(at(0) + kTimeout), 1u);
+  EXPECT_FALSE(t.has_route(kB));
+  EXPECT_TRUE(t.has_route(kA));
+
+  t.apply_beacon(kC, {}, at(10));  // a beacon stamped early
+  EXPECT_EQ(t.expire(at(10) + kTimeout), 1u);
+  EXPECT_FALSE(t.has_route(kC));
+
+  EXPECT_TRUE(t.touch(kA, at(20)));  // a touch stamped early
+  EXPECT_EQ(t.expire(at(20) + kTimeout), 1u);
   EXPECT_EQ(t.size(), 0u);
 }
 
@@ -487,6 +529,48 @@ TEST(RoutingTableSnapshot, RejectsForeignAndCorruptSnapshots) {
   EXPECT_FALSE(truncated_target.restore(zero_metric, at(1)));
 }
 
+TEST(RoutingTableSnapshot, RejectsADestinationListedTwice) {
+  RoutingTable t(kSelf, kTimeout);
+  t.apply_beacon(kA, {}, at(0));
+  t.apply_beacon(kB, {}, at(0));
+  auto snapshot = t.serialize(at(0));
+  // Layout: version u8, owner u16, count u16, then 10-byte entries that
+  // start with the destination. Point the second entry at the first's.
+  ASSERT_EQ(snapshot.size(), 5u + 2 * 10);
+  snapshot[15] = snapshot[5];
+  snapshot[16] = snapshot[6];
+  RoutingTable rebooted(kSelf, kTimeout);
+  EXPECT_FALSE(rebooted.restore(snapshot, at(1)));
+  EXPECT_EQ(rebooted.size(), 0u);
+  EXPECT_EQ(rebooted.advertisement().size(), 1u);  // just the self entry
+}
+
+TEST(RoutingTableSnapshot, RestoredTableBehavesLikeTheLiveOne) {
+  RoutingTable t(kSelf, kTimeout);
+  t.apply_beacon(kB, {{kC, 1}}, at(0));
+  t.apply_beacon(kA, {{kA, 0, roles::kGateway}}, at(60));
+  RoutingTable rebooted(kSelf, kTimeout);
+  ASSERT_TRUE(rebooted.restore(t.serialize(at(60)), at(60)));
+  const auto& entries = rebooted.entries();
+  EXPECT_TRUE(std::is_sorted(entries.begin(), entries.end(),
+                             [](const RouteEntry& a, const RouteEntry& b) {
+                               return a.destination < b.destination;
+                             }));
+  EXPECT_EQ(rebooted.advertisement(), t.advertisement());
+  // Beacons merge into the restored table exactly as into the live one.
+  const RoutingEntry beacon[] = {{kA, 0, roles::kGateway}, {0x0002, 1}, {kC, 3}};
+  EXPECT_EQ(rebooted.apply_beacon(kA, beacon, at(61)), t.apply_beacon(kA, beacon, at(61)));
+  EXPECT_EQ(rebooted.advertisement(), t.advertisement());
+  // The restored deadlines arm the sweep: kB and kC (refreshed at 0) lapse
+  // first, without a deadline write since the restore.
+  EXPECT_EQ(rebooted.expire(at(0) + kTimeout - Duration::seconds(1)), 0u);
+  EXPECT_EQ(rebooted.expire(at(0) + kTimeout), 2u);
+  EXPECT_FALSE(rebooted.has_route(kC));
+  EXPECT_TRUE(rebooted.has_route(0x0002));
+  EXPECT_EQ(rebooted.expire(at(61) + kTimeout), 2u);
+  EXPECT_EQ(rebooted.size(), 0u);
+}
+
 TEST(RoutingTableSnapshot, EmptyTableSnapshotsFine) {
   RoutingTable t(kSelf, kTimeout);
   const auto snapshot = t.serialize(at(0));
@@ -495,11 +579,16 @@ TEST(RoutingTableSnapshot, EmptyTableSnapshotsFine) {
   EXPECT_EQ(rebooted.size(), 0u);
 }
 
-// The destination index backing route_to()/next_hop() must agree with a
-// linear scan of entries() after every kind of table churn: installs,
-// updates, withdrawals, expiry cascades, and snapshot restores.
+// route_to()/next_hop() binary-search entries(), so entries() must stay
+// strictly address-ordered and lookups must agree with a linear scan of it
+// after every kind of table churn: installs, updates, withdrawals, expiry
+// cascades, and snapshot restores.
 namespace {
 void expect_index_matches_entries(const RoutingTable& t) {
+  EXPECT_TRUE(std::adjacent_find(t.entries().begin(), t.entries().end(),
+                                 [](const RouteEntry& a, const RouteEntry& b) {
+                                   return a.destination >= b.destination;
+                                 }) == t.entries().end());
   // Every stored entry is found, with the right contents.
   for (const RouteEntry& e : t.entries()) {
     const auto r = t.route_to(e.destination);
@@ -549,7 +638,7 @@ TEST(RoutingTableIndex, LookupMatchesLinearScanThroughChurn) {
   expect_index_matches_entries(t);
   for (const RouteEntry& e : t.entries()) EXPECT_EQ(e.via, kB);
 
-  // Restore path rebuilds the index too.
+  // Restore puts the snapshot back in address order.
   const auto snapshot = t.serialize(at(400));
   RoutingTable rebooted(kSelf, kTimeout);
   ASSERT_TRUE(rebooted.restore(snapshot, at(401)));
