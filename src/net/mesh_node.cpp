@@ -1,5 +1,6 @@
 #include "net/mesh_node.h"
 
+#include <algorithm>
 #include <utility>
 #include <variant>
 
@@ -15,6 +16,7 @@ namespace {
 MeshConfig validated(const MeshConfig& config, Address address) {
   LM_REQUIRE(address != kUnassigned && address != kBroadcast);
   LM_REQUIRE(config.hello_interval > Duration::zero());
+  LM_REQUIRE(config.maintenance_interval > Duration::zero());
   LM_REQUIRE(config.route_timeout_intervals >= 2);
   LM_REQUIRE(config.max_fragment_payload >= 1 &&
              config.max_fragment_payload <= kMaxFragmentPayload);
@@ -105,7 +107,9 @@ void MeshNode::start() {
   ctx_.running = true;
   link_.enter_receive();
   network_.start();
-  start_maintenance_loop();
+  maintenance_anchor_ = ctx_.true_now();
+  maintenance_period_ = ctx_.clock.to_true(ctx_.config.maintenance_interval);
+  arm_maintenance(next_maintenance_tick(0));
   link_.schedule_rx_cycle();
   if (ctx_.tracer != nullptr) {
     ctx_.trace_lifecycle(trace::EventKind::NodeUp);
@@ -139,15 +143,65 @@ void MeshNode::migrate(sim::Simulator& to) {
   ctx_.sim = &to;
 }
 
-void MeshNode::start_maintenance_loop() {
+// --- Maintenance ------------------------------------------------------------------
+//
+// Maintenance ticks sit on a fixed true-time grid, anchor + k * period, where
+// the period is one maintenance_interval of the node's local clock. Only the
+// next tick that can have work is armed: a tick whose local reading is below
+// the routing table's deadline bound finds expire() a no-op, and with no
+// session held gc_sessions() has nothing to reap, so such a tick would draw
+// no randomness, emit no trace and change no state. Skipping it leaves every
+// expiry and every session sweep on the microsecond it always had.
+
+TimePoint MeshNode::maintenance_tick_time(std::int64_t tick) const {
+  return maintenance_anchor_ + maintenance_period_ * tick;
+}
+
+std::int64_t MeshNode::next_maintenance_tick(std::int64_t after) const {
+  const std::int64_t next = after + 1;
+  const RoutingTable& table = network_.table();
+  if (table.size() == 0 || transport_.has_sessions()) return next;
+  // First tick whose local reading reaches the deadline bound: estimate the
+  // index through the clock's inverse rate, then step to the exact tick
+  // (rounding in the conversions can leave the estimate one off).
+  const TimePoint deadline = table.next_expiry();
+  const auto reaches = [&](std::int64_t k) {
+    return ctx_.clock.to_local(maintenance_tick_time(k)) >= deadline;
+  };
+  const std::int64_t span_us =
+      ctx_.clock.to_true(deadline - ctx_.clock.to_local(maintenance_anchor_))
+          .us();
+  const std::int64_t period_us = maintenance_period_.us();
+  std::int64_t k = span_us <= 0 ? next : (span_us + period_us - 1) / period_us;
+  k = std::max(k, next);
+  while (k > next && reaches(k - 1)) --k;
+  while (!reaches(k)) ++k;
+  return k;
+}
+
+void MeshNode::arm_maintenance(std::int64_t tick) {
+  maintenance_tick_ = tick;
   maintenance_timer_ =
-      ctx_.schedule_local(ctx_.config.maintenance_interval, [this] {
+      ctx_.schedule_at_true(maintenance_tick_time(tick), [this] {
         maintenance_timer_ = 0;
         if (!ctx_.running) return;
         network_.table().expire(ctx_.local_now());
         transport_.gc_sessions();
-        start_maintenance_loop();
+        arm_maintenance(next_maintenance_tick(maintenance_tick_));
       });
+}
+
+void MeshNode::rearm_maintenance_for_sessions() {
+  if (maintenance_timer_ == 0 || !transport_.has_sessions()) return;
+  // Sessions are swept on every tick: pull the armed tick in to the first
+  // one after now. (A skipped tick at exactly now would have found the new
+  // session fresh, so it has nothing to do either.)
+  const std::int64_t due =
+      (ctx_.true_now() - maintenance_anchor_).us() / maintenance_period_.us() +
+      1;
+  if (due >= maintenance_tick_) return;
+  ctx_.sim->cancel(maintenance_timer_);
+  arm_maintenance(due);
 }
 
 void MeshNode::set_tracer(trace::Tracer* tracer) {
@@ -195,8 +249,10 @@ bool MeshNode::send_acked(Address destination, std::vector<std::uint8_t> payload
 bool MeshNode::send_reliable(Address destination,
                              std::vector<std::uint8_t> payload,
                              SendCallback done, trace::DropReason* why) {
-  return transport_.send_reliable(destination, std::move(payload),
-                                  std::move(done), why);
+  const bool started = transport_.send_reliable(
+      destination, std::move(payload), std::move(done), why);
+  rearm_maintenance_for_sessions();
+  return started;
 }
 
 // --- PacketSink -------------------------------------------------------------------
@@ -237,6 +293,7 @@ void MeshNode::deliver(Packet packet) {
     return;
   }
   transport_.on_deliver(std::move(packet));
+  rearm_maintenance_for_sessions();  // a SYNC may have opened a session
 }
 
 }  // namespace lm::net

@@ -143,6 +143,12 @@ class MeshNode final : public PacketSink {
   }
   const MeshConfig& config() const { return ctx_.config; }
   const NodeStats& stats() const { return ctx_.stats; }
+  /// True time of the armed maintenance tick (route expiry and session
+  /// sweep); nullopt while stopped.
+  std::optional<TimePoint> next_maintenance_at() const {
+    if (maintenance_timer_ == 0) return std::nullopt;
+    return maintenance_tick_time(maintenance_tick_);
+  }
 
   /// Attaches the flight recorder: every lifecycle step of every packet this
   /// node touches is reported. Null detaches; when detached each
@@ -179,7 +185,12 @@ class MeshNode final : public PacketSink {
   /// Routed-packet delivery from the network layer: plain datagrams and
   /// broadcasts go to the application, everything else to the transport.
   void deliver(Packet packet);
-  void start_maintenance_loop();
+  // Deadline-armed maintenance on the fixed tick grid (see mesh_node.cpp).
+  TimePoint maintenance_tick_time(std::int64_t tick) const;
+  std::int64_t next_maintenance_tick(std::int64_t after) const;
+  void arm_maintenance(std::int64_t tick);
+  /// Pulls the armed tick in to the next grid tick once a session exists.
+  void rearm_maintenance_for_sessions();
 
   radio::Radio& radio_;
   LayerContext ctx_;
@@ -187,6 +198,9 @@ class MeshNode final : public PacketSink {
   NetworkLayer network_;
   TransportLayer transport_;
   sim::TimerId maintenance_timer_ = 0;
+  TimePoint maintenance_anchor_;   // true time of start(): tick 0
+  Duration maintenance_period_;    // maintenance_interval in true time
+  std::int64_t maintenance_tick_ = 0;  // grid index of the armed tick
 
   DatagramHandler datagram_handler_;
   BroadcastHandler broadcast_handler_;

@@ -191,6 +191,11 @@ std::optional<Packet> decode(std::span<const std::uint8_t> frame) {
       RoutingPacket p;
       p.link = link;
       const std::uint8_t n = r.u8();
+      // Exactly n 4-byte entries must follow. Checking that first lets one
+      // reservation hold the whole list, and a crafted count that the frame
+      // cannot back allocates nothing.
+      if (!r.ok() || r.remaining() != 4 * std::size_t{n}) return std::nullopt;
+      p.entries.reserve(n);
       for (std::uint8_t i = 0; i < n; ++i) {
         RoutingEntry e;
         e.address = r.u16();

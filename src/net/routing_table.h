@@ -87,6 +87,13 @@ class RoutingTable {
   /// gone. Returns how many; O(1) while `now` is before every deadline.
   std::size_t expire(TimePoint now);
 
+  /// Lower bound on every entry's deadline: expire(now) is a no-op for any
+  /// `now` below it. It never decreases while the table is non-empty —
+  /// every deadline written is `now + route_timeout`, which is no earlier
+  /// than any existing one (restore only fills an empty table) — so a timer
+  /// armed for it cannot fire too late.
+  TimePoint next_expiry() const { return next_expiry_; }
+
   /// Full route lookup. nullopt when the destination is unknown.
   std::optional<RouteEntry> route_to(Address destination) const;
 

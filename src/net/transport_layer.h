@@ -73,6 +73,11 @@ class TransportLayer final : public PacketSink {
   void notify_fragment_progress(const Packet& packet);
   /// Reaps finished/expired sessions.
   void gc_sessions();
+  /// True while any reliable-transfer session (either direction) is held,
+  /// i.e. while gc_sessions() may have work.
+  bool has_sessions() const {
+    return !tx_sessions_.empty() || !rx_sessions_.empty();
+  }
 
   /// Facade stop(): aborts transmit sessions, drops receive sessions and
   /// fails every pending acked datagram.

@@ -141,6 +141,48 @@ double Channel::decode_radius_m(const Transmission& t) const {
   return cached_max_range_m(budget_db);
 }
 
+double Channel::interference_budget_db(double rx_gain_db, double rssi_dbm,
+                                       phy::SpreadingFactor sf) const {
+  // The budget varies with the (fading-dependent) rssi, so memoizing the
+  // range exactly would never hit. Rounding it up to the next whole dB keeps
+  // the key set tiny and only ever *enlarges* the search radius: the extra
+  // ring holds transmissions that provably fail the SIR test, and the
+  // collision probe is an existence check with derived (order-free) RNG,
+  // no stats and no trace per candidate — so the outcome is unchanged.
+  const double floor_dbm = rssi_dbm - phy::max_sir_threshold_db(sf);
+  const double margin_db = kSigmaClamp * (config_.shadowing_sigma_db +
+                                          config_.fading_sigma_db);
+  return std::ceil(max_radio_eirp_dbm_ + rx_gain_db + margin_db - floor_dbm);
+}
+
+TimePoint Channel::vulnerable_start(const Transmission& t) {
+  const TimePoint from =
+      t.start + phy::preamble_time(t.mod) - 5 * t.mod.symbol_time();
+  return from < t.start ? t.start : from;
+}
+
+void Channel::collect_interferers(const Transmission& t) {
+  // A receiver only reaches the collision test when the frame decodes above
+  // sensitivity there, so it lies inside decode_radius_m(t); the widest
+  // noise-relevance radius any such receiver can ask for takes the most
+  // sensitive case (rssi at sensitivity, the largest antenna gain), and the
+  // budget is monotone in both, rounded up the same way. By the triangle
+  // inequality every transmission that can collide at any receiver is then
+  // within the sum of the two radii of the transmitter. Frames a delivery
+  // starts while the list is in use begin at t.end and cannot overlap.
+  interferers_.clear();
+  const double widest_m = cached_max_range_m(interference_budget_db(
+      max_rx_gain_db_, phy::sensitivity_dbm(t.mod.sf, t.mod.bw), t.mod.sf));
+  const TimePoint vulnerable_from = vulnerable_start(t);
+  tx_grid_.for_each_within(
+      t.tx_pos, decode_radius_m(t) + widest_m, [&](Transmission* o) {
+        if (o->seq != t.seq && o->frequency_hz == t.frequency_hz &&
+            o->start < t.end && o->end > vulnerable_from) {
+          interferers_.push_back(o);
+        }
+      });
+}
+
 double Channel::cached_max_range_m(double budget_db) const {
   // Exact-bit memoization: two budgets share an entry only when they are the
   // same double, so a hit returns precisely what the direct call would.
@@ -318,6 +360,7 @@ void Channel::finish_tx(Transmission& frame) {
     // Registration order = brute-force evaluation order; keeps the
     // sequential extra-loss/decode RNG draws bit-identical to brute force.
     std::sort(candidates_.begin(), candidates_.end());
+    collect_interferers(frame);
     std::size_t others_seen = 0;
     for (auto& [ordinal, rx] : candidates_) {
       (void)ordinal;
@@ -481,17 +524,7 @@ void Channel::evaluate_reception(const Transmission& t, VirtualRadio& rx) {
   // Collision check over the vulnerable window: the receiver tolerates
   // interference that dies out before the last 5 preamble symbols (it can
   // still lock), but not during sync/payload.
-  const Duration t_sym = t.mod.symbol_time();
-  TimePoint vulnerable_start = t.start + phy::preamble_time(t.mod) - 5 * t_sym;
-  if (vulnerable_start < t.start) vulnerable_start = t.start;
-
-  auto overlaps_vulnerable = [&](const Transmission& o) {
-    return o.start < t.end && o.end > vulnerable_start;
-  };
   auto collides_with = [&](Transmission& o) {
-    if (o.seq == t.seq || o.tx_id == rx.id()) return false;
-    if (o.frequency_hz != t.frequency_hz) return false;
-    if (!overlaps_vulnerable(o)) return false;
     const double o_rssi = rssi_with_fading(o, rx);
     return rssi - o_rssi < phy::sir_threshold_db(t.mod.sf, o.mod.sf);
   };
@@ -499,26 +532,28 @@ void Channel::evaluate_reception(const Transmission& t, VirtualRadio& rx) {
   bool collided = false;
   if (policy_.spatial_index) {
     // Noise-relevance culling: an interferer weaker at rx than
-    // rssi - max SIR threshold can never destroy this frame, so only the
-    // co-located slice of the traffic is touched. Collision is an
+    // rssi - max SIR threshold can never destroy this frame, so only
+    // interferers within this receiver's noise-relevance radius of it are
+    // probed — out of the frame's overlapping list, which provably holds
+    // every one of them (see collect_interferers). Collision is an
     // existence check with no sequential RNG, so visit order is free.
-    const double floor_dbm = rssi - phy::max_sir_threshold_db(t.mod.sf);
-    const double margin_db = kSigmaClamp * (config_.shadowing_sigma_db +
-                                            config_.fading_sigma_db);
-    // The budget varies with the (fading-dependent) rssi, so memoizing it
-    // exactly would never hit. Rounding it up to the next whole dB keeps the
-    // key set tiny and only ever *enlarges* the search radius: the extra
-    // ring holds transmissions that provably fail the SIR test, and the
-    // collision probe is an existence check with derived (order-free) RNG,
-    // no stats and no trace per candidate — so the outcome is unchanged.
-    const double radius = cached_max_range_m(
-        std::ceil(max_radio_eirp_dbm_ + rx.config().antenna_gain_db +
-                  margin_db - floor_dbm));
-    tx_grid_.for_each_within(rx.position(), radius, [&](Transmission* o) {
-      if (!collided && collides_with(*o)) collided = true;
-    });
+    const double radius =
+        cached_max_range_m(interference_budget_db(rx.config().antenna_gain_db,
+                                                  rssi, t.mod.sf));
+    for (Transmission* o : interferers_) {
+      if (o->tx_id == rx.id()) continue;
+      if (phy::distance_m(o->tx_pos, rx.position()) > radius) continue;
+      if (collides_with(*o)) {
+        collided = true;
+        break;
+      }
+    }
   } else {
+    const TimePoint vulnerable_from = vulnerable_start(t);
     for (Transmission* o : active_) {
+      if (o->seq == t.seq || o->tx_id == rx.id()) continue;
+      if (o->frequency_hz != t.frequency_hz) continue;
+      if (!(o->start < t.end && o->end > vulnerable_from)) continue;
       if (collides_with(*o)) {
         collided = true;
         break;

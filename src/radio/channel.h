@@ -284,6 +284,18 @@ class Channel {
   /// Radius beyond which `t` is provably undecodable by any receiver, even
   /// with every stochastic term at its +4-sigma clamp.
   double decode_radius_m(const Transmission& t) const;
+  /// Whole-dB path-loss budget out to which a transmission can still
+  /// destroy a frame received at `rssi_dbm` with spreading factor `sf` by a
+  /// radio with `rx_gain_db` antenna gain (every stochastic term at its
+  /// clamp, the strongest registered transmitter).
+  double interference_budget_db(double rx_gain_db, double rssi_dbm,
+                                phy::SpreadingFactor sf) const;
+  /// Start of `t`'s vulnerable window: 5 preamble symbols before the sync
+  /// word, clamped to the frame start.
+  static TimePoint vulnerable_start(const Transmission& t);
+  /// Fills interferers_ with every transmission that can collide with `t`
+  /// at any receiver the delivery sweep will test.
+  void collect_interferers(const Transmission& t);
   /// Truncated (±4 sigma) zero-mean normal derived from (tag, a, b) — the
   /// same value regardless of evaluation order, which is what makes culling
   /// RNG-transparent.
@@ -349,6 +361,9 @@ class Channel {
   double max_rx_gain_db_ = 0.0;
   double min_mod_sensitivity_dbm_ = 0.0;
   mutable std::vector<std::pair<std::uint64_t, VirtualRadio*>> candidates_;
+  // The frame being delivered's same-carrier transmissions overlapping its
+  // vulnerable window, gathered by one grid sweep per frame (indexed path).
+  std::vector<Transmission*> interferers_;
   // Reused snapshot of radios_ for the brute-force delivery walk (deliveries
   // may register/unregister radios mid-iteration).
   std::vector<VirtualRadio*> receivers_scratch_;

@@ -4,6 +4,7 @@
 
 #include "support/assert.h"
 #include "support/byte_codec.h"
+#include "support/pool.h"
 
 namespace lm::net {
 namespace {
@@ -249,6 +250,39 @@ TEST(PacketCodec, DecodeRejectsTruncatedRoutingEntries) {
   auto frame = encode(Packet{p});
   frame.pop_back();  // half an entry
   EXPECT_FALSE(decode(frame).has_value());
+}
+
+std::uint64_t pool_requests() {
+  const support::PoolStats s = support::BlockPool::stats();
+  return s.pool_hits + s.pool_refills + s.oversize;
+}
+
+TEST(PacketCodec, DecodingAFullBeaconCostsOnePoolBlock) {
+  RoutingPacket p;
+  p.link = LinkHeader{kBroadcast, 0x0001, PacketType::Routing};
+  for (std::size_t i = 0; i < kMaxRoutingEntries; ++i) {
+    p.entries.push_back({static_cast<Address>(0x0100 + i),
+                         static_cast<std::uint8_t>(1 + i % 15)});
+  }
+  const auto frame = encode(Packet{p});
+  const std::uint64_t before = pool_requests();
+  const auto decoded = decode(frame);
+  EXPECT_EQ(pool_requests() - before, 1u);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(std::get<RoutingPacket>(*decoded), p);
+}
+
+TEST(PacketCodec, CraftedBeaconCountAllocatesNothing) {
+  // A count byte of 255 over two real entries: decode rejects the frame
+  // before reserving anything for the claimed entries.
+  RoutingPacket p;
+  p.link = LinkHeader{kBroadcast, 0x0001, PacketType::Routing};
+  p.entries = {{0x0002, 1}, {0x0003, 2}};
+  auto frame = encode(Packet{p});
+  frame[kLinkHeaderSize] = 0xFF;
+  const std::uint64_t before = pool_requests();
+  EXPECT_FALSE(decode(frame).has_value());
+  EXPECT_EQ(pool_requests() - before, 0u);
 }
 
 TEST(PacketCodec, LinkAndRouteAccessors) {

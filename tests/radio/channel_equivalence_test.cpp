@@ -47,6 +47,7 @@ struct Script {
   std::vector<std::pair<RadioId, RadioId>> blocked;
   std::vector<std::pair<std::pair<RadioId, RadioId>, double>> lossy;
   Duration run_time = Duration::seconds(60);
+  double cell_size_m = 0.0;  // ChannelConfig::cell_size_m; 0 = derived
 };
 
 /// One observed frame delivery, everything a driver would see.
@@ -88,6 +89,7 @@ RunResult run_script(const Script& s, bool indexed) {
   sim::Simulator sim;
   ChannelConfig policy;
   policy.spatial_index = indexed;
+  policy.cell_size_m = s.cell_size_m;
   Channel channel(sim, s.prop, policy, s.channel_seed);
 
   RunResult result;
@@ -193,10 +195,82 @@ Script random_script(std::uint64_t seed, bool mobile) {
   return s;
 }
 
+/// Heavy contention: radios sit in tight clusters scattered over a field
+/// a few interference radii wide, and every radio fires several frames
+/// inside a few seconds at mixed SFs, two carriers and varied antenna
+/// gains. Frames overlap heavily inside a cluster, and clusters sit both
+/// inside and beyond each other's decode and interference radii; one far
+/// outlier radio (also transmitting) spreads the grid over a huge extent.
+/// Exercises the per-frame interferer list against the brute-force
+/// collision scan.
+Script contention_script(std::uint64_t seed) {
+  Rng rng(seed * 0xD1B54A32D192ED03ULL + 0x51);
+  Script s;
+  s.channel_seed = seed ^ 0xBEEF;
+  s.run_time = Duration::seconds(30);
+  // Field extent per propagation model: free space reaches ~1000 km at
+  // these budgets, campus (log-distance n=3 plus clamped shadowing and
+  // fading) some tens of km.
+  double field_m = 0.0;
+  switch (rng.uniform_int(0, 2)) {
+    case 0:
+      s.prop = PropagationConfig::free_space();
+      field_m = 3.0e6;
+      break;
+    case 1:
+      s.prop = PropagationConfig::campus();
+      s.prop.fading_sigma_db = 0.0;
+      field_m = 8.0e4;
+      break;
+    default:
+      s.prop = PropagationConfig::campus();
+      field_m = 8.0e4;
+      break;
+  }
+
+  constexpr phy::SpreadingFactor kSfs[] = {phy::SpreadingFactor::SF7,
+                                           phy::SpreadingFactor::SF9,
+                                           phy::SpreadingFactor::SF12};
+  const int clusters = static_cast<int>(rng.uniform_int(3, 6));
+  for (int c = 0; c < clusters; ++c) {
+    const phy::Position center{rng.uniform(0.0, field_m),
+                               rng.uniform(0.0, field_m)};
+    const int members = static_cast<int>(rng.uniform_int(4, 7));
+    for (int m = 0; m < members; ++m) {
+      s.positions.push_back({center.x + rng.uniform(-300.0, 300.0),
+                             center.y + rng.uniform(-300.0, 300.0)});
+      RadioConfig cfg;
+      cfg.tx_power_dbm = rng.uniform(2.0, 14.0);
+      cfg.antenna_gain_db = rng.uniform(0.0, 3.0);
+      cfg.modulation.sf = kSfs[rng.uniform_int(0, 2)];
+      if (rng.bernoulli(0.25)) cfg.frequency_hz = 868.3e6;
+      s.configs.push_back(cfg);
+    }
+  }
+  // Small cells make the sweep radius, not the cell size, decide which
+  // transmissions are looked at.
+  const double cells[] = {0.0, 250.0, field_m / 50.0};
+  s.cell_size_m = cells[rng.uniform_int(0, 2)];
+  // The outlier: ~10,000 km away, beyond even free-space range.
+  s.positions.push_back({-8.0e6, 6.0e6});
+  s.configs.push_back(RadioConfig{});
+
+  for (std::size_t i = 0; i < s.positions.size(); ++i) {
+    const int k = static_cast<int>(rng.uniform_int(3, 6));
+    for (int j = 0; j < k; ++j) {
+      s.txs.push_back(TxEvent{i, Duration::microseconds(static_cast<std::int64_t>(
+                                     rng.uniform(0.0, 4.0e6))),
+                              static_cast<std::size_t>(rng.uniform_int(8, 48))});
+    }
+  }
+  return s;
+}
+
 /// Runs `script` under both delivery policies and requires bit-identical
-/// outcomes. Returns how many reception opportunities the index culled,
-/// so callers can assert the test is not vacuous.
-std::uint64_t expect_equivalent(const Script& s, const char* label) {
+/// outcomes. Returns the indexed run's counters (e.g. how many reception
+/// opportunities the index culled), so callers can assert the test is not
+/// vacuous.
+ChannelStats expect_equivalent(const Script& s, const char* label) {
   SCOPED_TRACE(label);
   const RunResult indexed = run_script(s, /*indexed=*/true);
   const RunResult brute = run_script(s, /*indexed=*/false);
@@ -222,7 +296,7 @@ std::uint64_t expect_equivalent(const Script& s, const char* label) {
   EXPECT_EQ(indexed.stats.dropped_collision, brute.stats.dropped_collision);
   EXPECT_EQ(indexed.stats.dropped_snr, brute.stats.dropped_snr);
   EXPECT_EQ(brute.stats.dropped_out_of_range, 0u);
-  return indexed.stats.dropped_out_of_range;
+  return indexed.stats;
 }
 
 TEST(ChannelEquivalence, StaticTopologiesMatchBruteForceBitForBit) {
@@ -230,7 +304,8 @@ TEST(ChannelEquivalence, StaticTopologiesMatchBruteForceBitForBit) {
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     const Script s = random_script(seed, /*mobile=*/false);
     culled += expect_equivalent(
-        s, ("static seed " + std::to_string(seed)).c_str());
+        s, ("static seed " + std::to_string(seed)).c_str())
+                  .dropped_out_of_range;
   }
   // The property is only meaningful if the index actually culled work
   // somewhere across the suite.
@@ -242,8 +317,25 @@ TEST(ChannelEquivalence, MobileTopologiesMatchBruteForceBitForBit) {
   for (std::uint64_t seed = 101; seed <= 112; ++seed) {
     const Script s = random_script(seed, /*mobile=*/true);
     culled += expect_equivalent(
-        s, ("mobile seed " + std::to_string(seed)).c_str());
+        s, ("mobile seed " + std::to_string(seed)).c_str())
+                  .dropped_out_of_range;
   }
+  EXPECT_GT(culled, 0u);
+}
+
+TEST(ChannelEquivalence, ContentionMatchesBruteForceBitForBit) {
+  std::uint64_t collisions = 0;
+  std::uint64_t culled = 0;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    const ChannelStats stats = expect_equivalent(
+        contention_script(seed),
+        ("contention seed " + std::to_string(seed)).c_str());
+    collisions += stats.dropped_collision;
+    culled += stats.dropped_out_of_range;
+  }
+  // Collisions must actually be decided by the interferer list, and the
+  // outlier guarantees culling.
+  EXPECT_GT(collisions, 0u);
   EXPECT_GT(culled, 0u);
 }
 
