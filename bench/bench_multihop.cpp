@@ -6,11 +6,12 @@
 // Per-link loss compounds per hop for the mesh (no link retries in the
 // prototype), while flooding's redundancy partially masks loss.
 #include <cstdio>
+#include <memory>
+#include <string>
 
-#include "baseline/flooding_node.h"
 #include "bench_common.h"
 #include "metrics/packet_tracker.h"
-#include "testbed/flood_scenario.h"
+#include "net/flooding_strategy.h"
 #include "testbed/topology.h"
 #include "testbed/traffic.h"
 
@@ -25,6 +26,21 @@ struct Outcome {
   double airtime_s = 0.0;  // total network airtime spent
 };
 
+// The flooding side of E4: the same stack and harness as the mesh side,
+// with net::FloodingStrategy plugged in and an 8-hop TTL.
+testbed::ScenarioConfig flood_config(std::uint64_t seed) {
+  auto cfg = bench::campus_config(seed);
+  cfg.mesh.max_ttl = 8;
+  cfg.strategy_factory = [] { return std::make_unique<net::FloodingStrategy>(); };
+  return cfg;
+}
+
+/// Airtime spent by every node so far, control and data.
+Duration network_airtime(const testbed::MeshScenario& s) {
+  const net::NodeStats total = s.total_stats();
+  return total.control_airtime + total.data_airtime;
+}
+
 Outcome run_mesh(std::size_t hops, double loss, std::uint64_t seed) {
   auto cfg = bench::campus_config(seed);
   cfg.mesh.hello_interval = Duration::seconds(60);
@@ -38,7 +54,7 @@ Outcome run_mesh(std::size_t hops, double loss, std::uint64_t seed) {
     s.channel().set_link_extra_loss(static_cast<radio::RadioId>(i + 1),
                                     static_cast<radio::RadioId>(i + 2), loss);
   }
-  const Duration before = s.total_stats().control_airtime + s.total_stats().data_airtime;
+  const Duration before = network_airtime(s);
   testbed::DatagramTraffic traffic(s, tracker, 0, hops,
                                    {Duration::seconds(30), 16, true}, seed + 1);
   traffic.start();
@@ -50,18 +66,12 @@ Outcome run_mesh(std::size_t hops, double loss, std::uint64_t seed) {
   o.pdr = tracker.pdr();
   o.p50_ms = 1e3 * tracker.latency().median();
   o.p95_ms = 1e3 * tracker.latency().percentile(95);
-  const auto total = s.total_stats();
-  o.airtime_s = (total.control_airtime + total.data_airtime - before).seconds_d();
+  o.airtime_s = (network_airtime(s) - before).seconds_d();
   return o;
 }
 
 Outcome run_flood(std::size_t hops, double loss, std::uint64_t seed) {
-  testbed::FloodScenarioConfig cfg;
-  cfg.seed = seed;
-  cfg.propagation.path_loss = phy::make_log_distance(3.5, 40.0);
-  cfg.propagation.shadowing_sigma_db = 0.0;
-  cfg.propagation.fading_sigma_db = 0.0;
-  testbed::FloodScenario s(cfg);
+  testbed::MeshScenario s(flood_config(seed));
   s.add_nodes(testbed::chain(hops + 1, bench::kChainSpacing));
   metrics::PacketTracker tracker;
   testbed::attach_tracker(s, tracker);
@@ -70,8 +80,8 @@ Outcome run_flood(std::size_t hops, double loss, std::uint64_t seed) {
     s.channel().set_link_extra_loss(static_cast<radio::RadioId>(i + 1),
                                     static_cast<radio::RadioId>(i + 2), loss);
   }
-  testbed::FloodTraffic traffic(s, tracker, 0, hops,
-                                {Duration::seconds(30), 16, true}, seed + 1);
+  testbed::DatagramTraffic traffic(s, tracker, 0, hops,
+                                   {Duration::seconds(30), 16, true}, seed + 1);
   traffic.start();
   s.run_for(Duration::hours(2));
   traffic.stop();
@@ -81,13 +91,26 @@ Outcome run_flood(std::size_t hops, double loss, std::uint64_t seed) {
   o.pdr = tracker.pdr();
   o.p50_ms = 1e3 * tracker.latency().median();
   o.p95_ms = 1e3 * tracker.latency().percentile(95);
-  o.airtime_s = s.total_airtime().seconds_d();
+  o.airtime_s = network_airtime(s).seconds_d();
   return o;
+}
+
+// Records one protocol's outcome at a sweep point. Outcomes only: flood
+// runs' event counts are not part of what E4 measures.
+void record(bench::Reporter& reporter, const char* protocol, std::size_t hops,
+            double loss, const Outcome& o) {
+  const std::string key = bench::format("%s.h%zu.loss%.0f.", protocol, hops,
+                                        100 * loss);
+  reporter.metric(key + "pdr", o.pdr);
+  reporter.metric(key + "p50_ms", o.p50_ms);
+  reporter.metric(key + "p95_ms", o.p95_ms);
+  reporter.metric(key + "airtime_s", o.airtime_s);
 }
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::Reporter reporter("bench_multihop", argc, argv);
   bench::banner("E4", "multi-hop PDR & latency: mesh routing vs flooding",
                 "routing sustains delivery over multiple hops at a fraction "
                 "of flooding's airtime; per-link loss compounds with hops");
@@ -98,6 +121,8 @@ int main() {
     for (double loss : {0.0, 0.1, 0.2}) {
       const auto m = run_mesh(hops, loss, 42);
       const auto f = run_flood(hops, loss, 42);
+      record(reporter, "mesh", hops, loss, m);
+      record(reporter, "flood", hops, loss, f);
       t.row({std::to_string(hops), bench::format("%.0f %%", 100 * loss), "mesh",
              bench::format("%.1f %%", 100 * m.pdr),
              bench::format("%.0f ms", m.p50_ms), bench::format("%.0f ms", m.p95_ms),
@@ -145,23 +170,20 @@ int main() {
             ? s.total_stats().data_airtime.seconds_d() /
                   static_cast<double>(tracker.delivered())
             : 0.0;
+    reporter.metric("wide.mesh.pdr", tracker.pdr());
+    reporter.metric("wide.mesh.airtime_per_pkt_s", per_pkt);
     wide.row({"mesh", bench::format("%.1f %%", 100 * tracker.pdr()),
               bench::format("%.2f s", per_pkt)});
   }
   {
-    testbed::FloodScenarioConfig cfg;
-    cfg.seed = 77;
-    cfg.propagation.path_loss = phy::make_log_distance(3.5, 40.0);
-    cfg.propagation.shadowing_sigma_db = 0.0;
-    cfg.propagation.fading_sigma_db = 0.0;
-    testbed::FloodScenario s(cfg);
+    testbed::MeshScenario s(flood_config(77));
     s.add_nodes(field);
     metrics::PacketTracker tracker;
     testbed::attach_tracker(s, tracker);
     s.start_all();
-    std::vector<std::unique_ptr<testbed::FloodTraffic>> flows;
+    std::vector<std::unique_ptr<testbed::DatagramTraffic>> flows;
     for (std::size_t f = 0; f < 3; ++f) {
-      flows.push_back(std::make_unique<testbed::FloodTraffic>(
+      flows.push_back(std::make_unique<testbed::DatagramTraffic>(
           s, tracker, f, n - 1 - f,
           testbed::TrafficConfig{Duration::seconds(60), 16, true}, 900 + f));
       flows.back()->start();
@@ -171,9 +193,11 @@ int main() {
     s.run_for(Duration::minutes(1));
     const double per_pkt =
         tracker.delivered() > 0
-            ? s.total_airtime().seconds_d() /
+            ? network_airtime(s).seconds_d() /
                   static_cast<double>(tracker.delivered())
             : 0.0;
+    reporter.metric("wide.flood.pdr", tracker.pdr());
+    reporter.metric("wide.flood.airtime_per_pkt_s", per_pkt);
     wide.row({"flood", bench::format("%.1f %%", 100 * tracker.pdr()),
               bench::format("%.2f s", per_pkt)});
   }

@@ -47,11 +47,11 @@ REPORTER_BENCHES=(
   bench_density
   bench_sf_tradeoff
   bench_route_repair
+  bench_multihop
 )
 PLAIN_BENCHES=(
   bench_demo_scenario
   bench_overhead
-  bench_multihop
   bench_large_payload
   bench_mesh_vs_star
   bench_airtime

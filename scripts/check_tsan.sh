@@ -33,7 +33,7 @@ echo "TSan: thread_pool + parallel_runner tests clean"
 # PDES engine units under TSan first (partitions, adaptive windows, timer
 # migration, cross-region messaging).
 TSAN_OPTIONS="halt_on_error=1" "$BUILD_DIR/tests/test_pdes" \
-  --gtest_filter='StripePartition.*:TilePartition.*:Lookahead.*:SimulatorMigration.*:ParallelEngine.*'
+  --gtest_filter='TileStripes.*:TilePartition.*:Lookahead.*:SimulatorMigration.*:ParallelEngine.*'
 echo "TSan: PDES engine units clean"
 
 # Then the full byte-identity matrix (workers up to 8 racing over ghost

@@ -51,9 +51,12 @@ EndDeviceNode::~EndDeviceNode() {
 void EndDeviceNode::stop() {
   running_ = false;
   queue_.clear();
+  // A cancelled dither/duty wait would never reach transmit_now(); a frame
+  // already on the air still clears busy_ in on_tx_done().
   if (timer_ != 0) {
     sim_.cancel(timer_);
     timer_ = 0;
+    busy_ = false;
   }
 }
 
@@ -78,7 +81,6 @@ void EndDeviceNode::pump() {
   Duration wait = Duration::from_seconds(
       rng_.uniform(0.0, std::max(config_.tx_dither.seconds_d(), 1e-4)));
   if (!duty_.allowed(now + wait, airtime)) {
-    duty_cycle_delays_++;
     const TimePoint allowed = duty_.next_allowed(now, airtime);
     if (allowed > now + wait) wait = allowed - now;
   }

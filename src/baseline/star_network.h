@@ -105,7 +105,6 @@ class EndDeviceNode final : public radio::RadioListener {
   std::uint16_t next_seq_ = 0;
   std::uint64_t uplinks_sent_ = 0;
   std::uint64_t dropped_queue_full_ = 0;
-  std::uint64_t duty_cycle_delays_ = 0;
   sim::TimerId timer_ = 0;
 };
 

@@ -4,9 +4,9 @@
 // every node rebroadcasts every new packet once (TTL-limited,
 // duplicate-suppressed, with random relay jitter to break relay
 // synchronization). No routing state or beacons, paid for in airtime —
-// exactly the trade-off E4 quantifies against LoRaMesher. Replaces the old
-// standalone baseline::FloodingNode protocol engine; the baseline node is
-// now a facade over LinkLayer + NetworkLayer(FloodingStrategy).
+// exactly the trade-off E4 quantifies against LoRaMesher. It plugs into
+// MeshNode through ScenarioConfig::strategy_factory, so E4, the strategy
+// matrix and the tests all flood over the same stack as the mesh.
 //
 // Caveat shared with real managed-flood networks (e.g. Meshtastic): the
 // (origin, packet_id) dedup cache also suppresses end-to-end

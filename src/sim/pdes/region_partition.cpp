@@ -35,25 +35,6 @@ std::size_t AxisCut::index_of(double v) const {
   return std::min(i, count - 1);
 }
 
-StripePartition StripePartition::make(const std::vector<double>& xs,
-                                      double halo_m,
-                                      std::size_t max_regions) {
-  const AxisCut cut = AxisCut::make(xs, halo_m, max_regions);
-  StripePartition p;
-  p.x0_ = cut.lo;
-  p.width_ = cut.width;
-  p.count_ = cut.count;
-  return p;
-}
-
-std::size_t StripePartition::region_of(double x) const {
-  if (count_ <= 1) return 0;
-  const double offset = (x - x0_) / width_;
-  if (offset <= 0.0) return 0;
-  const auto r = static_cast<std::size_t>(offset);
-  return std::min(r, count_ - 1);
-}
-
 namespace {
 
 // Re-cuts an axis to exactly `count` segments (the natural cut decided the

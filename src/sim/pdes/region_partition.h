@@ -2,20 +2,15 @@
 //
 // The conservative engine (sim/pdes/parallel_engine.h) gives each region
 // its own event loop; regions only have to exchange messages about
-// transmissions that can physically reach a neighbor. Two decompositions:
+// transmissions that can physically reach a neighbor. TilePartition cuts
+// the field into an R x C grid with every tile at least one interaction
+// radius ("halo") on both axes: a transmission in tile (i, j) can affect at
+// most its 8-neighborhood, and the region count scales with field *area*
+// instead of one dimension. Its 1 x C collapse, TilePartition::stripes, is
+// the x-axis stripe split: a transmission in stripe r can affect at most
+// stripes r-1 and r+1, so the ghost exchange stays 2-neighbor-adjacent.
 //
-//  * StripePartition — x-axis stripes of width >= the interaction radius
-//    ("halo"): a transmission in stripe r can affect at most stripes r-1
-//    and r+1, so the ghost exchange stays 2-neighbor-adjacent.
-//  * TilePartition — an R x C grid with every tile at least one halo on
-//    both axes: a transmission in tile (i, j) can affect at most its
-//    8-neighborhood, and the region count scales with field *area* instead
-//    of one dimension. A 1 x C tiling is bit-for-bit the stripe split (the
-//    per-axis cut arithmetic is shared), which is what lets the scenario
-//    run everything through TilePartition and keep stripe-mode traces
-//    byte-identical.
-//
-// Either decomposition is a pure function of the node coordinates, the halo
+// The decomposition is a pure function of the node coordinates, the halo
 // and the region cap — never of the worker count — which is one of the two
 // pillars of cross-worker-count determinism (the other is the fixed
 // barrier-exchange order in the engine).
@@ -26,40 +21,6 @@
 
 namespace lm::sim::pdes {
 
-class StripePartition {
- public:
-  /// One stripe covering everything: the serial collapse.
-  StripePartition() = default;
-
-  /// Decomposes the span of `xs` into equal stripes of width >= `halo_m`.
-  /// `max_regions` caps the stripe count (0 = uncapped). Fields whose
-  /// extent is smaller than one halo — every topology where all nodes
-  /// interact directly — collapse to a single region, because no stripe
-  /// boundary could then separate two non-interacting nodes.
-  static StripePartition make(const std::vector<double>& xs, double halo_m,
-                              std::size_t max_regions);
-
-  std::size_t count() const { return count_; }
-
-  /// Region index owning coordinate `x` (clamped to the outer stripes, so
-  /// mobile nodes that wander past the original extent stay assigned).
-  std::size_t region_of(double x) const;
-
-  /// Left boundary of stripe `r`.
-  double left_edge(std::size_t r) const {
-    return x0_ + width_ * static_cast<double>(r);
-  }
-  /// Right boundary of stripe `r`.
-  double right_edge(std::size_t r) const { return left_edge(r + 1); }
-
-  double width() const { return width_; }
-
- private:
-  double x0_ = 0.0;
-  double width_ = 0.0;  // 0 with count_ == 1: the degenerate single stripe
-  std::size_t count_ = 1;
-};
-
 /// One axis of a tile grid: the stripe cut generalized to either dimension.
 /// Degenerate (count 1, width 0) when the axis extent is under one halo.
 struct AxisCut {
@@ -68,9 +29,10 @@ struct AxisCut {
   std::size_t count = 1;
 
   /// Cuts `[min(vs), max(vs)]` into equal segments of length >= `halo_m`,
-  /// capped at `max_segments` (0 = uncapped). Identical arithmetic to
-  /// StripePartition::make, so a single-row tiling reproduces the stripe
-  /// decomposition exactly.
+  /// capped at `max_segments` (0 = uncapped). Fields whose extent is
+  /// smaller than one halo — every topology where all nodes interact
+  /// directly — collapse to one segment, because no cut could then
+  /// separate two non-interacting nodes.
   static AxisCut make(const std::vector<double>& vs, double halo_m,
                       std::size_t max_segments);
 
@@ -101,8 +63,9 @@ class TilePartition {
                             std::size_t forced_rows = 0,
                             std::size_t forced_cols = 0);
 
-  /// The 1-row collapse: bit-for-bit the StripePartition decomposition of
-  /// `xs` (same cut arithmetic, same region ids).
+  /// The 1-row collapse: x-axis stripes of width >= `halo_m`, at most
+  /// `max_regions` of them (0 = uncapped). Bit-for-bit make(xs, ys, ...)
+  /// with every y equal: same cut arithmetic, same region ids.
   static TilePartition stripes(const std::vector<double>& xs, double halo_m,
                                std::size_t max_regions);
 
@@ -112,7 +75,7 @@ class TilePartition {
 
   /// Region id owning position (x, y): row-major over the grid, clamped to
   /// the outer tiles so mobile nodes past the original extent stay
-  /// assigned. With one row this is exactly StripePartition::region_of(x).
+  /// assigned. With one row this is the stripe index of `x`.
   std::size_t region_of(double x, double y) const {
     return row_of(y) * cols_.count + col_of(x);
   }

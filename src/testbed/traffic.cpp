@@ -20,19 +20,6 @@ void attach_tracker(MeshScenario& scenario, metrics::PacketTracker& tracker) {
   }
 }
 
-void attach_tracker(FloodScenario& scenario, metrics::PacketTracker& tracker) {
-  for (std::size_t i = 0; i < scenario.size(); ++i) {
-    baseline::FloodingNode& node = scenario.node(i);
-    sim::Simulator& sim = scenario.simulator();
-    node.set_handler([&tracker, &sim](net::Address /*origin*/,
-                                      const std::vector<std::uint8_t>& payload,
-                                      std::uint8_t hops) {
-      const auto token = metrics::PacketTracker::extract_token(payload);
-      if (token) tracker.register_delivery(*token, sim.now(), hops);
-    });
-  }
-}
-
 // --- DatagramTraffic ------------------------------------------------------------
 
 DatagramTraffic::DatagramTraffic(MeshScenario& scenario,
@@ -89,61 +76,6 @@ void DatagramTraffic::fire() {
   if (!scenario_.node(src_).send_datagram(scenario_.address_of(dst_),
                                           std::move(payload), &why)) {
     tracker_.register_refused(why);
-  }
-  schedule_next();
-}
-
-// --- FloodTraffic ----------------------------------------------------------------
-
-FloodTraffic::FloodTraffic(FloodScenario& scenario,
-                           metrics::PacketTracker& tracker, std::size_t src,
-                           std::size_t dst, TrafficConfig config,
-                           std::uint64_t seed)
-    : scenario_(scenario),
-      tracker_(tracker),
-      src_(src),
-      dst_(dst),
-      config_(config),
-      rng_(seed) {
-  LM_REQUIRE(src != dst);
-  LM_REQUIRE(config.payload_size >= 8);
-  LM_REQUIRE(config.mean_interval > Duration::zero());
-}
-
-FloodTraffic::~FloodTraffic() { stop(); }
-
-void FloodTraffic::start() {
-  LM_REQUIRE(!running_);
-  running_ = true;
-  schedule_next();
-}
-
-void FloodTraffic::stop() {
-  running_ = false;
-  if (timer_ != 0) {
-    scenario_.simulator().cancel(timer_);
-    timer_ = 0;
-  }
-}
-
-void FloodTraffic::schedule_next() {
-  const Duration gap =
-      config_.poisson
-          ? Duration::from_seconds(rng_.exponential(config_.mean_interval.seconds_d()))
-          : config_.mean_interval;
-  timer_ = scenario_.simulator().schedule_after(gap, [this] {
-    timer_ = 0;
-    fire();
-  });
-}
-
-void FloodTraffic::fire() {
-  if (!running_) return;
-  const std::uint64_t token =
-      tracker_.register_send(scenario_.simulator().now());
-  auto payload = metrics::PacketTracker::make_payload(token, config_.payload_size);
-  if (!scenario_.node(src_).send(scenario_.address_of(dst_), std::move(payload))) {
-    tracker_.register_refused();
   }
   schedule_next();
 }

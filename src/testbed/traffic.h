@@ -13,7 +13,6 @@
 #include "metrics/packet_tracker.h"
 #include "sim/simulator.h"
 #include "support/rng.h"
-#include "testbed/flood_scenario.h"
 #include "testbed/scenario.h"
 
 namespace lm::testbed {
@@ -22,9 +21,6 @@ namespace lm::testbed {
 /// token-carrying payloads to `tracker`. Call after add_node()s, before
 /// traffic starts. The tracker must outlive the scenario run.
 void attach_tracker(MeshScenario& scenario, metrics::PacketTracker& tracker);
-
-/// Same for a flooding scenario.
-void attach_tracker(FloodScenario& scenario, metrics::PacketTracker& tracker);
 
 struct TrafficConfig {
   Duration mean_interval = Duration::seconds(30);
@@ -61,34 +57,6 @@ class DatagramTraffic {
   bool running_ = false;
   sim::TimerId timer_ = 0;
   std::uint64_t sends_attempted_ = 0;
-};
-
-/// One unidirectional flow inside a FloodScenario.
-class FloodTraffic {
- public:
-  FloodTraffic(FloodScenario& scenario, metrics::PacketTracker& tracker,
-               std::size_t src, std::size_t dst, TrafficConfig config,
-               std::uint64_t seed);
-  ~FloodTraffic();
-
-  FloodTraffic(const FloodTraffic&) = delete;
-  FloodTraffic& operator=(const FloodTraffic&) = delete;
-
-  void start();
-  void stop();
-
- private:
-  void schedule_next();
-  void fire();
-
-  FloodScenario& scenario_;
-  metrics::PacketTracker& tracker_;
-  const std::size_t src_;
-  const std::size_t dst_;
-  TrafficConfig config_;
-  Rng rng_;
-  bool running_ = false;
-  sim::TimerId timer_ = 0;
 };
 
 }  // namespace lm::testbed

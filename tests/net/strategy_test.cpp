@@ -7,7 +7,10 @@
 // deliver; flooding must pay for its statelessness in data airtime (every
 // packet also occupies the off-path relays' channel). This is the paper's
 // mesh-vs-flooding trade-off reproduced at unit-test scale, and the proof
-// that strategies are genuinely interchangeable behind the seam.
+// that strategies are genuinely interchangeable behind the seam. The
+// Flooding suite pins controlled flooding's own semantics (multi-hop
+// delivery, dedup window, TTL bound, network-wide broadcast, unicast
+// consumption) on that stack.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,10 +20,12 @@
 #include "net/aodv_strategy.h"
 #include "net/distance_vector_strategy.h"
 #include "net/flooding_strategy.h"
+#include "metrics/packet_tracker.h"
 #include "net/gateway_tree_strategy.h"
 #include "phy/path_loss.h"
 #include "testbed/scenario.h"
 #include "testbed/topology.h"
+#include "testbed/traffic.h"
 
 namespace lm::testbed {
 namespace {
@@ -100,6 +105,21 @@ ScenarioConfig tree_cfg(std::uint64_t seed) {
   return c;
 }
 
+// A rogue radio for injecting crafted frames next to a chosen node.
+struct Injector {
+  Injector(MeshScenario& s, phy::Position pos)
+      : radio(s.simulator(), s.channel(), 77, pos, {}) {}
+  bool inject(const net::Packet& p) { return radio.transmit(net::encode(p)); }
+  radio::VirtualRadio radio;
+};
+
+const net::FloodingStrategy& flooding_of(const MeshScenario& s, std::size_t i) {
+  const auto* strategy =
+      dynamic_cast<const net::FloodingStrategy*>(&s.node(i).routing_strategy());
+  EXPECT_NE(strategy, nullptr);
+  return *strategy;
+}
+
 const net::AodvStrategy& aodv_of(const MeshScenario& s, std::size_t i) {
   const auto* strategy =
       dynamic_cast<const net::AodvStrategy*>(&s.node(i).routing_strategy());
@@ -167,6 +187,160 @@ TEST(RoutingStrategies, FloodingNeedsNoConvergenceDelay) {
   EXPECT_TRUE(s.node(0).send_datagram(s.address_of(3), {0x01}));
   s.run_for(Duration::seconds(30));
   EXPECT_EQ(delivered, 1u);
+}
+
+// --- Flooding: delivery, dedup, TTL, broadcast and unicast semantics -------
+
+TEST(Flooding, DeliversAcrossMultiHopChain) {
+  MeshScenario s(flooding_cfg(1));
+  s.add_nodes(chain(4, kSpacing));
+  s.start_all();
+
+  net::Address origin = net::kUnassigned;
+  std::uint8_t hops = 0;
+  int deliveries = 0;
+  s.node(3).set_datagram_handler(
+      [&](net::Address o, const std::vector<std::uint8_t>&, std::uint8_t h) {
+        ++deliveries;
+        origin = o;
+        hops = h;
+      });
+  ASSERT_TRUE(
+      s.node(0).send_datagram(s.address_of(3), {1, 2, 3, 4, 5, 6, 7, 8}));
+  s.run_for(Duration::seconds(30));
+
+  EXPECT_EQ(deliveries, 1);
+  EXPECT_EQ(origin, s.address_of(0));
+  EXPECT_EQ(hops, 3);
+  // No routing state needed, but every intermediate node relayed.
+  EXPECT_GE(s.node(1).stats().packets_forwarded, 1u);
+  EXPECT_GE(s.node(2).stats().packets_forwarded, 1u);
+}
+
+TEST(Flooding, DuplicateSuppressionStopsEcho) {
+  MeshScenario s(flooding_cfg(1));
+  s.add_nodes(chain(4, kSpacing));
+  s.start_all();
+  s.node(0).send_datagram(s.address_of(3), {1, 2, 3, 4, 5, 6, 7, 8});
+  s.run_for(Duration::minutes(1));
+  // Each relay forwards exactly once; node 1 then hears node 2's relay of
+  // the same packet and suppresses it instead of re-flooding.
+  EXPECT_EQ(s.node(1).stats().packets_forwarded, 1u);
+  EXPECT_EQ(s.node(2).stats().packets_forwarded, 1u);
+  EXPECT_GE(flooding_of(s, 1).duplicates_suppressed(), 1u);
+}
+
+TEST(Flooding, DedupWindowEvictsOldestEntry) {
+  ScenarioConfig c = cfg(1);
+  c.strategy_factory = [] {
+    return std::make_unique<net::FloodingStrategy>(
+        net::FloodingStrategyConfig{Duration::milliseconds(500),
+                                    /*dedup_cache=*/2});
+  };
+  MeshScenario s(std::move(c));
+  s.add_nodes(chain(1, kSpacing));
+  s.start_all();
+  Injector rogue(s, {-50.0, 0.0});
+  // A flood from a node the scenario does not hold, headed past node 0, so
+  // node 0 relays every copy it has not seen.
+  const auto flood = [&](std::uint16_t id) {
+    net::DataPacket p;
+    p.link = net::LinkHeader{net::kBroadcast, 0x0BBB, net::PacketType::Data};
+    p.route.final_dst = 0x0BAD;
+    p.route.origin = 0x0BBB;
+    p.route.ttl = 5;
+    p.route.packet_id = id;
+    p.payload.assign({0xF0, static_cast<std::uint8_t>(id)});
+    EXPECT_TRUE(rogue.inject(net::Packet{p}));
+    s.run_for(Duration::seconds(5));
+  };
+  const net::NodeStats& stats = s.node(0).stats();
+  flood(1);
+  flood(1);
+  EXPECT_EQ(stats.packets_forwarded, 1u);
+  EXPECT_EQ(flooding_of(s, 0).duplicates_suppressed(), 1u);
+
+  // Two newer ids push id 1 out of the 2-entry window...
+  flood(2);
+  flood(3);
+  EXPECT_EQ(stats.packets_forwarded, 3u);
+
+  // ...so a late copy of id 1 looks new and is relayed again.
+  flood(1);
+  EXPECT_EQ(stats.packets_forwarded, 4u);
+  EXPECT_EQ(flooding_of(s, 0).duplicates_suppressed(), 1u);
+}
+
+TEST(Flooding, TtlBoundsPropagation) {
+  ScenarioConfig c = flooding_cfg(1);
+  c.mesh.max_ttl = 2;
+  MeshScenario s(std::move(c));
+  s.add_nodes(chain(5, kSpacing));
+  s.start_all();
+  int deliveries = 0;
+  s.node(4).set_datagram_handler(
+      [&](net::Address, const std::vector<std::uint8_t>&, std::uint8_t) {
+        ++deliveries;
+      });
+  s.node(0).send_datagram(s.address_of(4), {1, 2, 3, 4, 5, 6, 7, 8});  // 4 hops
+  s.run_for(Duration::minutes(1));
+  EXPECT_EQ(deliveries, 0);
+  EXPECT_GE(s.node(1).stats().dropped_ttl + s.node(2).stats().dropped_ttl, 1u);
+}
+
+TEST(Flooding, BroadcastReachesEveryone) {
+  MeshScenario s(flooding_cfg(1));
+  s.add_nodes(chain(4, kSpacing));
+  s.start_all();
+  int reached = 0;
+  for (std::size_t i = 1; i < s.size(); ++i) {
+    s.node(i).set_broadcast_handler(
+        [&](net::Address, const std::vector<std::uint8_t>&) { ++reached; });
+  }
+  // A network-wide flood is a datagram to kBroadcast; send_broadcast is a
+  // single hop (TTL 1) and would reach node 1 only.
+  EXPECT_TRUE(s.node(0).send_datagram(net::kBroadcast, {1, 2, 3, 4, 5, 6, 7, 8}));
+  s.run_for(Duration::minutes(1));
+  EXPECT_EQ(reached, 3);
+}
+
+TEST(Flooding, UnicastStopsRelayingAtTarget) {
+  MeshScenario s(flooding_cfg(1));
+  s.add_nodes(chain(4, kSpacing));
+  s.start_all();
+  // Node 1 consumes a unicast addressed to it and does not relay it, so
+  // node 2 never hears the packet.
+  s.node(0).send_datagram(s.address_of(1), {1, 2, 3, 4, 5, 6, 7, 8});
+  s.run_for(Duration::minutes(1));
+  EXPECT_EQ(s.node(1).stats().datagrams_delivered, 1u);
+  EXPECT_EQ(s.node(1).stats().packets_forwarded, 0u);
+  EXPECT_EQ(s.node(2).stats().datagrams_delivered, 0u);
+}
+
+TEST(Flooding, SendValidation) {
+  MeshScenario s(flooding_cfg(1));
+  s.add_nodes(chain(2, kSpacing));
+  s.start_all();
+  EXPECT_FALSE(s.node(0).send_datagram(s.address_of(0), {1}));  // to self
+  EXPECT_FALSE(s.node(0).send_datagram(net::kUnassigned, {1}));
+  EXPECT_FALSE(s.node(0).send_datagram(
+      s.address_of(1), std::vector<std::uint8_t>(net::kMaxDataPayload + 1)));
+  s.node(0).stop();
+  EXPECT_FALSE(s.node(0).send_datagram(s.address_of(1), {1}));
+}
+
+TEST(Flooding, TrafficHarnessMeasuresPdr) {
+  MeshScenario s(flooding_cfg(11));
+  s.add_nodes(chain(3, kSpacing));
+  metrics::PacketTracker tracker;
+  attach_tracker(s, tracker);
+  s.start_all();
+  DatagramTraffic traffic(s, tracker, 0, 2, {Duration::seconds(20), 16, true}, 123);
+  traffic.start();
+  s.run_for(Duration::minutes(20));
+  traffic.stop();
+  EXPECT_GT(tracker.attempted(), 30u);
+  EXPECT_GT(tracker.pdr(), 0.9);  // clean links: flooding delivers
 }
 
 // --- AODV: on-demand discovery ---------------------------------------------
@@ -240,14 +414,6 @@ TEST(AodvStrategy, HasRouteIsAPureQuery) {
   EXPECT_EQ(aodv_of(s, 0).rreqs_sent(), 0u);
   EXPECT_FALSE(aodv_of(s, 0).discovery_pending(0x0BAD));
 }
-
-// A rogue radio for injecting crafted frames next to a chosen node.
-struct Injector {
-  Injector(MeshScenario& s, phy::Position pos)
-      : radio(s.simulator(), s.channel(), 77, pos, {}) {}
-  bool inject(const net::Packet& p) { return radio.transmit(net::encode(p)); }
-  radio::VirtualRadio radio;
-};
 
 TEST(AodvStrategy, RelayWithoutRouteBroadcastsRouteError) {
   MeshScenario s(aodv_cfg(13));

@@ -1,5 +1,5 @@
-// Unit tests for the conservative PDES building blocks: stripe partition
-// geometry, lookahead derivation, and the windowed barrier engine itself
+// Unit tests for the conservative PDES building blocks: tile and stripe
+// partition geometry, lookahead derivation, and the windowed barrier engine itself
 // (skip-ahead, cross-region messaging, worker-count-independent results).
 #include <gtest/gtest.h>
 
@@ -17,65 +17,65 @@
 namespace lm::sim::pdes {
 namespace {
 
-// --- StripePartition --------------------------------------------------------
+// --- TileStripes: the 1-row TilePartition ----------------------------------
 
-TEST(StripePartition, NarrowFieldCollapsesToOneRegion) {
+TEST(TileStripes, NarrowFieldCollapsesToOneRegion) {
   const std::vector<double> xs{0.0, 300.0, 600.0, 900.0};
-  const auto p = StripePartition::make(xs, 1000.0, 0);
+  const auto p = TilePartition::stripes(xs, 1000.0, 0);
   EXPECT_EQ(p.count(), 1u);
-  EXPECT_EQ(p.region_of(-1e9), 0u);
-  EXPECT_EQ(p.region_of(1e9), 0u);
+  EXPECT_EQ(p.region_of(-1e9, 0.0), 0u);
+  EXPECT_EQ(p.region_of(1e9, 0.0), 0u);
 }
 
-TEST(StripePartition, EmptyAndDegenerateInputsCollapse) {
-  EXPECT_EQ(StripePartition::make({}, 500.0, 0).count(), 1u);
-  EXPECT_EQ(StripePartition::make({1.0, 2.0}, 0.0, 0).count(), 1u);
-  EXPECT_EQ(StripePartition().count(), 1u);
+TEST(TileStripes, EmptyAndDegenerateInputsCollapse) {
+  EXPECT_EQ(TilePartition::stripes({}, 500.0, 0).count(), 1u);
+  EXPECT_EQ(TilePartition::stripes({1.0, 2.0}, 0.0, 0).count(), 1u);
 }
 
-TEST(StripePartition, WideFieldSplitsWithStripesAtLeastOneHaloWide) {
+TEST(TileStripes, WideFieldSplitsWithStripesAtLeastOneHaloWide) {
   std::vector<double> xs;
   for (int i = 0; i < 40; ++i) xs.push_back(400.0 * i);  // extent 15600
   const double halo = 936.0;
-  const auto p = StripePartition::make(xs, halo, 0);
+  const auto p = TilePartition::stripes(xs, halo, 0);
+  EXPECT_EQ(p.rows(), 1u);
   EXPECT_EQ(p.count(), static_cast<std::size_t>(15600.0 / halo));  // 16
-  EXPECT_GE(p.width(), halo);
+  EXPECT_GE(p.col_width(), halo);
   // Contiguous coverage, ordered regions.
-  for (std::size_t r = 0; r + 1 < p.count(); ++r) {
-    EXPECT_DOUBLE_EQ(p.right_edge(r), p.left_edge(r + 1));
+  for (std::size_t c = 0; c + 1 < p.count(); ++c) {
+    EXPECT_DOUBLE_EQ(p.left_edge(c) + p.col_width(), p.left_edge(c + 1));
   }
-  EXPECT_EQ(p.region_of(0.0), 0u);
-  EXPECT_EQ(p.region_of(15600.0), p.count() - 1);
+  EXPECT_EQ(p.region_of(0.0, 0.0), 0u);
+  EXPECT_EQ(p.region_of(15600.0, 0.0), p.count() - 1);
   // Clamped outside the original extent.
-  EXPECT_EQ(p.region_of(-500.0), 0u);
-  EXPECT_EQ(p.region_of(20000.0), p.count() - 1);
+  EXPECT_EQ(p.region_of(-500.0, 0.0), 0u);
+  EXPECT_EQ(p.region_of(20000.0, 0.0), p.count() - 1);
 }
 
-TEST(StripePartition, MaxRegionsCapsTheCount) {
+TEST(TileStripes, MaxRegionsCapsTheCount) {
   std::vector<double> xs;
   for (int i = 0; i < 40; ++i) xs.push_back(400.0 * i);
-  const auto p = StripePartition::make(xs, 936.0, 7);
+  const auto p = TilePartition::stripes(xs, 936.0, 7);
   EXPECT_EQ(p.count(), 7u);
-  EXPECT_GE(p.width(), 936.0);
+  EXPECT_GE(p.col_width(), 936.0);
   // 40 nodes over 7 stripes cannot split evenly; the assignment is still
   // total and monotone.
   std::size_t prev = 0;
   for (const double x : xs) {
-    const std::size_t r = p.region_of(x);
+    const std::size_t r = p.region_of(x, 0.0);
     EXPECT_GE(r, prev);
     EXPECT_LT(r, 7u);
     prev = r;
   }
-  EXPECT_EQ(p.region_of(xs.back()), 6u);
+  EXPECT_EQ(p.region_of(xs.back(), 0.0), 6u);
 }
 
-TEST(StripePartition, AssignmentIsAFunctionOfGeometryOnly) {
+TEST(TileStripes, AssignmentIsAFunctionOfGeometryOnly) {
   std::vector<double> xs;
   for (int i = 0; i < 25; ++i) xs.push_back(250.0 * i);
-  const auto a = StripePartition::make(xs, 800.0, 4);
-  const auto b = StripePartition::make(xs, 800.0, 4);
+  const auto a = TilePartition::stripes(xs, 800.0, 4);
+  const auto b = TilePartition::stripes(xs, 800.0, 4);
   ASSERT_EQ(a.count(), b.count());
-  for (const double x : xs) EXPECT_EQ(a.region_of(x), b.region_of(x));
+  for (const double x : xs) EXPECT_EQ(a.region_of(x, 0.0), b.region_of(x, 0.0));
 }
 
 // --- TilePartition ----------------------------------------------------------
@@ -90,7 +90,7 @@ TEST(TilePartition, SquareFieldAdmitsAtLeastTwiceTheStripeRegions) {
     ys.push_back(400.0 * i);
   }
   const double halo = 936.0;
-  const auto stripe = StripePartition::make(xs, halo, 0);
+  const auto stripe = TilePartition::stripes(xs, halo, 0);
   const auto tile = TilePartition::make(xs, ys, halo, 0);
   EXPECT_EQ(stripe.count(), 16u);
   EXPECT_EQ(tile.count(), tile.rows() * tile.cols());
@@ -100,29 +100,34 @@ TEST(TilePartition, SquareFieldAdmitsAtLeastTwiceTheStripeRegions) {
   EXPECT_GE(tile.row_height(), halo);
 }
 
-TEST(TilePartition, OneRowTilingIsBitIdenticalToStripePartition) {
-  // A pseudo-random scatter (fixed LCG, no global RNG) with both axes wide;
-  // stripes() must reproduce StripePartition exactly — same count, same
-  // float arithmetic, same assignment for every probe.
-  std::vector<double> xs, ys;
+TEST(TilePartition, StripesEqualsMakeWithFlatY) {
+  // A pseudo-random scatter (fixed LCG, no global RNG): stripes(xs) must be
+  // make(xs, ys) with every y equal — same count, same float arithmetic,
+  // same assignment for every probe.
+  std::vector<double> xs;
   std::uint64_t s = 0x2545F4914F6CDD1DULL;
   for (int i = 0; i < 64; ++i) {
     s = s * 6364136223846793005ULL + 1442695040888963407ULL;
     xs.push_back(static_cast<double>(s >> 40) / 100.0);  // ~0..167772
-    s = s * 6364136223846793005ULL + 1442695040888963407ULL;
-    ys.push_back(static_cast<double>(s >> 40) / 100.0);
   }
+  const std::vector<double> flat(xs.size(), 0.0);
   for (const std::size_t cap : {std::size_t{0}, std::size_t{7}}) {
-    const auto stripe = StripePartition::make(xs, 936.0, cap);
-    const auto tiles = TilePartition::stripes(xs, 936.0, cap);
+    const auto stripes = TilePartition::stripes(xs, 936.0, cap);
+    const auto tiles = TilePartition::make(xs, flat, 936.0, cap);
+    ASSERT_EQ(stripes.rows(), 1u);
     ASSERT_EQ(tiles.rows(), 1u);
-    ASSERT_EQ(tiles.count(), stripe.count());
-    for (const double x : xs) {
-      EXPECT_EQ(tiles.region_of(x, /*y=*/1e9), stripe.region_of(x));
-      EXPECT_EQ(tiles.region_of(x, /*y=*/-1e9), stripe.region_of(x));
+    ASSERT_EQ(stripes.cols(), tiles.cols());
+    EXPECT_GT(stripes.cols(), 1u);
+    EXPECT_EQ(stripes.col_width(), tiles.col_width());
+    for (std::size_t c = 0; c < stripes.cols(); ++c) {
+      EXPECT_EQ(stripes.left_edge(c), tiles.left_edge(c));
     }
-    EXPECT_EQ(tiles.region_of(-1e9, 0.0), stripe.region_of(-1e9));
-    EXPECT_EQ(tiles.region_of(1e9, 0.0), stripe.region_of(1e9));
+    for (const double x : xs) {
+      EXPECT_EQ(stripes.region_of(x, 1e9), tiles.region_of(x, 1e9));
+      EXPECT_EQ(stripes.region_of(x, -1e9), tiles.region_of(x, -1e9));
+    }
+    EXPECT_EQ(stripes.region_of(-1e9, 0.0), tiles.region_of(-1e9, 0.0));
+    EXPECT_EQ(stripes.region_of(1e9, 0.0), tiles.region_of(1e9, 0.0));
   }
 }
 

@@ -1,141 +1,17 @@
-// Tests for the comparison substrates: controlled flooding and the
-// LoRaWAN-style star network.
+// Tests for the LoRaWAN-style star network baseline. Controlled flooding
+// runs on the shared stack and is tested in tests/net/strategy_test.cpp.
 #include <gtest/gtest.h>
 
-#include "baseline/flooding_node.h"
 #include "baseline/star_network.h"
-#include "metrics/packet_tracker.h"
 #include "phy/path_loss.h"
-#include "testbed/flood_scenario.h"
-#include "testbed/scenario.h"
-#include "testbed/topology.h"
-#include "testbed/traffic.h"
+#include "radio/channel.h"
+#include "radio/virtual_radio.h"
+#include "sim/simulator.h"
 
 namespace lm::baseline {
 namespace {
 
 constexpr double kSpacing = 400.0;
-
-testbed::FloodScenarioConfig flood_config(std::uint64_t seed = 1) {
-  testbed::FloodScenarioConfig c;
-  c.seed = seed;
-  c.propagation.path_loss = phy::make_log_distance(3.5, 40.0);
-  c.propagation.shadowing_sigma_db = 0.0;
-  c.propagation.fading_sigma_db = 0.0;
-  c.flood.duty_cycle_limit = 1.0;
-  return c;
-}
-
-TEST(Flooding, DeliversAcrossMultiHopChain) {
-  testbed::FloodScenario s(flood_config());
-  s.add_nodes(testbed::chain(4, kSpacing));
-  s.start_all();
-
-  net::Address origin = net::kUnassigned;
-  std::uint8_t hops = 0;
-  int deliveries = 0;
-  s.node(3).set_handler([&](net::Address o, const std::vector<std::uint8_t>&,
-                            std::uint8_t h) {
-    ++deliveries;
-    origin = o;
-    hops = h;
-  });
-  ASSERT_TRUE(s.node(0).send(s.address_of(3), {1, 2, 3, 4, 5, 6, 7, 8}));
-  s.run_for(Duration::seconds(30));
-
-  EXPECT_EQ(deliveries, 1);
-  EXPECT_EQ(origin, s.address_of(0));
-  EXPECT_EQ(hops, 3);
-  // No routing state needed — but every intermediate node relayed.
-  EXPECT_GE(s.node(1).stats().relayed, 1u);
-  EXPECT_GE(s.node(2).stats().relayed, 1u);
-}
-
-TEST(Flooding, DuplicateSuppressionStopsEcho) {
-  testbed::FloodScenario s(flood_config());
-  s.add_nodes(testbed::chain(4, kSpacing));
-  s.start_all();
-  s.node(0).send(s.address_of(3), {1, 2, 3, 4, 5, 6, 7, 8});
-  s.run_for(Duration::minutes(1));
-  // Each relay forwards exactly once; node 1 then hears node 2's relay of
-  // the same packet and suppresses it instead of re-flooding.
-  EXPECT_EQ(s.node(1).stats().relayed, 1u);
-  EXPECT_EQ(s.node(2).stats().relayed, 1u);
-  EXPECT_GE(s.node(1).stats().duplicates_suppressed, 1u);
-}
-
-TEST(Flooding, TtlBoundsPropagation) {
-  auto cfg = flood_config();
-  cfg.flood.max_ttl = 2;
-  testbed::FloodScenario s(cfg);
-  s.add_nodes(testbed::chain(5, kSpacing));
-  s.start_all();
-  int deliveries = 0;
-  s.node(4).set_handler(
-      [&](net::Address, const std::vector<std::uint8_t>&, std::uint8_t) {
-        ++deliveries;
-      });
-  s.node(0).send(s.address_of(4), {1, 2, 3, 4, 5, 6, 7, 8});  // needs 4 hops
-  s.run_for(Duration::minutes(1));
-  EXPECT_EQ(deliveries, 0);
-  EXPECT_GE(s.node(1).stats().dropped_ttl + s.node(2).stats().dropped_ttl, 1u);
-}
-
-TEST(Flooding, BroadcastReachesEveryone) {
-  testbed::FloodScenario s(flood_config());
-  s.add_nodes(testbed::chain(4, kSpacing));
-  s.start_all();
-  int reached = 0;
-  for (std::size_t i = 1; i < s.size(); ++i) {
-    s.node(i).set_handler(
-        [&](net::Address, const std::vector<std::uint8_t>&, std::uint8_t) {
-          ++reached;
-        });
-  }
-  s.node(0).send(net::kBroadcast, {1, 2, 3, 4, 5, 6, 7, 8});
-  s.run_for(Duration::minutes(1));
-  EXPECT_EQ(reached, 3);
-}
-
-TEST(Flooding, UnicastStopsRelayingAtTarget) {
-  testbed::FloodScenario s(flood_config());
-  s.add_nodes(testbed::chain(4, kSpacing));
-  s.start_all();
-  // Unicast to node 1: nodes beyond it should not need to relay... node 1
-  // consumes and stops; node 2 only hears node 1's *non*-relay (nothing).
-  s.node(0).send(s.address_of(1), {1, 2, 3, 4, 5, 6, 7, 8});
-  s.run_for(Duration::minutes(1));
-  EXPECT_EQ(s.node(1).stats().delivered, 1u);
-  EXPECT_EQ(s.node(1).stats().relayed, 0u);
-  EXPECT_EQ(s.node(2).stats().delivered, 0u);
-}
-
-TEST(Flooding, SendValidation) {
-  testbed::FloodScenario s(flood_config());
-  s.add_nodes(testbed::chain(2, kSpacing));
-  s.start_all();
-  EXPECT_FALSE(s.node(0).send(s.address_of(0), {1}));  // to self
-  EXPECT_FALSE(s.node(0).send(net::kUnassigned, {1}));
-  EXPECT_FALSE(
-      s.node(0).send(s.address_of(1), std::vector<std::uint8_t>(kMaxFloodPayload + 1)));
-  s.node(0).stop();
-  EXPECT_FALSE(s.node(0).send(s.address_of(1), {1}));
-}
-
-TEST(Flooding, TrafficHarnessMeasuresPdr) {
-  testbed::FloodScenario s(flood_config(11));
-  s.add_nodes(testbed::chain(3, kSpacing));
-  metrics::PacketTracker tracker;
-  testbed::attach_tracker(s, tracker);
-  s.start_all();
-  testbed::FloodTraffic traffic(s, tracker, 0, 2, {Duration::seconds(20), 16, true},
-                                123);
-  traffic.start();
-  s.run_for(Duration::minutes(20));
-  traffic.stop();
-  EXPECT_GT(tracker.attempted(), 30u);
-  EXPECT_GT(tracker.pdr(), 0.9);  // clean links: flooding delivers
-}
 
 // --- Star ---------------------------------------------------------------------
 
@@ -220,6 +96,27 @@ TEST(Star, QueueLimitsRespected) {
   EXPECT_GT(d.dropped_queue_full(), 0u);
   sim.run_for(Duration::minutes(1));
   EXPECT_LE(d.uplinks_sent(), 3u);  // 1 in flight + 2 queued
+}
+
+TEST(Star, RestartDuringDitherStillTransmits) {
+  sim::Simulator sim;
+  radio::Channel channel(sim, radio::PropagationConfig::free_space(), 1);
+  radio::VirtualRadio gw_radio(sim, channel, 1, {0, 0}, {});
+  radio::VirtualRadio dev_radio(sim, channel, 2, {1000, 0}, {});
+  GatewayNode gateway(gw_radio, nullptr);
+  gateway.start();
+  EndDeviceNode device(sim, dev_radio, 0x0042, {}, 7);
+  device.start();
+
+  // stop() inside the 200 ms dither cancels the pending uplink; after a
+  // restart the device must transmit again rather than stay busy forever.
+  ASSERT_TRUE(device.send_uplink(std::vector<std::uint8_t>(10, 1)));
+  device.stop();
+  device.start();
+  ASSERT_TRUE(device.send_uplink(std::vector<std::uint8_t>(10, 2)));
+  sim.run_for(Duration::minutes(1));
+  EXPECT_EQ(device.uplinks_sent(), 1u);
+  EXPECT_EQ(gateway.uplinks_received(), 1u);
 }
 
 }  // namespace
