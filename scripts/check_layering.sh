@@ -109,9 +109,9 @@ done
 # every "now" and every delay goes through the LayerContext clock seam
 # (local_now / true_now / schedule_local / schedule_at_true), which is what
 # keeps per-node skew/drift and the true-time duty budget honest.
-# cancel/is_pending/migrate_timer are mechanical timer plumbing and stay
-# direct. layer_context.h implements the seam and is exempt.
-clock_hits=$(grep -Hn -E 'sim(_)?->(now|schedule_after|schedule_at)\(' \
+# cancel/is_pending are mechanical timer plumbing and stay direct.
+# layer_context.h implements the seam and is exempt.
+clock_hits=$(grep -Hn -E 'sim(_)?(->|\.)(now|schedule_after|schedule_at)\(' \
                   src/net/*.h src/net/*.cpp 2>/dev/null |
              grep -v 'layer_context' || true)
 if [ -n "$clock_hits" ]; then

@@ -2,8 +2,8 @@
 # Byte-identity matrix gate for the conservative PDES engine.
 #
 # Runs the full determinism matrix as one suite: worker counts 1/2/3/7/8 x
-# stripe/tile decompositions x static and mobile (cross-region handoff)
-# scenarios, plus the serial-vs-PDES single-region collapses. This is the
+# stripe/tile decompositions x static and mobile (a rover moving inside its
+# region) scenarios, plus the serial-vs-PDES single-region collapses. This is the
 # one switch CI flips to answer "is the parallel engine still exact?".
 #
 #   scripts/check_pdes.sh [--binary=PATH] [--build-dir=DIR]
@@ -33,9 +33,9 @@ fi
 
 # The matrix: golden chain (serial == PDES at every worker count), the
 # invariant-sweep serial-vs-PDES scenes, the 7-region wide chain across
-# worker counts, the tile-vs-stripe linear-field collapse, the mobile
-# cross-region handoff scenario (stripe + tile, workers 1/2/3/7/8), and the
-# drifted-clock + live-battery scenes (per-node skew/drift, brownouts
-# mid-run, a rover handing its depletion timer across a region boundary).
+# worker counts, the tile-vs-stripe linear-field collapse, the in-region
+# rover (stripe + tile, workers 1/2/3/7/8), the rover that leaves its
+# region and must fail the barrier check, and the drifted-clock +
+# live-battery chain (per-node skew/drift, brownouts mid-run).
 "$BINARY" --gtest_filter='PdesDeterminism.*'
 echo "PDES byte-identity matrix: clean"

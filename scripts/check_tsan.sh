@@ -30,15 +30,16 @@ cmake --build "$BUILD_DIR" --target test_parallel test_pdes test_strategy_matrix
 TSAN_OPTIONS="halt_on_error=1" "$BUILD_DIR/tests/test_parallel"
 echo "TSan: thread_pool + parallel_runner tests clean"
 
-# PDES engine units under TSan first (partitions, adaptive windows, timer
-# migration, cross-region messaging).
+# PDES engine units under TSan first (partitions, adaptive windows,
+# cross-region messaging).
 TSAN_OPTIONS="halt_on_error=1" "$BUILD_DIR/tests/test_pdes" \
-  --gtest_filter='TileStripes.*:TilePartition.*:Lookahead.*:SimulatorMigration.*:ParallelEngine.*'
+  --gtest_filter='TileStripes.*:TilePartition.*:Lookahead.*:ParallelEngine.*'
 echo "TSan: PDES engine units clean"
 
 # Then the full byte-identity matrix (workers up to 8 racing over ghost
-# exchange, barrier handoff and trace merge; stripe and tile modes; static,
-# mobile cross-region and chaos scenarios) through the shared gate script.
+# exchange, the barrier region check and trace merge; stripe and tile
+# modes; static, in-region rover and chaos scenarios) through the shared
+# gate script.
 TSAN_OPTIONS="halt_on_error=1" scripts/check_pdes.sh \
   --binary="$BUILD_DIR/tests/test_pdes"
 echo "TSan: PDES determinism matrix clean"

@@ -10,23 +10,16 @@ namespace lm::net {
 AodvStrategy::~AodvStrategy() {
   if (ctx_ != nullptr) {
     for (auto& [dst, discovery] : pending_) {
-      if (discovery.retry_timer != 0) ctx_->sim->cancel(discovery.retry_timer);
+      if (discovery.retry_timer != 0) ctx_->sim.cancel(discovery.retry_timer);
     }
   }
 }
 
 void AodvStrategy::stop() {
   for (auto& [dst, discovery] : pending_) {
-    if (discovery.retry_timer != 0) ctx_->sim->cancel(discovery.retry_timer);
+    if (discovery.retry_timer != 0) ctx_->sim.cancel(discovery.retry_timer);
   }
   pending_.clear();
-}
-
-void AodvStrategy::migrate(sim::Simulator& from, sim::Simulator& to) {
-  RoutingStrategy::migrate(from, to);  // pending relay-jitter timers
-  for (auto& [dst, discovery] : pending_) {
-    sim::Simulator::migrate_timer(from, to, discovery.retry_timer);
-  }
 }
 
 bool AodvStrategy::has_route(Address dst) const {
@@ -87,7 +80,7 @@ void AodvStrategy::on_retry_timer(Address dst) {
 void AodvStrategy::finish_discovery(Address dst) {
   auto it = pending_.find(dst);
   if (it == pending_.end()) return;
-  if (it->second.retry_timer != 0) ctx_->sim->cancel(it->second.retry_timer);
+  if (it->second.retry_timer != 0) ctx_->sim.cancel(it->second.retry_timer);
   pending_.erase(it);
 }
 

@@ -51,7 +51,6 @@ class AodvStrategy final : public RoutingStrategy {
   ~AodvStrategy() override;
 
   void stop() override;
-  void migrate(sim::Simulator& from, sim::Simulator& to) override;
   const char* name() const override { return "aodv"; }
 
   /// True when the table holds a route; a pure query.

@@ -7,7 +7,7 @@
 namespace lm::net {
 
 DistanceVectorStrategy::~DistanceVectorStrategy() {
-  if (beacon_timer_ != 0) ctx_->sim->cancel(beacon_timer_);
+  if (beacon_timer_ != 0) ctx_->sim.cancel(beacon_timer_);
 }
 
 void DistanceVectorStrategy::start() {
@@ -16,7 +16,7 @@ void DistanceVectorStrategy::start() {
 
 void DistanceVectorStrategy::stop() {
   if (beacon_timer_ != 0) {
-    ctx_->sim->cancel(beacon_timer_);
+    ctx_->sim.cancel(beacon_timer_);
     beacon_timer_ = 0;
   }
 }

@@ -15,10 +15,6 @@ class DistanceVectorStrategy : public RoutingStrategy {
 
   void start() override;
   void stop() override;
-  void migrate(sim::Simulator& from, sim::Simulator& to) override {
-    RoutingStrategy::migrate(from, to);  // pending forward-jitter timers
-    sim::Simulator::migrate_timer(from, to, beacon_timer_);
-  }
   const char* name() const override { return "distance-vector"; }
 
   bool has_route(Address dst) const override { return table_->has_route(dst); }

@@ -9,9 +9,9 @@ namespace lm::net {
 
 GatewayTreeStrategy::~GatewayTreeStrategy() {
   if (ctx_ != nullptr) {
-    if (beacon_timer_ != 0) ctx_->sim->cancel(beacon_timer_);
-    if (election_timer_ != 0) ctx_->sim->cancel(election_timer_);
-    if (report_timer_ != 0) ctx_->sim->cancel(report_timer_);
+    if (beacon_timer_ != 0) ctx_->sim.cancel(beacon_timer_);
+    if (election_timer_ != 0) ctx_->sim.cancel(election_timer_);
+    if (report_timer_ != 0) ctx_->sim.cancel(report_timer_);
   }
 }
 
@@ -30,25 +30,18 @@ void GatewayTreeStrategy::start() {
 
 void GatewayTreeStrategy::stop() {
   if (beacon_timer_ != 0) {
-    ctx_->sim->cancel(beacon_timer_);
+    ctx_->sim.cancel(beacon_timer_);
     beacon_timer_ = 0;
   }
   if (election_timer_ != 0) {
-    ctx_->sim->cancel(election_timer_);
+    ctx_->sim.cancel(election_timer_);
     election_timer_ = 0;
   }
   if (report_timer_ != 0) {
-    ctx_->sim->cancel(report_timer_);
+    ctx_->sim.cancel(report_timer_);
     report_timer_ = 0;
   }
   election_scheduled_ = false;
-}
-
-void GatewayTreeStrategy::migrate(sim::Simulator& from, sim::Simulator& to) {
-  RoutingStrategy::migrate(from, to);  // pending relay-jitter timers
-  sim::Simulator::migrate_timer(from, to, beacon_timer_);
-  sim::Simulator::migrate_timer(from, to, election_timer_);
-  sim::Simulator::migrate_timer(from, to, report_timer_);
 }
 
 bool GatewayTreeStrategy::has_route(Address dst) const {

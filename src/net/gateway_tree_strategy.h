@@ -51,7 +51,6 @@ class GatewayTreeStrategy final : public RoutingStrategy {
 
   void start() override;
   void stop() override;
-  void migrate(sim::Simulator& from, sim::Simulator& to) override;
   const char* name() const override { return "gateway-tree"; }
 
   /// Members with a parent can always try (unknown destinations ride the

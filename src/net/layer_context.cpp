@@ -6,7 +6,7 @@ void LayerContext::trace_packet(trace::EventKind kind, const Packet& packet,
                                 trace::DropReason reason, std::int64_t aux_us,
                                 double value) {
   trace::TraceEvent e;
-  e.t_us = sim->now().us();
+  e.t_us = sim.now().us();
   e.node = address;
   e.kind = kind;
   e.reason = reason;
@@ -31,7 +31,7 @@ void LayerContext::trace_packet(trace::EventKind kind, const Packet& packet,
 void LayerContext::trace_refusal(PacketType type, Address dst,
                                  std::size_t bytes, trace::DropReason reason) {
   trace::TraceEvent e;
-  e.t_us = sim->now().us();
+  e.t_us = sim.now().us();
   e.node = address;
   e.kind = trace::EventKind::Drop;
   e.reason = reason;
@@ -44,7 +44,7 @@ void LayerContext::trace_refusal(PacketType type, Address dst,
 
 void LayerContext::trace_lifecycle(trace::EventKind kind) {
   trace::TraceEvent e;
-  e.t_us = sim->now().us();
+  e.t_us = sim.now().us();
   e.node = address;
   e.kind = kind;
   tracer->emit(e);

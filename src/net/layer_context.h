@@ -71,14 +71,51 @@ struct NodeStats {
   std::uint64_t rx_sessions_rejected = 0;  // SYNCs refused at the session cap
   std::uint64_t fragments_sent = 0;
   std::uint64_t fragments_retransmitted = 0;
+
+  /// Field-wise sum (scenario totals).
+  NodeStats& operator+=(const NodeStats& o) {
+    beacons_sent += o.beacons_sent;
+    beacons_received += o.beacons_received;
+    routing_changes += o.routing_changes;
+    datagrams_sent += o.datagrams_sent;
+    datagrams_delivered += o.datagrams_delivered;
+    broadcasts_sent += o.broadcasts_sent;
+    broadcasts_delivered += o.broadcasts_delivered;
+    packets_forwarded += o.packets_forwarded;
+    dropped_no_route += o.dropped_no_route;
+    dropped_ttl += o.dropped_ttl;
+    dropped_queue_full += o.dropped_queue_full;
+    malformed_frames += o.malformed_frames;
+    foreign_frames += o.foreign_frames;
+    beacons_ignored_low_quality += o.beacons_ignored_low_quality;
+    cad_busy_events += o.cad_busy_events;
+    forced_transmissions += o.forced_transmissions;
+    duty_cycle_delays += o.duty_cycle_delays;
+    control_bytes_sent += o.control_bytes_sent;
+    data_bytes_sent += o.data_bytes_sent;
+    control_airtime += o.control_airtime;
+    data_airtime += o.data_airtime;
+    acked_sent += o.acked_sent;
+    acked_confirmed += o.acked_confirmed;
+    acked_failed += o.acked_failed;
+    acked_retransmissions += o.acked_retransmissions;
+    acked_delivered += o.acked_delivered;
+    acked_duplicates += o.acked_duplicates;
+    acks_sent += o.acks_sent;
+    transfers_started += o.transfers_started;
+    transfers_completed += o.transfers_completed;
+    transfers_failed += o.transfers_failed;
+    transfers_received += o.transfers_received;
+    rx_sessions_rejected += o.rx_sessions_rejected;
+    fragments_sent += o.fragments_sent;
+    fragments_retransmitted += o.fragments_retransmitted;
+    return *this;
+  }
 };
 
 struct LayerContext {
-  /// The owning event loop. A pointer (never null) rather than a reference:
-  /// a PDES cross-region handoff re-homes the whole node onto another
-  /// region's Simulator (MeshNode::migrate), which reseats this along with
-  /// every pending timer.
-  sim::Simulator* sim;
+  /// The owning event loop, fixed for the node's lifetime.
+  sim::Simulator& sim;
   const Address address;
   /// Owned copy: the link layer shrinks max_fragment_payload to the dwell
   /// cap at construction, and every layer reads the same adjusted values.
@@ -109,17 +146,17 @@ struct LayerContext {
 
   /// The node's local clock reading. Feeds route timestamps/expiry and any
   /// protocol-visible "now".
-  TimePoint local_now() const { return clock.to_local(sim->now()); }
+  TimePoint local_now() const { return clock.to_local(sim.now()); }
   /// True simulation time: duty-cycle regulation and trace stamps only.
-  TimePoint true_now() const { return sim->now(); }
+  TimePoint true_now() const { return sim.now(); }
   /// Arms a timer that fires when the LOCAL clock has advanced by `delay`.
   sim::TimerId schedule_local(Duration delay, std::function<void()> fn) {
-    return sim->schedule_after(clock.to_true(delay), std::move(fn));
+    return sim.schedule_after(clock.to_true(delay), std::move(fn));
   }
   /// Arms a timer at an absolute TRUE instant (duty-cycle windows reopen
   /// in regulatory time regardless of the node's crystal).
   sim::TimerId schedule_at_true(TimePoint when, std::function<void()> fn) {
-    return sim->schedule_at(when, std::move(fn));
+    return sim.schedule_at(when, std::move(fn));
   }
 
   // Flight-recorder plumbing shared by all layers. Callers guard on

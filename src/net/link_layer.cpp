@@ -43,8 +43,8 @@ LinkLayer::LinkLayer(LayerContext& ctx, radio::Radio& radio,
 }
 
 LinkLayer::~LinkLayer() {
-  if (pipeline_timer_ != 0) ctx_.sim->cancel(pipeline_timer_);
-  if (rx_cycle_timer_ != 0) ctx_.sim->cancel(rx_cycle_timer_);
+  if (pipeline_timer_ != 0) ctx_.sim.cancel(pipeline_timer_);
+  if (rx_cycle_timer_ != 0) ctx_.sim.cancel(rx_cycle_timer_);
   radio_.set_listener(nullptr);
 }
 
@@ -92,7 +92,7 @@ void LinkLayer::schedule_rx_cycle() {
 void LinkLayer::cancel_timers() {
   for (sim::TimerId* t : {&pipeline_timer_, &rx_cycle_timer_}) {
     if (*t != 0) {
-      ctx_.sim->cancel(*t);
+      ctx_.sim.cancel(*t);
       *t = 0;
     }
   }
@@ -101,11 +101,6 @@ void LinkLayer::cancel_timers() {
 void LinkLayer::clear_queues() {
   control_queue_.clear();
   data_queue_.clear();
-}
-
-void LinkLayer::migrate(sim::Simulator& from, sim::Simulator& to) {
-  sim::Simulator::migrate_timer(from, to, pipeline_timer_);
-  sim::Simulator::migrate_timer(from, to, rx_cycle_timer_);
 }
 
 void LinkLayer::settle_radio() {

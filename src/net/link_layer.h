@@ -72,11 +72,6 @@ class LinkLayer final : public radio::RadioListener {
   /// completion callbacks instead.
   void settle_radio();
 
-  /// PDES handoff: moves the pipeline and rx-cycle timers from `from` to
-  /// `to` at their original due times. The facade reseats ctx_.sim after
-  /// every layer has migrated.
-  void migrate(sim::Simulator& from, sim::Simulator& to);
-
   // --- TX entry point --------------------------------------------------------
   /// Queues one packet with the given priority. False when stopped or the
   /// queue is full (the drop is traced and reported via on_dropped).

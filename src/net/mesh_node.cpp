@@ -37,7 +37,7 @@ MeshNode::MeshNode(sim::Simulator& sim, radio::Radio& radio, Address address,
                    MeshConfig config, std::uint64_t seed,
                    std::unique_ptr<RoutingStrategy> strategy)
     : radio_(radio),
-      ctx_{&sim,          address, validated(config, address),
+      ctx_{sim,           address, validated(config, address),
            Rng(seed),     NodeStats{},
            /*tracer=*/nullptr,     /*running=*/false},
       // The callbacks bind member functions of this facade: FunctionRef is
@@ -97,7 +97,7 @@ void MeshNode::deliver_reliable(Address origin,
 }
 
 MeshNode::~MeshNode() {
-  if (maintenance_timer_ != 0) ctx_.sim->cancel(maintenance_timer_);
+  if (maintenance_timer_ != 0) ctx_.sim.cancel(maintenance_timer_);
 }
 
 // --- Lifecycle ----------------------------------------------------------------
@@ -124,23 +124,13 @@ void MeshNode::stop() {
   }
   network_.stop();
   if (maintenance_timer_ != 0) {
-    ctx_.sim->cancel(maintenance_timer_);
+    ctx_.sim.cancel(maintenance_timer_);
     maintenance_timer_ = 0;
   }
   link_.cancel_timers();
   link_.clear_queues();
   transport_.shutdown();
   link_.settle_radio();
-}
-
-void MeshNode::migrate(sim::Simulator& to) {
-  sim::Simulator& from = *ctx_.sim;
-  if (&from == &to) return;
-  sim::Simulator::migrate_timer(from, to, maintenance_timer_);
-  link_.migrate(from, to);
-  network_.migrate(from, to);
-  transport_.migrate(from, to);
-  ctx_.sim = &to;
 }
 
 // --- Maintenance ------------------------------------------------------------------
@@ -200,7 +190,7 @@ void MeshNode::rearm_maintenance_for_sessions() {
       (ctx_.true_now() - maintenance_anchor_).us() / maintenance_period_.us() +
       1;
   if (due >= maintenance_tick_) return;
-  ctx_.sim->cancel(maintenance_timer_);
+  ctx_.sim.cancel(maintenance_timer_);
   arm_maintenance(due);
 }
 

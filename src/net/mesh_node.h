@@ -83,12 +83,6 @@ class MeshNode final : public PacketSink {
   /// transfers, and puts the radio to sleep (after any in-flight TX/CAD).
   void stop();
   bool running() const { return ctx_.running; }
-  /// PDES cross-region handoff: re-homes every pending timer in the stack
-  /// (maintenance, link, routing, transport, sessions) onto `to` at the
-  /// original due times and reseats the layer context. The caller (the
-  /// scenario's barrier protocol) rebinds the radio separately; both
-  /// simulators must be parked at the same barrier time.
-  void migrate(sim::Simulator& to);
 
   // --- Application API ---------------------------------------------------------
   /// Sends an unreliable routed datagram (payload <= kMaxDataPayload).

@@ -34,10 +34,6 @@ class NetworkLayer {
   // --- Lifecycle -------------------------------------------------------------
   void start() { strategy_->start(); }
   void stop() { strategy_->stop(); }
-  /// PDES handoff: moves pending strategy timers between simulators.
-  void migrate(sim::Simulator& from, sim::Simulator& to) {
-    strategy_->migrate(from, to);
-  }
 
   // --- Origination -----------------------------------------------------------
   /// A fresh route header originated here and bound for `final_dst`.

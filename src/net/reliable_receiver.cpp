@@ -44,14 +44,8 @@ void ReliableReceiver::trace_session(trace::EventKind kind,
 }
 
 ReliableReceiver::~ReliableReceiver() {
-  if (gap_timer_ != 0) ctx_->sim->cancel(gap_timer_);
-  if (session_timer_ != 0) ctx_->sim->cancel(session_timer_);
-}
-
-void ReliableReceiver::migrate(sim::Simulator& to) {
-  if (ctx_->sim == &to) return;  // MeshNode reseats ctx_->sim afterwards
-  sim::Simulator::migrate_timer(*ctx_->sim, to, gap_timer_);
-  sim::Simulator::migrate_timer(*ctx_->sim, to, session_timer_);
+  if (gap_timer_ != 0) ctx_->sim.cancel(gap_timer_);
+  if (session_timer_ != 0) ctx_->sim.cancel(session_timer_);
 }
 
 void ReliableReceiver::send_sync_ack() {
@@ -115,7 +109,7 @@ void ReliableReceiver::on_poll() {
 }
 
 void ReliableReceiver::restart_gap_timer() {
-  if (gap_timer_ != 0) ctx_->sim->cancel(gap_timer_);
+  if (gap_timer_ != 0) ctx_->sim.cancel(gap_timer_);
   gap_timer_ = ctx_->schedule_local(ctx_->config.receiver_gap_timeout,
                                     [this] { on_gap_timeout(); });
 }
@@ -167,7 +161,7 @@ void ReliableReceiver::complete_transfer() {
   LM_ASSERT(complete());
   delivered_ = true;
   if (gap_timer_ != 0) {
-    ctx_->sim->cancel(gap_timer_);
+    ctx_->sim.cancel(gap_timer_);
     gap_timer_ = 0;
   }
   send_done();

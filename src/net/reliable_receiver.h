@@ -44,12 +44,6 @@ class ReliableReceiver {
   void on_fragment(const FragmentPacket& fragment);
   void on_poll();
 
-  /// Re-homes the session's timers onto another event loop (PDES handoff):
-  /// the gap and session timers move with their original due times. Called
-  /// at a barrier, where both clocks agree, before MeshNode reseats
-  /// ctx->sim.
-  void migrate(sim::Simulator& to);
-
   // --- Introspection ---------------------------------------------------------
   /// True once the session should be garbage-collected (completed and
   /// lingered out, or abandoned).
@@ -73,7 +67,7 @@ class ReliableReceiver {
   void complete_transfer();
   support::PooledVector<std::uint16_t> missing_indices(std::size_t cap) const;
 
-  LayerContext* ctx_;  // never null; MeshNode reseats ctx_->sim on handoff
+  LayerContext* ctx_;  // never null
   PacketSink& sink_;
   const Address origin_;
   const std::uint8_t seq_;

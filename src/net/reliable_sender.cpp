@@ -33,11 +33,6 @@ ReliableSender::ReliableSender(LayerContext& ctx, PacketSink& sink,
 
 ReliableSender::~ReliableSender() { cancel_timer(); }
 
-void ReliableSender::migrate(sim::Simulator& to) {
-  if (ctx_->sim == &to) return;  // MeshNode reseats ctx_->sim afterwards
-  sim::Simulator::migrate_timer(*ctx_->sim, to, timer_);
-}
-
 void ReliableSender::arm_timer(Duration timeout, void (ReliableSender::*handler)()) {
   cancel_timer();
   timer_ = ctx_->schedule_local(timeout, [this, handler] { (this->*handler)(); });
@@ -45,7 +40,7 @@ void ReliableSender::arm_timer(Duration timeout, void (ReliableSender::*handler)
 
 void ReliableSender::cancel_timer() {
   if (timer_ != 0) {
-    ctx_->sim->cancel(timer_);
+    ctx_->sim.cancel(timer_);
     timer_ = 0;
   }
 }

@@ -62,11 +62,6 @@ class ReliableSender {
   /// The node transmitted one of this session's fragments.
   void on_fragment_transmitted(std::uint16_t index);
 
-  /// Re-homes the session's timer onto another event loop (PDES handoff):
-  /// the retry/poll timer moves with its original due time. Called at a
-  /// barrier, where both clocks agree, before MeshNode reseats ctx->sim.
-  void migrate(sim::Simulator& to);
-
   // --- Introspection ---------------------------------------------------------
   bool finished() const { return state_ == State::Finished; }
   std::uint8_t seq() const { return seq_; }
@@ -95,7 +90,7 @@ class ReliableSender {
   void finish(bool success);
   FragmentPacket make_fragment(std::uint16_t index);
 
-  LayerContext* ctx_;  // never null; MeshNode reseats ctx_->sim on handoff
+  LayerContext* ctx_;  // never null
   PacketSink& sink_;
   const Address destination_;
   const std::uint8_t seq_;

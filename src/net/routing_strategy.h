@@ -34,7 +34,7 @@ class RoutingStrategy {
   /// never fire into a destroyed strategy.
   virtual ~RoutingStrategy() {
     if (ctx_ != nullptr) {
-      for (sim::TimerId id : jitter_timers_) ctx_->sim->cancel(id);
+      for (sim::TimerId id : jitter_timers_) ctx_->sim.cancel(id);
     }
   }
 
@@ -52,18 +52,6 @@ class RoutingStrategy {
   virtual void start() {}
   /// Node powered down: cancel the strategy's timers.
   virtual void stop() {}
-  /// PDES handoff: move any pending strategy timers from `from` to `to` at
-  /// their original due times. The base moves the tracked fire-and-forget
-  /// jitter timers (see track_jitter); overrides with named timers must
-  /// call it.
-  virtual void migrate(sim::Simulator& from, sim::Simulator& to) {
-    for (sim::TimerId& id : jitter_timers_) {
-      sim::Simulator::migrate_timer(from, to, id);
-    }
-    // migrate_timer zeroes handles that had already fired.
-    std::erase(jitter_timers_, sim::TimerId{0});
-  }
-
   virtual const char* name() const = 0;
 
   /// Whether an origination toward `dst` can currently be carried. A pure
@@ -89,13 +77,12 @@ class RoutingStrategy {
 
  protected:
   /// Registers a fire-and-forget delay timer (rebroadcast/forward jitter)
-  /// so migrate() can re-home it on a PDES handoff — an untracked closure
-  /// left on the old region's Simulator would fire on the old worker and
-  /// mutate the migrated node concurrently with its new owner. Fired
-  /// handles are pruned here, keeping the list at the pending-jitter count.
+  /// so the destructor can cancel it — an untracked closure would fire
+  /// into a destroyed strategy. Fired handles are pruned here, keeping the
+  /// list at the pending-jitter count.
   void track_jitter(sim::TimerId id) {
     std::erase_if(jitter_timers_, [this](sim::TimerId t) {
-      return !ctx_->sim->is_pending(t);
+      return !ctx_->sim.is_pending(t);
     });
     jitter_timers_.push_back(id);
   }

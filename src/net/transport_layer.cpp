@@ -12,7 +12,7 @@ TransportLayer::TransportLayer(LayerContext& ctx, LinkLayer& link,
 
 TransportLayer::~TransportLayer() {
   for (auto& [id, pending] : pending_acks_) {
-    if (pending.timer != 0) ctx_.sim->cancel(pending.timer);
+    if (pending.timer != 0) ctx_.sim.cancel(pending.timer);
   }
 }
 
@@ -25,14 +25,6 @@ void TransportLayer::shutdown() {
   while (!pending_acks_.empty()) {
     finish_acked(pending_acks_.begin()->first, false);
   }
-}
-
-void TransportLayer::migrate(sim::Simulator& from, sim::Simulator& to) {
-  for (auto& [id, pending] : pending_acks_) {
-    sim::Simulator::migrate_timer(from, to, pending.timer);
-  }
-  for (auto& [key, sender] : tx_sessions_) sender->migrate(to);
-  for (auto& [key, receiver] : rx_sessions_) receiver->migrate(to);
 }
 
 // --- PacketSink -------------------------------------------------------------------
@@ -123,7 +115,7 @@ void TransportLayer::on_acked_timeout(std::uint16_t packet_id) {
 void TransportLayer::finish_acked(std::uint16_t packet_id, bool success) {
   const auto it = pending_acks_.find(packet_id);
   if (it == pending_acks_.end()) return;
-  if (it->second.timer != 0) ctx_.sim->cancel(it->second.timer);
+  if (it->second.timer != 0) ctx_.sim.cancel(it->second.timer);
   if (ctx_.tracer != nullptr) {
     ctx_.trace_packet(success ? trace::EventKind::AckedConfirmed
                               : trace::EventKind::Drop,

@@ -83,12 +83,6 @@ class TransportLayer final : public PacketSink {
   /// fails every pending acked datagram.
   void shutdown();
 
-  /// PDES handoff: moves pending-ack retransmission timers and every live
-  /// reliable session's timers from `from` to `to` at their original due
-  /// times. FlatMap iteration is key-sorted, so the re-scheduling order is a
-  /// pure function of session state (worker-count independent).
-  void migrate(sim::Simulator& from, sim::Simulator& to);
-
   // --- PacketSink (for reliable sessions) --------------------------------------
   void submit_control(Packet packet) override;
   void submit_data(Packet packet) override;

@@ -217,8 +217,8 @@ class Channel {
                               const VirtualRadio& rx) const;
 
   /// Count of radio_moved() calls over this channel's lifetime. The PDES
-  /// handoff hook polls this at every barrier to skip the per-node
-  /// region-membership scan entirely while nothing has moved.
+  /// barrier hook polls this to skip the per-node region-membership check
+  /// entirely while nothing has moved.
   std::uint64_t position_changes() const { return position_changes_; }
 
  private:

@@ -62,12 +62,12 @@ double battery_life_days(double average_ma, double capacity_mah) {
 
 EnergyModel::EnergyModel(sim::Simulator& sim, const EnergyConfig& config,
                          std::uint16_t node)
-    : sim_(&sim), config_(config), node_(node) {
+    : sim_(sim), config_(config), node_(node) {
   residual_mah_ = config_.battery.initial();
 }
 
 EnergyModel::~EnergyModel() {
-  if (depletion_timer_ != 0) sim_->cancel(depletion_timer_);
+  if (depletion_timer_ != 0) sim_.cancel(depletion_timer_);
   if (radio_ != nullptr) radio_->attach_energy(nullptr);
 }
 
@@ -76,7 +76,7 @@ void EnergyModel::attach(VirtualRadio& radio) {
   radio_ = &radio;
   radio.attach_energy(this);
   state_ = radio.state();
-  attached_at_ = sim_->now();
+  attached_at_ = sim_.now();
   last_transition_ = attached_at_;
   settled_at_ = attached_at_;
   arm_depletion_timer();
@@ -84,7 +84,7 @@ void EnergyModel::attach(VirtualRadio& radio) {
 
 void EnergyModel::on_state_change(RadioState from, RadioState to) {
   LM_ASSERT(from == state_);
-  const TimePoint now = sim_->now();
+  const TimePoint now = sim_.now();
   settle(now);
   const Duration in_state = now - last_transition_;
   trace_state_change(from, in_state);
@@ -93,40 +93,34 @@ void EnergyModel::on_state_change(RadioState from, RadioState to) {
   arm_depletion_timer();
 }
 
-void EnergyModel::rebind(sim::Simulator& to) {
-  if (sim_ == &to) return;
-  sim::Simulator::migrate_timer(*sim_, to, depletion_timer_);
-  sim_ = &to;
-}
-
 double EnergyModel::residual_mah() const {
-  settle(sim_->now());
+  settle(sim_.now());
   return config_.battery.finite() ? residual_mah_ : 0.0;
 }
 
 double EnergyModel::soc() const {
   if (!config_.battery.finite()) return 1.0;
-  settle(sim_->now());
+  settle(sim_.now());
   return residual_mah_ / config_.battery.capacity_mah;
 }
 
 double EnergyModel::consumed_mah() const {
-  settle(sim_->now());
+  settle(sim_.now());
   return consumed_total_mah_;
 }
 
 double EnergyModel::consumed_mah(RadioState state) const {
-  settle(sim_->now());
+  settle(sim_.now());
   return consumed_by_state_mah_[state_index(state)];
 }
 
 double EnergyModel::harvested_mah() const {
-  settle(sim_->now());
+  settle(sim_.now());
   return harvested_banked_mah_;
 }
 
 double EnergyModel::average_current_ma() const {
-  settle(sim_->now());
+  settle(sim_.now());
   const Duration elapsed = settled_at_ - attached_at_;
   if (elapsed.is_zero()) return 0.0;
   return consumed_total_mah_ / hours_of(elapsed);
@@ -180,7 +174,7 @@ void EnergyModel::settle(TimePoint now) const {
 
 void EnergyModel::arm_depletion_timer() {
   if (depletion_timer_ != 0) {
-    sim_->cancel(depletion_timer_);
+    sim_.cancel(depletion_timer_);
     depletion_timer_ = 0;
   }
   if (!config_.battery.finite() || depleted_) return;
@@ -210,7 +204,7 @@ void EnergyModel::arm_depletion_timer() {
         const Duration to_zero =
             Duration::microseconds(static_cast<std::int64_t>(to_zero_us) + 1);
         depletion_timer_ =
-            sim_->schedule_at(t + to_zero, [this] { on_depletion_check(); });
+            sim_.schedule_at(t + to_zero, [this] { on_depletion_check(); });
         return;
       }
     }
@@ -218,12 +212,12 @@ void EnergyModel::arm_depletion_timer() {
     if (charge > capacity) charge = capacity;
     t = t + seg;
   }
-  depletion_timer_ = sim_->schedule_at(t, [this] { on_depletion_check(); });
+  depletion_timer_ = sim_.schedule_at(t, [this] { on_depletion_check(); });
 }
 
 void EnergyModel::on_depletion_check() {
   depletion_timer_ = 0;
-  const TimePoint now = sim_->now();
+  const TimePoint now = sim_.now();
   settle(now);
   if (residual_mah_ > kResidualEpsilonMah) {
     arm_depletion_timer();

@@ -134,8 +134,6 @@ class EnergyModel {
   void set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
   /// Called by a VirtualRadio being destroyed before its model.
   void detach_radio() { radio_ = nullptr; }
-  /// PDES cross-region handoff: re-homes the depletion timer.
-  void rebind(sim::Simulator& to);
 
   // --- Introspection (all settle to the current instant) ---------------------
   /// Remaining charge in mAh; 0 for an infinite battery.
@@ -168,7 +166,7 @@ class EnergyModel {
   void on_depletion_check();
   void trace_state_change(RadioState from, Duration in_state);
 
-  sim::Simulator* sim_;  // never null; rebind() reseats it
+  sim::Simulator& sim_;
   const EnergyConfig config_;
   const std::uint16_t node_;
   VirtualRadio* radio_ = nullptr;

@@ -20,32 +20,32 @@ const char* to_string(RadioState s) {
 
 VirtualRadio::VirtualRadio(sim::Simulator& sim, Channel& channel, RadioId id,
                            phy::Position position, RadioConfig config)
-    : sim_(&sim),
-      channel_(&channel),
+    : sim_(sim),
+      channel_(channel),
       id_(id),
       position_(position),
       config_(config),
       state_entered_(sim.now()) {
-  channel_->register_radio(*this);
+  channel_.register_radio(*this);
 }
 
 VirtualRadio::~VirtualRadio() {
   if (energy_ != nullptr) energy_->detach_radio();
-  channel_->unregister_radio(*this);
+  channel_.unregister_radio(*this);
 }
 
 void VirtualRadio::enter(RadioState next) {
   if (state_ == next) return;
-  state_time_[static_cast<std::size_t>(state_)] += sim_->now() - state_entered_;
-  state_entered_ = sim_->now();
-  if (next == RadioState::Rx) rx_since_ = sim_->now();
+  state_time_[static_cast<std::size_t>(state_)] += sim_.now() - state_entered_;
+  state_entered_ = sim_.now();
+  if (next == RadioState::Rx) rx_since_ = sim_.now();
   if (energy_ != nullptr) energy_->on_state_change(state_, next);
   state_ = next;
 }
 
 Duration VirtualRadio::time_in_state(RadioState state) const {
   Duration total = state_time_[static_cast<std::size_t>(state)];
-  if (state == state_) total += sim_->now() - state_entered_;
+  if (state == state_) total += sim_.now() - state_entered_;
   return total;
 }
 
@@ -72,10 +72,10 @@ bool VirtualRadio::transmit(std::span<const std::uint8_t> frame) {
     return false;
   }
   enter(RadioState::Tx);
-  tx_started_ = sim_->now();
+  tx_started_ = sim_.now();
   stats_.tx_frames++;
   stats_.tx_bytes += frame.size();
-  channel_->begin_tx(*this, frame);
+  channel_.begin_tx(*this, frame);
   return true;
 }
 
@@ -89,15 +89,15 @@ bool VirtualRadio::start_cad() {
   // The SX127x CAD integrates over its whole window: a transmission present
   // at any point during the ~1.5 symbols is detected. Evaluate at window
   // end so frames starting mid-window are caught too.
-  const TimePoint window_start = sim_->now();
-  cad_timer_ = sim_->schedule_after(
+  const TimePoint window_start = sim_.now();
+  cad_timer_ = sim_.schedule_after(
       phy::cad_time(config_.modulation), [this, window_start] {
         LM_ASSERT(state_ == RadioState::Cad);
-        const bool busy = channel_->carrier_sensed_during(*this, window_start);
+        const bool busy = channel_.carrier_sensed_during(*this, window_start);
         if (busy) stats_.cad_busy++;
         if (tracer_ != nullptr) {
           trace::TraceEvent e;
-          e.t_us = sim_->now().us();
+          e.t_us = sim_.now().us();
           e.node = id_;
           e.kind = trace::EventKind::CadDone;
           e.bytes = busy ? 1 : 0;
@@ -110,29 +110,13 @@ bool VirtualRadio::start_cad() {
 }
 
 bool VirtualRadio::medium_busy() const {
-  return channel_->carrier_sensed_by(*this);
+  return channel_.carrier_sensed_by(*this);
 }
 
 void VirtualRadio::set_position(phy::Position p) {
   const phy::Position old = position_;
   position_ = p;
-  channel_->radio_moved(*this, old);
-}
-
-void VirtualRadio::rebind(sim::Simulator& to, Channel& to_channel) {
-  // Mid-TX the old channel holds our finish_tx callback; mid-CAD the
-  // pending cad timer's closure queries the old channel. The scenario's
-  // handoff protocol defers those nodes to a later barrier.
-  LM_REQUIRE(state_ != RadioState::Tx && state_ != RadioState::Cad);
-  // Not in Cad, so cad_timer_ is 0 or stale; migrate_timer zeroes it either
-  // way (and would carry it over if a live one ever existed here).
-  sim::Simulator::migrate_timer(*sim_, to, cad_timer_);
-  if (&to_channel != channel_) {
-    channel_->unregister_radio(*this);
-    channel_ = &to_channel;
-    channel_->register_radio(*this);
-  }
-  sim_ = &to;
+  channel_.radio_moved(*this, old);
 }
 
 bool VirtualRadio::listening_since(TimePoint t) const {
@@ -149,7 +133,7 @@ void VirtualRadio::deliver(std::span<const std::uint8_t> frame,
 
 void VirtualRadio::finish_tx() {
   LM_ASSERT(state_ == RadioState::Tx);
-  stats_.tx_airtime += sim_->now() - tx_started_;
+  stats_.tx_airtime += sim_.now() - tx_started_;
   enter(RadioState::Standby);
   if (listener_ != nullptr) listener_->on_tx_done();
 }

@@ -76,16 +76,6 @@ class VirtualRadio final : public Radio {
 
   phy::Position position() const { return position_; }
 
-  /// Re-homes the radio onto another event loop / channel pair (PDES
-  /// cross-region handoff, performed at a barrier while both clocks sit at
-  /// the same instant). Illegal mid-TX or mid-CAD — the old channel holds
-  /// this radio's completion callback; the scenario defers such handoffs to
-  /// a later barrier. Unregisters from the old channel (a frame in flight
-  /// there no longer sees this radio; its ghost, injected into the new
-  /// region before the frame's end, delivers instead), re-registers with
-  /// the new one (fresh ordinal), and keeps rx_since_: a radio listening
-  /// across the boundary is still the same continuously-listening radio.
-  void rebind(sim::Simulator& to, Channel& to_channel);
   /// Moves the radio (mobility support) and re-buckets it in the channel's
   /// spatial index. Takes effect for frames that start after the move; a
   /// frame already in flight toward this radio is evaluated against the
@@ -120,10 +110,8 @@ class VirtualRadio final : public Radio {
 
   void enter(RadioState next);
 
-  // Pointers, not references: rebind() re-homes the radio across PDES
-  // regions. Never null.
-  sim::Simulator* sim_;
-  Channel* channel_;
+  sim::Simulator& sim_;
+  Channel& channel_;
   const RadioId id_;
   std::uint32_t channel_ordinal_ = 0;
   phy::Position position_;

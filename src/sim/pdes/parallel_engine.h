@@ -122,9 +122,9 @@ class ParallelEngine {
   void note_boundary_tx(std::size_t from, TimePoint end);
 
   /// Installs a hook run on the caller's thread after every barrier
-  /// exchange, while the engine is quiescent — the handoff point for
-  /// cross-region mobility (testbed::MeshScenario migrates boundary-crossing
-  /// nodes here). The hook may freely touch any region.
+  /// exchange, while the engine is quiescent (testbed::MeshScenario checks
+  /// here that no mobile node has left its region). The hook may freely
+  /// touch any region.
   void set_barrier_callback(std::function<void()> hook) {
     barrier_hook_ = std::move(hook);
   }

@@ -27,7 +27,6 @@ TimerId Simulator::schedule_at(TimePoint t, std::function<void()> fn) {
   Slot& s = slots_[slot];
   ++s.gen;  // gen >= 1 always, so make_id() never returns 0
   s.live = true;
-  s.at_us = t.us();
   s.fn = std::move(fn);
   queue_.push_back(Entry{t.us(), next_seq_++, slot, s.gen});
   std::push_heap(queue_.begin(), queue_.end(), later);
@@ -66,36 +65,6 @@ void Simulator::cancel(TimerId id) {
 }
 
 bool Simulator::is_pending(TimerId id) const { return find_live(id) != nullptr; }
-
-std::optional<std::pair<TimePoint, std::function<void()>>> Simulator::extract(
-    TimerId id) {
-  const auto slot = static_cast<std::uint32_t>(id >> 32);
-  const auto gen = static_cast<std::uint32_t>(id & 0xFFFFFFFFu);
-  if (slot >= slots_.size()) return std::nullopt;
-  Slot& s = slots_[slot];
-  if (!s.live || s.gen != gen) return std::nullopt;
-  std::pair<TimePoint, std::function<void()>> out{TimePoint::from_us(s.at_us),
-                                                  std::move(s.fn)};
-  // From here this is cancel(): the slot frees now and the queue entry stays
-  // behind as a stale key until popped or purged.
-  s.live = false;
-  s.fn = nullptr;
-  free_.push_back(slot);
-  --live_count_;
-  ++dead_in_queue_;
-  maybe_purge();
-  return out;
-}
-
-void Simulator::migrate_timer(Simulator& from, Simulator& to, TimerId& id) {
-  if (id == 0) return;
-  auto pending = from.extract(id);
-  if (!pending) {
-    id = 0;  // stale handle: nothing to carry over
-    return;
-  }
-  id = to.schedule_at(pending->first, std::move(pending->second));
-}
 
 std::optional<TimePoint> Simulator::next_event_time() const {
   if (queue_.empty()) return std::nullopt;

@@ -61,20 +61,6 @@ class Simulator {
   /// harmless no-op, which lets callers keep stale handles safely.
   void cancel(TimerId id);
 
-  /// Removes a pending event and hands back its (due time, closure) pair —
-  /// cancel() that preserves the work instead of dropping it. Nullopt for a
-  /// stale/fired/zero id. The queue bookkeeping matches cancel() exactly.
-  std::optional<std::pair<TimePoint, std::function<void()>>> extract(
-      TimerId id);
-
-  /// Moves a pending timer between simulators: extracts it from `from` and
-  /// reschedules it in `to` at its original due time, updating `id` to the
-  /// new handle (0 when the id was stale). Requires the due time to be
-  /// >= to.now() — the PDES handoff calls this at a barrier, where every
-  /// region clock sits at the same window end and all pending events are
-  /// strictly later. Stale/zero ids are a harmless no-op (id becomes 0).
-  static void migrate_timer(Simulator& from, Simulator& to, TimerId& id);
-
   /// True if the id refers to an event that has not yet fired or been
   /// cancelled.
   bool is_pending(TimerId id) const;
@@ -120,7 +106,6 @@ class Simulator {
   struct Slot {
     std::uint32_t gen = 0;
     bool live = false;
-    std::int64_t at_us = 0;  // due time, for extract()/migrate_timer()
     std::function<void()> fn;
   };
 

@@ -9,7 +9,7 @@ namespace lm::testbed {
 WaypointMover::WaypointMover(sim::Simulator& sim, radio::VirtualRadio& radio,
                              std::vector<phy::Position> waypoints,
                              double speed_mps, Duration tick)
-    : sim_(&sim),
+    : sim_(sim),
       radio_(radio),
       waypoints_(std::move(waypoints)),
       speed_mps_(speed_mps),
@@ -20,22 +20,16 @@ WaypointMover::WaypointMover(sim::Simulator& sim, radio::VirtualRadio& radio,
 
 WaypointMover::~WaypointMover() { stop(); }
 
-void WaypointMover::migrate(sim::Simulator& to) {
-  if (sim_ == &to) return;
-  sim::Simulator::migrate_timer(*sim_, to, timer_);
-  sim_ = &to;
-}
-
 void WaypointMover::start() {
   LM_REQUIRE(!running_);
   running_ = true;
-  timer_ = sim_->schedule_after(tick_, [this] { step(); });
+  timer_ = sim_.schedule_after(tick_, [this] { step(); });
 }
 
 void WaypointMover::stop() {
   running_ = false;
   if (timer_ != 0) {
-    sim_->cancel(timer_);
+    sim_.cancel(timer_);
     timer_ = 0;
   }
 }
@@ -63,7 +57,7 @@ void WaypointMover::step() {
   }
   radio_.set_position(pos);
   if (!done()) {
-    timer_ = sim_->schedule_after(tick_, [this] { step(); });
+    timer_ = sim_.schedule_after(tick_, [this] { step(); });
   }
 }
 

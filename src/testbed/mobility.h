@@ -30,17 +30,13 @@ class WaypointMover {
   void start();
   void stop();
 
-  /// PDES cross-region handoff: moves the pending tick timer onto `to` at
-  /// its original due time (both simulators parked at the barrier).
-  void migrate(sim::Simulator& to);
-
   bool done() const { return next_waypoint_ >= waypoints_.size(); }
   double distance_travelled_m() const { return travelled_m_; }
 
  private:
   void step();
 
-  sim::Simulator* sim_;  // never null; migrate() reseats it
+  sim::Simulator& sim_;
   radio::VirtualRadio& radio_;
   std::vector<phy::Position> waypoints_;
   double speed_mps_;

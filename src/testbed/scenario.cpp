@@ -34,10 +34,9 @@ MeshScenario::MeshScenario(ScenarioConfig config) : config_(std::move(config)) {
 }
 
 MeshScenario::~MeshScenario() {
-  // Movers reference radios, nodes reference radios, energy models meter
-  // radios, radios reference channels, channels reference their region
-  // Simulators inside the engine; destroy in that order.
-  movers_.clear();
+  // Nodes reference radios, energy models meter radios, radios reference
+  // channels, channels reference their region Simulators inside the engine;
+  // destroy in that order.
   nodes_.clear();
   energy_models_.clear();
   radios_.clear();
@@ -176,57 +175,19 @@ void MeshScenario::finalize() {
 void MeshScenario::handle_barrier() {
   // Cheap gate: every radio_moved bumps its channel's position-change
   // counter (single-writer: the worker owning the region, read here with
-  // all workers parked). Unchanged sum and no deferred crosser -> no scan.
+  // all workers parked). Unchanged sum -> nothing moved, no scan.
   std::uint64_t moves = 0;
   for (const auto& c : channels_) moves += c->position_changes();
-  if (moves == last_position_changes_ && !handoff_retry_) return;
+  if (moves == last_position_changes_) return;
   last_position_changes_ = moves;
-  handoff_retry_ = false;
-
-  // Collect boundary crossers, then migrate in (source region, node index)
-  // order — a pure function of simulation state, identical at every worker
-  // count.
-  struct Crosser {
-    std::size_t region, node, target;
-  };
-  std::vector<Crosser> crossers;
+  // A node's stack, timers and radio live on its region's loop for the
+  // whole run: outside the region it would miss frames the ghost exchange
+  // only forwards to the regions a transmission can reach.
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     const phy::Position pos = radios_[i]->position();
-    const std::size_t target = partition_.region_of(pos.x, pos.y);
-    if (target == node_region_[i]) continue;
-    const radio::RadioState state = radios_[i]->state();
-    if (state == radio::RadioState::Tx || state == radio::RadioState::Cad) {
-      // Completion timers of an in-flight TX/CAD must fire on the loop that
-      // started them; defer this node to the next barrier.
-      handoff_retry_ = true;
-      continue;
-    }
-    crossers.push_back({node_region_[i], i, target});
+    LM_REQUIRE(partition_.region_of(pos.x, pos.y) == node_region_[i] &&
+               "node left its PDES region: use serial or one region");
   }
-  std::stable_sort(crossers.begin(), crossers.end(),
-                   [](const Crosser& a, const Crosser& b) {
-                     return a.region != b.region ? a.region < b.region
-                                                 : a.node < b.node;
-                   });
-  for (const Crosser& c : crossers) migrate_node(c.node, c.target);
-}
-
-void MeshScenario::migrate_node(std::size_t i, std::size_t target) {
-  sim::Simulator& to = engine_->region(target);
-  radios_[i]->rebind(to, *channels_[target]);
-  nodes_[i]->migrate(to);
-  for (auto& [node, mover] : movers_) {
-    if (node == i) mover->migrate(to);
-  }
-  if (!energy_models_.empty()) energy_models_[i]->rebind(to);
-  node_region_[i] = target;
-  if (!region_tracers_.empty()) {
-    trace::Tracer* t = region_tracers_[target].get();
-    radios_[i]->set_tracer(t);
-    nodes_[i]->set_tracer(t);
-    if (!energy_models_.empty()) energy_models_[i]->set_tracer(t);
-  }
-  ++handoffs_;
 }
 
 void MeshScenario::wire_tracers() {
@@ -357,17 +318,6 @@ void MeshScenario::add_nodes(const std::vector<phy::Position>& positions) {
   for (const phy::Position& p : positions) add_node(p);
 }
 
-std::size_t MeshScenario::add_mover(std::size_t i,
-                                    std::vector<phy::Position> waypoints,
-                                    double speed_mps, Duration tick) {
-  finalize();
-  movers_.emplace_back(
-      i, std::make_unique<WaypointMover>(simulator_for(i), *radios_.at(i),
-                                         std::move(waypoints), speed_mps,
-                                         tick));
-  return movers_.size() - 1;
-}
-
 net::Address MeshScenario::address_of(std::size_t i) const {
   LM_REQUIRE(i < 0xFFFE);
   return static_cast<net::Address>(i + 1);
@@ -479,35 +429,7 @@ std::string MeshScenario::dump_routing_tables() const {
 
 net::NodeStats MeshScenario::total_stats() const {
   net::NodeStats total;
-  for (const auto& node : nodes_) {
-    const net::NodeStats& s = node->stats();
-    total.beacons_sent += s.beacons_sent;
-    total.beacons_received += s.beacons_received;
-    total.routing_changes += s.routing_changes;
-    total.datagrams_sent += s.datagrams_sent;
-    total.datagrams_delivered += s.datagrams_delivered;
-    total.broadcasts_sent += s.broadcasts_sent;
-    total.broadcasts_delivered += s.broadcasts_delivered;
-    total.packets_forwarded += s.packets_forwarded;
-    total.dropped_no_route += s.dropped_no_route;
-    total.dropped_ttl += s.dropped_ttl;
-    total.dropped_queue_full += s.dropped_queue_full;
-    total.malformed_frames += s.malformed_frames;
-    total.foreign_frames += s.foreign_frames;
-    total.cad_busy_events += s.cad_busy_events;
-    total.forced_transmissions += s.forced_transmissions;
-    total.duty_cycle_delays += s.duty_cycle_delays;
-    total.control_bytes_sent += s.control_bytes_sent;
-    total.data_bytes_sent += s.data_bytes_sent;
-    total.control_airtime += s.control_airtime;
-    total.data_airtime += s.data_airtime;
-    total.transfers_started += s.transfers_started;
-    total.transfers_completed += s.transfers_completed;
-    total.transfers_failed += s.transfers_failed;
-    total.transfers_received += s.transfers_received;
-    total.fragments_sent += s.fragments_sent;
-    total.fragments_retransmitted += s.fragments_retransmitted;
-  }
+  for (const auto& node : nodes_) total += node->stats();
   return total;
 }
 

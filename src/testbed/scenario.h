@@ -24,7 +24,6 @@
 #include "sim/pdes/parallel_engine.h"
 #include "sim/pdes/region_partition.h"
 #include "sim/simulator.h"
-#include "testbed/mobility.h"
 #include "testbed/topology.h"
 #include "trace/trace_sink.h"
 
@@ -57,8 +56,10 @@ struct ScenarioConfig {
   /// default, a 2-D tile grid with pdes.tile (region count then scales with
   /// field *area*). Results are byte-identical across worker counts and —
   /// for fields narrower than one interaction radius, which collapse to a
-  /// single region — identical to the serial path. Nodes that move across a
-  /// region boundary (add_mover) are handed off at the next barrier.
+  /// single region — identical to the serial path. With more than one region
+  /// every node must stay inside the region it was placed in: moving within
+  /// it is fine, leaving it fails the next barrier's check (mobility across
+  /// the field runs on the serial engine or a single-region decomposition).
   sim::pdes::PdesConfig pdes;
 };
 
@@ -131,16 +132,6 @@ class MeshScenario {
     return energy_models_.empty() ? nullptr : energy_models_.at(i).get();
   }
 
-  // --- Mobility ---------------------------------------------------------------
-  /// Attaches a waypoint mover to node `i`'s radio (finalizes a PDES
-  /// scenario). Returns the mover index; call mover(m).start() to begin.
-  /// Movers that cross a PDES region boundary trigger a barrier handoff.
-  std::size_t add_mover(std::size_t i, std::vector<phy::Position> waypoints,
-                        double speed_mps, Duration tick = Duration::seconds(1));
-  WaypointMover& mover(std::size_t m) { return *movers_.at(m).second; }
-  /// Cross-region node handoffs performed so far (0 in serial mode).
-  std::uint64_t handoffs() const { return handoffs_; }
-
   /// Attaches a flight recorder to the channel, every radio and every node
   /// (existing and future). The tracer must outlive the scenario.
   void attach_tracer(trace::Tracer& tracer);
@@ -201,12 +192,10 @@ class MeshScenario {
   /// Directed decode probability a -> b, routed to the channel that can
   /// answer it (rx's home channel for a cross-region pair).
   double pair_link_quality(std::size_t a, std::size_t b) const;
-  /// Barrier hook (multi-region PDES): detects nodes whose radio crossed a
-  /// region boundary during the window just run and migrates them — radio,
-  /// stack timers, mover, tracer — in (source region, node index) order.
-  /// Every worker is parked at the barrier time when this runs.
+  /// Barrier hook (multi-region PDES): requires every radio that moved to
+  /// still sit inside the region that owns its node. Every worker is parked
+  /// at the barrier time when this runs.
   void handle_barrier();
-  void migrate_node(std::size_t i, std::size_t target);
   /// Creates node `i`'s EnergyModel on `sim` (config.energy enabled only):
   /// meters the just-created radio, browns the node out at 0 mAh.
   void make_energy_model(std::size_t i, sim::Simulator& sim);
@@ -219,9 +208,6 @@ class MeshScenario {
   // radio's power states; brownout of a finite battery stops the node.
   std::vector<std::unique_ptr<radio::EnergyModel>> energy_models_;
   std::vector<std::unique_ptr<net::MeshNode>> nodes_;
-  // (node index, mover) pairs; movers reference radios and region loops,
-  // so they are destroyed first.
-  std::vector<std::pair<std::size_t, std::unique_ptr<WaypointMover>>> movers_;
   trace::Tracer* tracer_ = nullptr;
 
   // --- PDES mode state (empty / unused in serial mode) ---------------------
@@ -239,11 +225,9 @@ class MeshScenario {
   std::vector<std::unique_ptr<trace::VectorSink>> region_sinks_;
   std::vector<std::unique_ptr<trace::Tracer>> region_tracers_;
   std::vector<trace::TraceEvent> merge_scratch_;
-  std::uint64_t handoffs_ = 0;
   // Cheap barrier gate: sum of the channels' position-change counters at
-  // the last handoff scan, plus a retry flag for crossers that were mid-TX.
+  // the last region-membership scan.
   std::uint64_t last_position_changes_ = 0;
-  bool handoff_retry_ = false;
 };
 
 }  // namespace lm::testbed

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <utility>
 
 #include "metrics/packet_tracker.h"
@@ -13,6 +14,7 @@
 #include "phy/path_loss.h"
 #include "support/assert.h"
 #include "testbed/chaos.h"
+#include "testbed/mobility.h"
 #include "testbed/topology.h"
 #include "testbed/traffic.h"
 #include "trace/trace_analyzer.h"
@@ -164,10 +166,12 @@ CellResult run_cell(const StrategySpec& strategy,
   }
 
   std::unique_ptr<ChaosMonkey> monkey;
-  std::optional<std::size_t> mover;
+  std::unique_ptr<WaypointMover> mover;
   if (topology.mobile) {
-    mover = scenario.add_mover(n - 1, {{400.0, 150.0}, {1050.0, 0.0}}, 1.5,
-                               Duration::seconds(5));
+    mover = std::make_unique<WaypointMover>(
+        scenario.simulator(), scenario.radio(n - 1),
+        std::vector<phy::Position>{{400.0, 150.0}, {1050.0, 0.0}}, 1.5,
+        Duration::seconds(5));
   }
   if (topology.chaos) {
     ChaosConfig chaos;
@@ -181,7 +185,7 @@ CellResult run_cell(const StrategySpec& strategy,
   }
 
   scenario.start_all();
-  if (mover) scenario.mover(*mover).start();
+  if (mover) mover->start();
   if (strategy.proactive) {
     scenario.run_until_converged(config.warmup, Duration::seconds(5), 0.9,
                                  /*exact_metric=*/false);
@@ -210,7 +214,7 @@ CellResult run_cell(const StrategySpec& strategy,
   scenario.run_for(config.traffic_time);
   for (auto& g : generators) g->stop();
   scenario.run_for(config.drain);
-  if (mover) scenario.mover(*mover).stop();
+  if (mover) mover->stop();
   if (monkey) monkey->stop();
 
   cell.attempted = tracker.attempted();

@@ -6,7 +6,6 @@
 
 #include <memory>
 
-#include "net/flooding_strategy.h"
 #include "net/mesh_node.h"
 #include "phy/airtime.h"
 #include "radio/radio_interface.h"
@@ -194,102 +193,6 @@ TEST_F(MockRadioTest, AckedDataDrawsAnAckThroughTheInterface) {
     }
   }
   EXPECT_TRUE(acked);
-}
-
-// --- PDES handoff: fire-and-forget jitter timers must move with the node ----
-//
-// The rebroadcast/forward jitter closures are scheduled anonymously; if a
-// handoff left one pending on the source region's Simulator it would later
-// fire on the old region's worker and mutate the migrated node's link layer
-// concurrently with its new owner. The crisp observable: after migrate(),
-// the source loop holds ZERO pending events — every timer in the stack,
-// jitter included, re-homed — and the deferred relay still happens on the
-// destination loop.
-
-std::vector<Packet> decode_all(const MockRadio& radio) {
-  std::vector<Packet> out;
-  for (const auto& frame : radio.transmitted) {
-    auto p = decode(frame);
-    if (p) out.push_back(std::move(*p));
-  }
-  return out;
-}
-
-TEST(PdesHandoff, PendingRebroadcastJitterMigratesWithTheNode) {
-  sim::Simulator home;
-  sim::Simulator target;
-  MockRadio radio(target);  // radio completions land on the handoff target
-  MeshConfig cfg;
-  cfg.hello_interval = Duration::seconds(10);
-  cfg.duty_cycle_limit = 1.0;
-  MeshNode node(home, radio, 0x0001, cfg, 42,
-                std::make_unique<FloodingStrategy>());
-  node.start();
-
-  // A neighbor's flood: delivered locally AND scheduled for rebroadcast
-  // after the (default 500 ms) relay jitter.
-  DataPacket data;
-  data.link = LinkHeader{kBroadcast, 0x0002, PacketType::Data};
-  data.route.final_dst = kBroadcast;
-  data.route.origin = 0x0005;
-  data.route.ttl = 3;
-  data.payload = {1, 2};
-  const std::size_t before = home.pending();
-  radio.inject(Packet{data});
-  ASSERT_GT(home.pending(), before);  // the relay jitter is live on `home`
-
-  node.migrate(target);
-  EXPECT_EQ(home.pending(), 0u)
-      << "a timer was left behind on the source region's loop";
-
-  target.run_for(Duration::seconds(5));
-  bool relayed = false;
-  for (const auto& p : decode_all(radio)) {
-    const auto* d = std::get_if<DataPacket>(&p);
-    if (d != nullptr && d->route.origin == 0x0005) relayed = true;
-  }
-  EXPECT_TRUE(relayed);  // the deferred rebroadcast fired on the new loop
-}
-
-TEST(PdesHandoff, PendingForwardJitterMigratesWithTheNode) {
-  sim::Simulator home;
-  sim::Simulator target;
-  MockRadio radio(target);
-  MeshConfig cfg;
-  cfg.hello_interval = Duration::seconds(10);
-  cfg.duty_cycle_limit = 1.0;
-  cfg.forward_jitter = Duration::milliseconds(100);
-  MeshNode node(home, radio, 0x0001, cfg, 42);  // distance-vector default
-  node.start();
-
-  RoutingPacket beacon;  // learn 0x0003 via 0x0002
-  beacon.link = LinkHeader{kBroadcast, 0x0002, PacketType::Routing};
-  beacon.entries = {{0x0002, 0}, {0x0003, 1}};
-  radio.inject(Packet{beacon});
-
-  DataPacket data;  // transit traffic: we are the relay toward 0x0003
-  data.link = LinkHeader{0x0001, 0x0005, PacketType::Data};
-  data.route.final_dst = 0x0003;
-  data.route.origin = 0x0005;
-  data.route.ttl = 3;
-  data.payload = {7};
-  const std::size_t before = home.pending();
-  radio.inject(Packet{data});
-  ASSERT_GT(home.pending(), before);  // the forward jitter is live on `home`
-
-  node.migrate(target);
-  EXPECT_EQ(home.pending(), 0u)
-      << "a timer was left behind on the source region's loop";
-
-  target.run_for(Duration::seconds(5));
-  bool forwarded = false;
-  for (const auto& p : decode_all(radio)) {
-    const auto* d = std::get_if<DataPacket>(&p);
-    if (d == nullptr || d->route.origin != 0x0005) continue;
-    forwarded = true;
-    EXPECT_EQ(d->link.dst, 0x0002);  // resolved to the learned next hop
-  }
-  EXPECT_TRUE(forwarded);
 }
 
 }  // namespace

@@ -67,7 +67,7 @@ class ReliableSenderTest : public ::testing::Test {
   FakeSink sink_;
   MeshConfig cfg_ = fast_config();
   // Sessions hang off the owning node's context (config, clock, tracer).
-  LayerContext ctx_{&sim_, kSelf, cfg_, Rng(1)};
+  LayerContext ctx_{sim_, kSelf, cfg_, Rng(1)};
   int completions_ = 0;
   bool last_result_ = false;
 
@@ -255,7 +255,7 @@ class ReliableReceiverTest : public ::testing::Test {
   sim::Simulator sim_;
   FakeSink sink_;
   MeshConfig cfg_ = fast_config();
-  LayerContext ctx_{&sim_, kSelf, cfg_, Rng(1)};
+  LayerContext ctx_{sim_, kSelf, cfg_, Rng(1)};
   std::vector<std::uint8_t> delivered_;
   int deliveries_ = 0;
 

@@ -1,5 +1,5 @@
 // Event-queue edge cases, exercised through the Simulator front end so the
-// slab (TimerId generations, cancel, extract, purge) is covered together
+// slab (TimerId generations, cancel, purge) is covered together
 // with the (at, seq) heap. Firing order must always equal the (at, seq) sort
 // of the live entries: the randomized test checks that against a reference
 // model, including the phase-locked shape (thousands of timers on one µs).
@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
-#include <utility>
 #include <vector>
 
 #include "support/rng.h"
@@ -187,9 +186,10 @@ TEST(EventQueue, RandomizedScheduleCancelMatchesReferenceModel) {
 
   // Phase-locked round: every node arms its maintenance timer at the same
   // µs, so thousands of entries share one timestamp. Some handlers schedule
-  // more work at the current tick, and some entries are extracted and
-  // rescheduled (the PDES handoff path). The reference mirrors every
-  // operation in a set ordered by (at, seq).
+  // more work at the current tick, and some entries are rescheduled
+  // (cancelled and re-armed at the same time, which must give them a fresh
+  // seq). The reference mirrors every operation in a set ordered by
+  // (at, seq).
   struct Ref {
     std::int64_t at;
     std::uint64_t seq;
@@ -205,27 +205,25 @@ TEST(EventQueue, RandomizedScheduleCancelMatchesReferenceModel) {
   std::vector<Ref> entry;  // each locked token's current reference key
   std::vector<TimerId> locked_ids;
   std::vector<int> got;
-  for (int tk = 0; tk < kLocked; ++tk) {
-    const std::int64_t at = tk % 8 == 0 ? tick + rng.uniform_int(-2, 2) : tick;
-    locked_ids.push_back(sim.schedule_at(TimePoint::from_us(at), [&sim, &got, spawns, tk] {
+  const auto arm = [&sim, &got, spawns](std::int64_t at, int tk) {
+    return sim.schedule_at(TimePoint::from_us(at), [&sim, &got, spawns, tk] {
       got.push_back(tk);
       if (spawns(tk)) sim.schedule_at(sim.now(), [&got, tk] { got.push_back(kChild + tk); });
-    }));
+    });
+  };
+  for (int tk = 0; tk < kLocked; ++tk) {
+    const std::int64_t at = tk % 8 == 0 ? tick + rng.uniform_int(-2, 2) : tick;
+    locked_ids.push_back(arm(at, tk));
     entry.push_back({at, ref_seq++, tk});
     ref.insert(entry.back());
   }
   for (int i = 0; i < 1200; ++i) {
     const auto tk = static_cast<std::size_t>(rng.uniform_int(0, kLocked - 1));
     const bool was_live = ref.erase(entry[tk]) == 1;
-    if (i % 3 == 0) {
-      sim.cancel(locked_ids[tk]);
-      continue;
-    }
-    auto out = sim.extract(locked_ids[tk]);
-    ASSERT_EQ(out.has_value(), was_live) << "token " << tk;
-    if (!out) continue;
-    EXPECT_EQ(out->first.us(), entry[tk].at);
-    locked_ids[tk] = sim.schedule_at(out->first, std::move(out->second));
+    ASSERT_EQ(sim.is_pending(locked_ids[tk]), was_live) << "token " << tk;
+    sim.cancel(locked_ids[tk]);
+    if (i % 3 == 0 || !was_live) continue;
+    locked_ids[tk] = arm(entry[tk].at, static_cast<int>(tk));
     entry[tk].seq = ref_seq++;
     ref.insert(entry[tk]);
   }

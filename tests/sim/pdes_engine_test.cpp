@@ -215,52 +215,6 @@ TEST(Lookahead, MaxWindowUsesWholeFrameAirtimeFloor) {
   EXPECT_EQ(with_flight - base, Duration::microseconds(10));
 }
 
-// --- Simulator timer extraction / migration ---------------------------------
-
-TEST(SimulatorMigration, ExtractReturnsDueTimeAndRemovesTheTimer) {
-  Simulator sim;
-  bool fired = false;
-  TimerId id = sim.schedule_at(TimePoint::from_us(5'000), [&] { fired = true; });
-  auto out = sim.extract(id);
-  ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(out->first, TimePoint::from_us(5'000));
-  EXPECT_FALSE(sim.is_pending(id));
-  sim.run_until(TimePoint::from_us(10'000));
-  EXPECT_FALSE(fired);  // extraction removed it from the wheel
-  out->second();        // the callback came along intact
-  EXPECT_TRUE(fired);
-  EXPECT_FALSE(sim.extract(id).has_value());  // second extract: stale handle
-}
-
-TEST(SimulatorMigration, MigrateTimerFiresAtTheOriginalDueTimeOnDestination) {
-  Simulator a;
-  Simulator b;
-  a.run_until(TimePoint::from_us(2'000));
-  b.run_until(TimePoint::from_us(2'000));
-  std::int64_t fired_at_us = -1;
-  TimerId id = a.schedule_at(TimePoint::from_us(7'000),
-                             [&] { fired_at_us = b.now().us(); });
-  Simulator::migrate_timer(a, b, id);
-  EXPECT_NE(id, 0u);
-  EXPECT_TRUE(b.is_pending(id));
-  a.run_until(TimePoint::from_us(20'000));
-  EXPECT_EQ(fired_at_us, -1);  // it left `a` entirely
-  b.run_until(TimePoint::from_us(20'000));
-  EXPECT_EQ(fired_at_us, 7'000);
-}
-
-TEST(SimulatorMigration, MigrateZeroOrStaleHandleIsANoOpThatZeroesTheId) {
-  Simulator a;
-  Simulator b;
-  TimerId zero = 0;
-  Simulator::migrate_timer(a, b, zero);
-  EXPECT_EQ(zero, 0u);
-  TimerId id = a.schedule_at(TimePoint::from_us(1'000), [] {});
-  a.cancel(id);
-  Simulator::migrate_timer(a, b, id);
-  EXPECT_EQ(id, 0u);
-}
-
 // --- ParallelEngine ---------------------------------------------------------
 
 TEST(ParallelEngine, SingleRegionRunsEventsAndAdvancesTime) {

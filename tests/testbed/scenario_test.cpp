@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+
 #include "metrics/packet_tracker.h"
 #include "phy/path_loss.h"
 #include "testbed/topology.h"
@@ -164,6 +167,64 @@ TEST(MeshScenario, TotalStatsAggregates) {
             s.node(0).stats().beacons_sent + s.node(1).stats().beacons_sent);
   EXPECT_GT(total.beacons_sent, 0u);
   EXPECT_GT(total.control_bytes_sent, 0u);
+}
+
+// Every NodeStats field; the size guard fails the build when a counter is
+// added to the struct without being listed here.
+using net::NodeStats;
+constexpr std::uint64_t NodeStats::*kCounters[] = {
+    &NodeStats::beacons_sent,          &NodeStats::beacons_received,
+    &NodeStats::routing_changes,       &NodeStats::datagrams_sent,
+    &NodeStats::datagrams_delivered,   &NodeStats::broadcasts_sent,
+    &NodeStats::broadcasts_delivered,  &NodeStats::packets_forwarded,
+    &NodeStats::dropped_no_route,      &NodeStats::dropped_ttl,
+    &NodeStats::dropped_queue_full,    &NodeStats::malformed_frames,
+    &NodeStats::foreign_frames,        &NodeStats::beacons_ignored_low_quality,
+    &NodeStats::cad_busy_events,       &NodeStats::forced_transmissions,
+    &NodeStats::duty_cycle_delays,     &NodeStats::control_bytes_sent,
+    &NodeStats::data_bytes_sent,       &NodeStats::acked_sent,
+    &NodeStats::acked_confirmed,       &NodeStats::acked_failed,
+    &NodeStats::acked_retransmissions, &NodeStats::acked_delivered,
+    &NodeStats::acked_duplicates,      &NodeStats::acks_sent,
+    &NodeStats::transfers_started,     &NodeStats::transfers_completed,
+    &NodeStats::transfers_failed,      &NodeStats::transfers_received,
+    &NodeStats::rx_sessions_rejected,  &NodeStats::fragments_sent,
+    &NodeStats::fragments_retransmitted};
+constexpr Duration NodeStats::*kAirtimes[] = {&NodeStats::control_airtime,
+                                              &NodeStats::data_airtime};
+static_assert(sizeof(NodeStats) ==
+              (std::size(kCounters) + std::size(kAirtimes)) * 8);
+
+TEST(MeshScenario, TotalStatsSumsEveryCounter) {
+  ScenarioConfig c = cfg(5);
+  c.mesh.acked_retry_timeout = Duration::seconds(5);
+  MeshScenario s(c);
+  s.add_nodes(chain(3, kSpacing));
+  s.start_all();
+  ASSERT_TRUE(s.run_until_converged(Duration::minutes(5)).has_value());
+  // A lossy last hop: acked datagrams retry, and retries arrive as
+  // duplicates when only the ACK was lost.
+  s.channel().set_link_extra_loss(2, 3, 0.5);
+  for (int i = 0; i < 8; ++i) {
+    s.node(0).send_acked(s.address_of(2), {static_cast<std::uint8_t>(i)},
+                         nullptr);
+    s.run_for(Duration::seconds(30));
+  }
+
+  const NodeStats total = s.total_stats();
+  EXPECT_GT(total.acked_sent, 0u);
+  EXPECT_GT(total.acked_retransmissions, 0u);
+  EXPECT_GT(total.acks_sent, 0u);
+  for (std::size_t f = 0; f < std::size(kCounters); ++f) {
+    std::uint64_t sum = 0;
+    for (std::size_t i = 0; i < s.size(); ++i) sum += s.node(i).stats().*kCounters[f];
+    EXPECT_EQ(total.*kCounters[f], sum) << "counter #" << f;
+  }
+  for (std::size_t f = 0; f < std::size(kAirtimes); ++f) {
+    Duration sum;
+    for (std::size_t i = 0; i < s.size(); ++i) sum += s.node(i).stats().*kAirtimes[f];
+    EXPECT_EQ(total.*kAirtimes[f], sum) << "airtime #" << f;
+  }
 }
 
 }  // namespace

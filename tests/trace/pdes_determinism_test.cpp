@@ -24,6 +24,7 @@
 #include "net/aodv_strategy.h"
 #include "net/gateway_tree_strategy.h"
 #include "sim/node_clock.h"
+#include "support/assert.h"
 #include "testbed/chaos.h"
 #include "testbed/mobility.h"
 #include "testbed/scenario.h"
@@ -296,21 +297,20 @@ TEST(PdesDeterminism, TileModeOnLinearFieldByteIdenticalToStripeMode) {
   }
 }
 
-// --- Cross-region mobility ---------------------------------------------------
+// --- Mobility in a multi-region decomposition ---------------------------------
 
 // A 6x6 grid spans 2000 m on both axes — two stripes (or 2x2 tiles) at the
 // ~936 m deterministic-config halo, with boundaries at x = 1000 (and
-// y = 1000 for tiles). An extra relay node rides from (800, 800) to
-// (1400, 800) at 2 m/s, provably crossing the x = 1000 boundary ~100 s in,
-// while the traffic endpoints (grid corners) stay static.
-struct MobileRun {
+// y = 1000 for tiles). An extra relay node rides a polyline at 2 m/s while
+// the traffic endpoints (grid corners) stay static. A node never changes
+// region, so the rover's path decides whether the run is legal.
+struct RoverRun {
   std::string canonical;
-  std::uint64_t handoffs = 0;
   std::size_t regions = 0;
 };
 
-MobileRun run_mobile_cross(std::uint64_t seed, std::size_t workers,
-                           bool tile) {
+RoverRun run_rover(std::uint64_t seed, std::size_t workers, bool tile,
+                   phy::Position start, std::vector<phy::Position> path) {
   VectorSink sink;
   Tracer tracer;
   tracer.attach(&sink);
@@ -320,14 +320,14 @@ MobileRun run_mobile_cross(std::uint64_t seed, std::size_t workers,
   MeshScenario scenario(config);
   scenario.attach_tracer(tracer);
   scenario.add_nodes(grid(6, 6, 400.0));
-  const std::size_t rover = scenario.add_node({800.0, 800.0});
+  const std::size_t rover = scenario.add_node(start);
 
   metrics::PacketTracker tracker;
   attach_tracker(scenario, tracker);
-  const std::size_t m = scenario.add_mover(
-      rover, {{1400.0, 800.0}}, 2.0, Duration::seconds(5));
+  WaypointMover mover(scenario.simulator_for(rover), scenario.radio(rover),
+                      std::move(path), 2.0, Duration::seconds(5));
   scenario.start_all();
-  scenario.mover(m).start();
+  mover.start();
   scenario.run_for(Duration::minutes(2));
 
   TrafficConfig traffic;
@@ -336,41 +336,55 @@ MobileRun run_mobile_cross(std::uint64_t seed, std::size_t workers,
   flow.start();
   scenario.run_for(Duration::minutes(5));
   flow.stop();
-  scenario.mover(m).stop();
+  mover.stop();
 
-  MobileRun out;
+  RoverRun out;
   out.canonical = TraceAnalyzer::canonical_text(sink.take());
-  out.handoffs = scenario.handoffs();
   out.regions = scenario.region_count();
   return out;
 }
 
-// Byte-identity across worker counts with live handoffs. (Serial-vs-PDES
-// identity is a single-region property — a multi-region decomposition draws
-// its sequential channel streams from per-region split seeds, so the
-// serial run only anchors the scenario itself: it must produce a trace and
-// zero handoffs.)
-TEST(PdesDeterminism, MobileCrossRegionHandoffIdenticalAcrossWorkerCounts) {
+// A 1240 m zigzag inside x, y < 1000 — region 0 under both decompositions —
+// still moving when the run ends, so every barrier rescans positions and
+// must find the rover at home.
+TEST(PdesDeterminism, InRegionRoverIdenticalAcrossWorkerCounts) {
   const std::uint64_t seed = 42;
-  const MobileRun serial = run_mobile_cross(seed, 0, false);
-  ASSERT_FALSE(serial.canonical.empty());
-  EXPECT_EQ(serial.handoffs, 0u);
+  const phy::Position start{600.0, 200.0};
+  const std::vector<phy::Position> path{{800.0, 800.0}, {200.0, 700.0}};
   for (const bool tile : {false, true}) {
-    const MobileRun base = run_mobile_cross(seed, 1, tile);
+    const RoverRun base = run_rover(seed, 1, tile, start, path);
     EXPECT_EQ(base.regions, tile ? 4u : 2u);
-    EXPECT_GE(base.handoffs, 1u)
-        << (tile ? "tile" : "stripe")
-        << " mode: the rover never handed off";
     ASSERT_FALSE(base.canonical.empty());
     for (const std::size_t workers : {std::size_t{2}, std::size_t{3},
                                       std::size_t{7}, std::size_t{8}}) {
-      const MobileRun run = run_mobile_cross(seed, workers, tile);
+      const RoverRun run = run_rover(seed, workers, tile, start, path);
       EXPECT_EQ(run.regions, base.regions);
-      EXPECT_EQ(run.handoffs, base.handoffs)
-          << (tile ? "tile" : "stripe") << " mode, " << workers << " workers";
       EXPECT_TRUE(run.canonical == base.canonical)
           << (tile ? "tile" : "stripe") << " mode, " << workers
           << " workers: trace differs from the 1-worker run";
+    }
+  }
+}
+
+// Riding from (800, 800) to (1400, 800) crosses x = 1000 ~100 s in. The
+// serial engine carries the trip; a multi-region run has no handoff and
+// must stop at the first barrier after the crossing.
+TEST(PdesDeterminism, RoverLeavingItsRegionFailsLoudly) {
+  const std::uint64_t seed = 42;
+  const phy::Position start{800.0, 800.0};
+  const std::vector<phy::Position> path{{1400.0, 800.0}};
+  EXPECT_FALSE(run_rover(seed, 0, false, start, path).canonical.empty());
+  for (const bool tile : {false, true}) {
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+      try {
+        run_rover(seed, workers, tile, start, path);
+        ADD_FAILURE() << (tile ? "tile" : "stripe") << " mode, " << workers
+                      << " workers: the rover left its region unchecked";
+      } catch (const ContractViolation& e) {
+        EXPECT_NE(std::string(e.what()).find("left its PDES region"),
+                  std::string::npos)
+            << e.what();
+      }
     }
   }
 }
@@ -434,55 +448,6 @@ TEST(PdesDeterminism, DriftedBatteriesChainByteIdenticalAcrossWorkerCounts) {
     EXPECT_TRUE(serial == pdes)
         << "serial and " << workers
         << "-worker drifted-battery traces differ";
-  }
-}
-
-// Multi-region: the rover from the mobility test crosses a region boundary
-// carrying a drifting clock and a draining battery, so the handoff must
-// migrate the depletion timer (EnergyModel::rebind) along with the stack.
-TEST(PdesDeterminism, DriftedBatteriesMobileHandoffIdenticalAcrossWorkers) {
-  const std::uint64_t seed = 707;
-  const auto capture = [&](std::size_t workers) {
-    VectorSink sink;
-    Tracer tracer;
-    tracer.attach(&sink);
-    ScenarioConfig c = drift_battery_config(seed, workers, 5.0);
-    MeshScenario scenario(c);
-    scenario.attach_tracer(tracer);
-    scenario.add_nodes(grid(6, 6, 400.0));
-    const std::size_t rover = scenario.add_node({800.0, 800.0});
-    metrics::PacketTracker tracker;
-    attach_tracker(scenario, tracker);
-    const std::size_t m = scenario.add_mover(
-        rover, {{1400.0, 800.0}}, 2.0, Duration::seconds(5));
-    scenario.start_all();
-    scenario.mover(m).start();
-    scenario.run_for(Duration::minutes(2));
-    TrafficConfig traffic;
-    traffic.mean_interval = Duration::seconds(20);
-    DatagramTraffic flow(scenario, tracker, 0, 35, traffic, seed ^ 0xBEEF);
-    flow.start();
-    scenario.run_for(Duration::minutes(5));
-    flow.stop();
-    scenario.mover(m).stop();
-    MobileRun out;
-    out.canonical = TraceAnalyzer::canonical_text(sink.take());
-    out.handoffs = scenario.handoffs();
-    out.regions = scenario.region_count();
-    return out;
-  };
-
-  const MobileRun base = capture(1);
-  ASSERT_FALSE(base.canonical.empty());
-  EXPECT_GE(base.handoffs, 1u) << "the rover never handed off";
-  ASSERT_NE(base.canonical.find("energy_state"), std::string::npos);
-  for (const std::size_t workers : {std::size_t{2}, std::size_t{8}}) {
-    const MobileRun run = capture(workers);
-    EXPECT_EQ(run.regions, base.regions);
-    EXPECT_EQ(run.handoffs, base.handoffs) << workers << " workers";
-    EXPECT_TRUE(run.canonical == base.canonical)
-        << workers
-        << "-worker drifted-battery mobile trace differs from 1-worker";
   }
 }
 
