@@ -11,8 +11,9 @@ sets and exits 1 when any timing metric regressed by more than the
 threshold (relative).
 
 Regression direction is inferred from the metric name:
+  *per_s*, *per_sec*, lower is worse (throughput; only these name a rate —
+  *per_wall*          airtime_per_pkt_s is a time, events_per_window a count)
   *wall_s, *_s        higher is worse (wall time)
-  *per_s*, *per_sec*  lower is worse (throughput)
   *pdr                lower is worse (delivery rate; flagged on an
                       absolute drop of more than 2 points, e.g. the
                       per-cell `<strategy>.<topology>.pdr` metrics from
@@ -80,8 +81,9 @@ def direction(metric):
     (lower worse, absolute-delta threshold), 'energy' (higher worse)
     or None."""
     # Rates before times: sim_s_per_wall_s is a throughput despite its
-    # trailing _s.
-    if "per_s" in metric or "per_sec" in metric or "_per_" in metric:
+    # trailing _s. Any other "_per_" is a ratio, not a rate:
+    # airtime_per_pkt_s is a time per packet, where higher is worse.
+    if "per_s" in metric or "per_sec" in metric or "per_wall" in metric:
         return "rate"
     if metric.endswith("wall_s") or metric.endswith("_s"):
         return "time"

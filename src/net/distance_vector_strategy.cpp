@@ -31,7 +31,8 @@ void DistanceVectorStrategy::on_routing(const RoutingPacket& packet) {
       return;
     }
   }
-  if (table_->apply_beacon(packet.link.src, packet.entries, ctx_->local_now())) {
+  if (table_->apply_beacon(packet.link.src, packet.entries, ctx_->local_now(),
+                           packet.content_id)) {
     ctx_->stats.routing_changes++;
   }
 }

@@ -1,6 +1,10 @@
 #include "net/link_layer.h"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <limits>
+#include <unordered_map>
 
 #include "phy/airtime.h"
 #include "support/assert.h"
@@ -10,6 +14,68 @@ namespace lm::net {
 
 namespace {
 constexpr const char* kTag = "mesh";
+
+// Content ids are drawn from one process-wide counter, so an id names a
+// single entry list on every thread, PDES worker and ParallelRunner job.
+// Should the counter ever pass 32 bits, frames get id 0 (unknown) rather
+// than a reused id.
+std::atomic<std::uint64_t> next_content_id{1};
+
+std::uint32_t draw_content_id() {
+  const std::uint64_t id = next_content_id.fetch_add(1, std::memory_order_relaxed);
+  return id <= std::numeric_limits<std::uint32_t>::max()
+             ? static_cast<std::uint32_t>(id)
+             : 0;
+}
+
+struct DecodeMemo {
+  // The cached packet holds pooled blocks; touching the pool first makes
+  // this thread's pool outlive the memo.
+  DecodeMemo() { (void)support::BlockPool::stats(); }
+
+  bool valid = false;
+  FrameBuffer frame;
+  std::optional<Packet> packet;
+  // Each sender's last advertised entry list, stored inline, and its id.
+  struct Interned {
+    std::uint32_t id = 0;
+    std::uint8_t count = 0;
+    std::array<RoutingEntry, kMaxRoutingEntries> entries;
+  };
+  std::unordered_map<Address, Interned> beacons;
+};
+
+DecodeMemo& decode_memo() {
+  static thread_local DecodeMemo memo;
+  return memo;
+}
+
+std::uint32_t intern(DecodeMemo& memo, const RoutingPacket& beacon) {
+  if (beacon.entries.size() > kMaxRoutingEntries) return 0;
+  DecodeMemo::Interned& slot = memo.beacons[beacon.link.src];
+  const auto held = std::span(slot.entries).first(slot.count);
+  if (slot.id == 0 || !std::ranges::equal(held, beacon.entries)) {
+    slot.id = draw_content_id();
+    slot.count = static_cast<std::uint8_t>(beacon.entries.size());
+    std::ranges::copy(beacon.entries, slot.entries.begin());
+  }
+  return slot.id;
+}
+
+}  // namespace
+
+std::optional<Packet> decode_shared(std::span<const std::uint8_t> frame) {
+  DecodeMemo& memo = decode_memo();
+  if (memo.valid && std::ranges::equal(frame, memo.frame)) return memo.packet;
+  memo.packet = decode(frame);
+  memo.frame.assign(frame.begin(), frame.end());
+  memo.valid = true;
+  if (memo.packet) {
+    if (auto* beacon = std::get_if<RoutingPacket>(&*memo.packet)) {
+      beacon->content_id = intern(memo, *beacon);
+    }
+  }
+  return memo.packet;
 }
 
 LinkLayer::LinkLayer(LayerContext& ctx, radio::Radio& radio,
@@ -320,7 +386,7 @@ std::optional<double> LinkLayer::snr_margin_db(Address neighbor) const {
 void LinkLayer::on_frame_received(std::span<const std::uint8_t> frame,
                                   const radio::FrameMeta& meta) {
   if (!ctx_.running) return;
-  auto decoded = decode(frame);
+  auto decoded = decode_shared(frame);
   if (!decoded) {
     ctx_.stats.malformed_frames++;
     if (ctx_.tracer != nullptr) {

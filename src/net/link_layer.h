@@ -31,6 +31,17 @@
 
 namespace lm::net {
 
+/// decode() once per transmission. The channel hands one frame's bytes to
+/// every receiver in turn, so this thread remembers the last frame and its
+/// decoded packet: byte-equal input returns a copy of that packet (decode is
+/// a pure function of the bytes). A freshly decoded Routing frame is
+/// interned per link.src: it keeps the sender's previous content id while
+/// its entries are unchanged and otherwise draws a new one from a
+/// process-wide counter, so ids are never reused and equal ids mean equal
+/// entries on every thread. RoutingTable::apply_beacon keys its repeat memo
+/// on that id.
+std::optional<Packet> decode_shared(std::span<const std::uint8_t> frame);
+
 class LinkLayer final : public radio::RadioListener {
  public:
   /// Upcalls into the rest of the stack. Non-owning FunctionRefs (rather

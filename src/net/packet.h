@@ -110,8 +110,15 @@ constexpr std::size_t kMaxRoutingEntries = (255 - kLinkHeaderSize - 1) / 4;  // 
 struct RoutingPacket {
   LinkHeader link;  // link.dst == kBroadcast
   support::PooledVector<RoutingEntry> entries;
+  /// Not on the wire: the receive path's name for this exact entry list
+  /// (net/link_layer.h decode_shared). Two packets with one non-zero id
+  /// carry identical entries; 0 means unknown. encode, decode and == ignore
+  /// it.
+  std::uint32_t content_id = 0;
 
-  friend bool operator==(const RoutingPacket&, const RoutingPacket&) = default;
+  friend bool operator==(const RoutingPacket& a, const RoutingPacket& b) {
+    return a.link == b.link && a.entries == b.entries;
+  }
 };
 
 struct DataPacket {

@@ -6,9 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <latch>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "metrics/packet_tracker.h"
+#include "net/link_layer.h"
 #include "phy/path_loss.h"
 #include "testbed/scenario.h"
 #include "testbed/topology.h"
@@ -110,6 +114,40 @@ TEST(ParallelRunner, PrebuiltJobClosuresRunInInputOrder) {
   const auto out = runner.run<int>(jobs);
   ASSERT_EQ(out.size(), 12u);
   for (int i = 0; i < 12; ++i) EXPECT_EQ(out[static_cast<std::size_t>(i)], i * 10);
+}
+
+// Beacon content ids come from one process-wide counter: workers interning
+// different entries for one sender must never hand out the same id, while
+// each worker keeps its id for a repeat of its own entries.
+TEST(ParallelRunner, WorkersInterningOneSenderNeverShareAnId) {
+  constexpr net::Address kSender = 0x0042;
+  std::latch both_running(2);  // jobs 0 and 1 run on two workers at once
+  ParallelRunner runner(2);
+  const auto ids = runner.map<std::pair<std::uint32_t, std::uint32_t>>(
+      16, [&](std::size_t i) {
+        if (i < 2) both_running.arrive_and_wait();
+        net::RoutingPacket beacon;
+        beacon.link = {net::kBroadcast, kSender, net::PacketType::Routing};
+        beacon.entries = {{kSender, 0},
+                          {static_cast<net::Address>(0x0100 + i), 1}};
+        const auto frame = net::encode(net::Packet{beacon});
+        net::DataPacket data;
+        data.link = {0x0007, 0x0008, net::PacketType::Data};
+        const auto other = net::encode(net::Packet{data});
+        const auto id = [](const std::optional<net::Packet>& p) {
+          return std::get<net::RoutingPacket>(p.value()).content_id;
+        };
+        const std::uint32_t first = id(net::decode_shared(frame));
+        EXPECT_TRUE(net::decode_shared(other).has_value());  // evicts the frame
+        return std::pair{first, id(net::decode_shared(frame))};
+      });
+  std::set<std::uint32_t> distinct;
+  for (const auto& [first, again] : ids) {
+    EXPECT_NE(first, 0u);
+    EXPECT_EQ(again, first);
+    distinct.insert(first);
+  }
+  EXPECT_EQ(distinct.size(), ids.size());
 }
 
 }  // namespace
