@@ -14,8 +14,8 @@ Regression direction is inferred from the metric name:
   *per_s*, *per_sec*, lower is worse (throughput; only these name a rate —
   *per_wall*          airtime_per_pkt_s is a time, events_per_window a count)
   *wall_s, *_s        higher is worse (wall time)
-  *pdr                lower is worse (delivery rate; flagged on an
-                      absolute drop of more than 2 points, e.g. the
+  *pdr                lower is worse (delivery rate; a deterministic
+                      simulated outcome, so any drop is flagged, e.g. the
                       per-cell `<strategy>.<topology>.pdr` metrics from
                       bench_strategies — a strategy losing delivery on
                       any topology family is a behavior regression, not
@@ -44,9 +44,6 @@ THRESHOLD_DEFAULT = 0.15
 # Ignore wall-time deltas below this absolute floor: sub-100 ms differences
 # are process startup + scheduler granularity, not code speed.
 EPSILON_S = 0.1
-# PDR metrics are deterministic simulation outcomes: any absolute drop
-# beyond 2 points on any strategy/topology cell is a real behavior change.
-PDR_DROP = 0.02
 # Energy deltas below this absolute floor (mAh) are double-rounding noise
 # in the ledger, not a protocol drawing more current.
 EPSILON_MAH = 0.01
@@ -78,8 +75,7 @@ def load_dir(path):
 
 def direction(metric):
     """Returns 'time' (higher worse), 'rate' (lower worse), 'pdr'
-    (lower worse, absolute-delta threshold), 'energy' (higher worse)
-    or None."""
+    (any drop is worse), 'energy' (higher worse) or None."""
     # Rates before times: sim_s_per_wall_s is a throughput despite its
     # trailing _s. Any other "_per_" is a ratio, not a rate:
     # airtime_per_pkt_s is a time per packet, where higher is worse.
@@ -139,13 +135,13 @@ def main(argv):
             worse = ((kind == "time" and rel > threshold
                       and abs(delta) > EPSILON_S) or
                      (kind == "rate" and rel < -threshold) or
-                     (kind == "pdr" and delta < -PDR_DROP) or
+                     (kind == "pdr" and delta < 0) or
                      (kind == "energy" and rel > threshold
                       and abs(delta) > EPSILON_MAH))
             improved = ((kind == "time" and rel < -threshold
                          and abs(delta) > EPSILON_S) or
                         (kind == "rate" and rel > threshold) or
-                        (kind == "pdr" and delta > PDR_DROP) or
+                        (kind == "pdr" and delta > 0) or
                         (kind == "energy" and rel < -threshold
                          and abs(delta) > EPSILON_MAH))
             if not (worse or improved or show_all):
@@ -155,7 +151,7 @@ def main(argv):
                 header_printed = True
             tag = "REGRESSION" if worse else ("improved" if improved else "")
             if kind == "pdr" and worse:
-                tag = "PDR-REGRESSION (delivery dropped >2 points)"
+                tag = "PDR-REGRESSION (delivery dropped)"
             elif kind == "energy" and worse:
                 tag = "ENERGY-REGRESSION (charge drawn grew)"
             print(f"  {metric:<44} {b:>12.4g} -> {c:>12.4g} "

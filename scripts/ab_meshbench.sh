@@ -16,12 +16,16 @@
 # and how many pairs the change won on speed (ties count for neither).
 #
 # The simulated metrics (pdr, latency_p50_s, latency_p99_s,
-# airtime_ms_per_delivery, ops_failed_pct) are a pure function of the seed:
-# the script exits 1 if any of them differs between the two sides in any
-# pair, and 2 on a usage or build error. It runs meshbench/run.py of each
-# checkout and changes no file in either. On exit it removes the worktrees
-# and both builds, and the whole scratch dir if it made it; the per-pair
-# JSON lines are printed to stderr first.
+# airtime_ms_per_delivery, ops_failed_pct) are a pure function of the seed,
+# and every run must pass meshbench's own correctness gate. Exit codes:
+#   0  every run passed and the simulated metrics agree in every pair;
+#   1  a simulated metric differs between the two sides in some pair;
+#   2  usage or build error, or a failed run: meshbench exited non-zero,
+#      printed no JSON line, or reported "correct": false or a non-zero
+#      "failed" count (the pair, the side and the line are printed).
+# It runs meshbench/run.py of each checkout and changes no file in either.
+# On exit it removes the worktrees and both builds, and the whole scratch
+# dir if it made it; the per-pair JSON lines are printed to stderr first.
 set -euo pipefail
 
 base="" workload=city pairs=10 seconds=20 seed=1 scratch=""
@@ -33,7 +37,7 @@ for arg in "$@"; do
     --seconds=*) seconds="${arg#*=}" ;;
     --seed=*) seed="${arg#*=}" ;;
     --scratch=*) scratch="${arg#*=}" ;;
-    *) sed -n '2,23p' "$0" >&2; exit 2 ;;
+    *) sed -n '2,28p' "$0" >&2; exit 2 ;;
   esac
 done
 if [ -z "$base" ]; then
@@ -84,28 +88,44 @@ for side in base change; do
   git -C "$repo" worktree add --detach --quiet "$scratch/$side" "$rev"
 done
 
-# run SIDE -> the run's JSON line on stdout (the first run also builds).
+# run SIDE PAIR: one run of SIDE, its JSON line left in $line (the first
+# run also builds). A failed run ends the script with exit 2.
 run() {
-  (cd "$scratch/$1" &&
-     CARGO_TARGET_DIR="$scratch/build-$1" python3 meshbench/run.py \
-       --workload "$workload" --seed "$seed" --seconds "$seconds" 2>/dev/null |
-     tail -n 1)
+  local status=0
+  line=$(cd "$scratch/$1" &&
+         CARGO_TARGET_DIR="$scratch/build-$1" python3 meshbench/run.py \
+           --workload "$workload" --seed "$seed" --seconds "$seconds" 2>/dev/null |
+         tail -n 1) || status=$?
+  if [ "$status" -ne 0 ] || ! python3 - "$line" <<'EOF'
+import json, sys
+try:
+    result = json.loads(sys.argv[1])
+except ValueError:
+    sys.exit(1)
+sys.exit(0 if result.get("correct") is True and result.get("failed") == 0 else 1)
+EOF
+  then
+    echo "ab_meshbench: pair $2, $1 side failed (exit $status): ${line:-<no output>}" >&2
+    exit 2
+  fi
 }
 
 echo "ab_meshbench: base $(git -C "$repo" rev-parse --short "$base_rev") vs working tree;" \
      "$workload seed $seed, $pairs pairs of ${seconds}s runs" >&2
 # One untimed run per side builds it and warms the page cache.
 for side in base change; do
-  run "$side" >/dev/null || { echo "ab_meshbench: $side failed" >&2; exit 2; }
+  run "$side" warm-up
 done
 
 results="$scratch/pairs.jsonl"
 : >"$results"
 for ((i = 1; i <= pairs; i++)); do
   if ((i % 2)); then
-    b=$(run base); c=$(run change)
+    run base "$i"; b=$line
+    run change "$i"; c=$line
   else
-    c=$(run change); b=$(run base)
+    run change "$i"; c=$line
+    run base "$i"; b=$line
   fi
   printf '{"base": %s, "change": %s}\n' "$b" "$c" >>"$results"
   python3 - "$i" "$b" "$c" <<'EOF'

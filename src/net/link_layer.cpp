@@ -64,18 +64,19 @@ std::uint32_t intern(DecodeMemo& memo, const RoutingPacket& beacon) {
 
 }  // namespace
 
-std::optional<Packet> decode_shared(std::span<const std::uint8_t> frame) {
+const Packet* decode_shared(std::span<const std::uint8_t> frame) {
   DecodeMemo& memo = decode_memo();
-  if (memo.valid && std::ranges::equal(frame, memo.frame)) return memo.packet;
-  memo.packet = decode(frame);
-  memo.frame.assign(frame.begin(), frame.end());
-  memo.valid = true;
-  if (memo.packet) {
-    if (auto* beacon = std::get_if<RoutingPacket>(&*memo.packet)) {
-      beacon->content_id = intern(memo, *beacon);
+  if (!memo.valid || !std::ranges::equal(frame, memo.frame)) {
+    memo.packet = decode(frame);
+    memo.frame.assign(frame.begin(), frame.end());
+    memo.valid = true;
+    if (memo.packet) {
+      if (auto* beacon = std::get_if<RoutingPacket>(&*memo.packet)) {
+        beacon->content_id = intern(memo, *beacon);
+      }
     }
   }
-  return memo.packet;
+  return memo.packet ? &*memo.packet : nullptr;
 }
 
 LinkLayer::LinkLayer(LayerContext& ctx, radio::Radio& radio,
@@ -386,8 +387,8 @@ std::optional<double> LinkLayer::snr_margin_db(Address neighbor) const {
 void LinkLayer::on_frame_received(std::span<const std::uint8_t> frame,
                                   const radio::FrameMeta& meta) {
   if (!ctx_.running) return;
-  auto decoded = decode_shared(frame);
-  if (!decoded) {
+  const Packet* decoded = decode_shared(frame);
+  if (decoded == nullptr) {
     ctx_.stats.malformed_frames++;
     if (ctx_.tracer != nullptr) {
       trace::TraceEvent e;
@@ -427,7 +428,7 @@ void LinkLayer::on_frame_received(std::span<const std::uint8_t> frame,
     ctx_.trace_packet(trace::EventKind::RxFrame, *decoded,
                       trace::DropReason::None, 0, meta.snr_db);
   }
-  callbacks_.on_packet(std::move(*decoded));
+  callbacks_.on_packet(*decoded);
 }
 
 }  // namespace lm::net

@@ -33,14 +33,16 @@ namespace lm::net {
 
 /// decode() once per transmission. The channel hands one frame's bytes to
 /// every receiver in turn, so this thread remembers the last frame and its
-/// decoded packet: byte-equal input returns a copy of that packet (decode is
-/// a pure function of the bytes). A freshly decoded Routing frame is
-/// interned per link.src: it keeps the sender's previous content id while
-/// its entries are unchanged and otherwise draws a new one from a
-/// process-wide counter, so ids are never reused and equal ids mean equal
-/// entries on every thread. RoutingTable::apply_beacon keys its repeat memo
-/// on that id.
-std::optional<Packet> decode_shared(std::span<const std::uint8_t> frame);
+/// decoded packet: byte-equal input returns that same packet (decode is a
+/// pure function of the bytes). The result points into the thread-local
+/// memo, is nullptr for a malformed frame, and stays valid until the next
+/// call on this thread; a caller that keeps or edits the packet copies it
+/// first. A freshly decoded Routing frame is interned per link.src: it keeps
+/// the sender's previous content id while its entries are unchanged and
+/// otherwise draws a new one from a process-wide counter, so ids are never
+/// reused and equal ids mean equal entries on every thread.
+/// RoutingTable::apply_beacon keys its repeat memo on that id.
+const Packet* decode_shared(std::span<const std::uint8_t> frame);
 
 class LinkLayer final : public radio::RadioListener {
  public:
@@ -54,8 +56,9 @@ class LinkLayer final : public radio::RadioListener {
     /// nullopt drops the packet (route lost while queued).
     support::FunctionRef<std::optional<Address>(const RouteHeader&)>
         resolve_next_hop;
-    /// A decoded, addressed-to-us (or broadcast) packet arrived.
-    support::FunctionRef<void(Packet)> on_packet;
+    /// A decoded, addressed-to-us (or broadcast) packet arrived. The
+    /// reference is decode_shared's memo: valid for the call only.
+    support::FunctionRef<void(const Packet&)> on_packet;
     /// A frame finished transmitting (fragment pacing, session GC).
     support::FunctionRef<void(const Packet&)> on_sent;
     /// A queued packet was dropped before the air (queue full, route lost).

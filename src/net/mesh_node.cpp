@@ -70,8 +70,8 @@ std::optional<Address> MeshNode::resolve_next_hop_cb(const RouteHeader& route) {
   return network_.resolve_next_hop(route);
 }
 
-void MeshNode::on_link_packet(Packet packet) {
-  network_.on_packet(std::move(packet));
+void MeshNode::on_link_packet(const Packet& packet) {
+  network_.on_packet(packet);
 }
 
 void MeshNode::on_link_sent(const Packet& packet) {

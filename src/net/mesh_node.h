@@ -168,7 +168,7 @@ class MeshNode final : public PacketSink {
   // references bound to these members, so they must stay member functions of
   // the facade (which outlives every layer it owns).
   std::optional<Address> resolve_next_hop_cb(const RouteHeader& route);
-  void on_link_packet(Packet packet);
+  void on_link_packet(const Packet& packet);
   void on_link_sent(const Packet& packet);
   void on_link_dropped(const Packet& packet);
   void deliver_acked_datagram(Address origin,

@@ -99,13 +99,16 @@ bool NetworkLayer::send_broadcast(std::vector<std::uint8_t> payload,
   return true;
 }
 
-void NetworkLayer::on_packet(Packet packet) {
+void NetworkLayer::on_packet(const Packet& packet) {
   if (const auto* routing = std::get_if<RoutingPacket>(&packet)) {
     ctx_.stats.beacons_received++;
     strategy_->on_routing(*routing);
     return;
   }
-  strategy_->handle(std::move(packet));
+  // The one copy per reception: `packet` is the decode memo, shared by
+  // every receiver of this frame, and forwarding rewrites ttl, hops and the
+  // link header.
+  strategy_->handle(Packet(packet));
 }
 
 }  // namespace lm::net

@@ -48,7 +48,7 @@ class NetworkLayer {
   }
 
   // --- RX dispatch (from the link layer) --------------------------------------
-  void on_packet(Packet packet);
+  void on_packet(const Packet& packet);
   std::optional<Address> resolve_next_hop(const RouteHeader& route) {
     return strategy_->resolve_next_hop(route);
   }

@@ -127,7 +127,13 @@ void Channel::ensure_grids() const {
       policy_.cell_size_m > 0.0 ? policy_.cell_size_m : derive_cell_size_m();
   radio_grid_.reset(cell);
   for (VirtualRadio* r : radios_) radio_grid_.insert(r, r->position());
-  tx_grid_.reset(cell);
+  // Transmissions are few (those on the air or recently ended) while every
+  // sweep over them spans decode plus interference range, so at the
+  // receivers' cell nearly every probed cell is empty. Twice the edge
+  // probes about a third as many cells per sweep; queries stay
+  // conservative and their callers are order-free existence checks, so
+  // outcomes are exact.
+  tx_grid_.reset(2.0 * cell);
   for (Transmission* t : active_) tx_grid_.insert(t, t->tx_pos);
   grids_ready_ = true;
 }

@@ -72,8 +72,9 @@ struct PropagationConfig {
 /// for the O(N^2) brute-force sweep (reference semantics, tiny meshes).
 struct ChannelConfig {
   bool spatial_index = true;
-  /// Grid cell edge in meters; 0 derives it from the registered radios'
-  /// link budget (half the widest interference-relevant range).
+  /// Receiver-grid cell edge in meters; 0 derives it from the registered
+  /// radios' link budget (half the widest interference-relevant range).
+  /// The transmission grid uses twice this edge.
   double cell_size_m = 0.0;
 };
 

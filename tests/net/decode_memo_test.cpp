@@ -26,49 +26,59 @@ std::vector<std::uint8_t> data_frame(Address src, std::uint8_t fill) {
   return encode(Packet{data});
 }
 
-std::uint32_t id_of(const std::optional<Packet>& packet) {
-  return std::get<RoutingPacket>(packet.value()).content_id;
+std::uint32_t id_of(const Packet* packet) {
+  EXPECT_NE(packet, nullptr);
+  return packet == nullptr ? 0u : std::get<RoutingPacket>(*packet).content_id;
 }
 
 TEST(DecodeMemo, RepeatedFrameReturnsTheSameDecode) {
   const auto frame = beacon_frame(0x0201, {{0x0201, 0}, {0x0202, 1}});
-  const auto first = decode_shared(frame);
-  const auto again = decode_shared(frame);
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first, decode(frame));
-  EXPECT_EQ(again, decode(frame));
-  EXPECT_NE(id_of(first), 0u);
-  EXPECT_EQ(id_of(again), id_of(first));
+  const Packet* first = decode_shared(frame);
+  ASSERT_NE(first, nullptr);
+  const std::uint32_t first_id = id_of(first);
+  EXPECT_EQ(*first, decode(frame));
+  const Packet* again = decode_shared(frame);
+  ASSERT_NE(again, nullptr);
+  EXPECT_EQ(again, first);  // the memo's one packet, not a copy
+  EXPECT_EQ(*again, decode(frame));
+  EXPECT_NE(first_id, 0u);
+  EXPECT_EQ(id_of(again), first_id);
   EXPECT_EQ(std::get<RoutingPacket>(*decode(frame)).content_id, 0u);  // decode() names nothing
 }
 
 TEST(DecodeMemo, FrameOneByteOffDecodesFresh) {
   const auto frame = beacon_frame(0x0211, {{0x0211, 0}, {0x0212, 1}, {0x0213, 2}});
-  const auto cached = decode_shared(frame);
+  const Packet* cached_ptr = decode_shared(frame);
+  ASSERT_NE(cached_ptr, nullptr);
+  const Packet cached = *cached_ptr;  // the next call replaces the memo
   auto edited = frame;
   edited.back() ^= 0x01;  // the last entry's role
-  const auto fresh = decode_shared(edited);
-  ASSERT_TRUE(fresh.has_value());
-  EXPECT_EQ(fresh, decode(edited));
-  EXPECT_NE(fresh, cached);
-  EXPECT_NE(id_of(fresh), id_of(cached));
+  const Packet* fresh = decode_shared(edited);
+  ASSERT_NE(fresh, nullptr);
+  EXPECT_EQ(*fresh, decode(edited));
+  EXPECT_NE(*fresh, cached);
+  EXPECT_NE(id_of(fresh), std::get<RoutingPacket>(cached).content_id);
 
   // Same for a data frame's payload.
   const auto data = data_frame(0x0214, 7);
-  ASSERT_EQ(decode_shared(data), decode(data));
+  const Packet* data_decoded = decode_shared(data);
+  ASSERT_NE(data_decoded, nullptr);
+  ASSERT_EQ(*data_decoded, decode(data));
   auto flipped = data;
   flipped[flipped.size() - 3] = 8;
-  EXPECT_EQ(decode_shared(flipped), decode(flipped));
-  EXPECT_NE(decode_shared(flipped), decode(data));
+  const Packet* flipped_decoded = decode_shared(flipped);
+  ASSERT_NE(flipped_decoded, nullptr);
+  EXPECT_EQ(*flipped_decoded, decode(flipped));
+  EXPECT_NE(*flipped_decoded, decode(data));
 }
 
 TEST(DecodeMemo, MalformedFrameAfterACachedGoodOneIsRejected) {
   const auto frame = beacon_frame(0x0221, {{0x0221, 0}, {0x0222, 1}});
-  ASSERT_TRUE(decode_shared(frame).has_value());
+  ASSERT_NE(decode_shared(frame), nullptr);
   const std::span<const std::uint8_t> cut(frame.data(), frame.size() - 1);
-  EXPECT_FALSE(decode_shared(cut).has_value());
-  EXPECT_FALSE(decode_shared(cut).has_value());  // a cached rejection too
-  EXPECT_TRUE(decode_shared(frame).has_value());
+  EXPECT_EQ(decode_shared(cut), nullptr);
+  EXPECT_EQ(decode_shared(cut), nullptr);  // a cached rejection too
+  EXPECT_NE(decode_shared(frame), nullptr);
 }
 
 TEST(DecodeMemo, SenderKeepsItsIdWhileItsEntriesRepeat) {
@@ -76,7 +86,7 @@ TEST(DecodeMemo, SenderKeepsItsIdWhileItsEntriesRepeat) {
   const auto v2 = beacon_frame(0x0231, {{0x0231, 0}, {0x0232, 2}});
   const auto other = beacon_frame(0x0233, {{0x0231, 0}, {0x0232, 1}});
   const std::uint32_t id1 = id_of(decode_shared(v1));
-  ASSERT_TRUE(decode_shared(data_frame(0x0234, 1)).has_value());  // evicts the frame memo
+  ASSERT_NE(decode_shared(data_frame(0x0234, 1)), nullptr);  // evicts the frame memo
   EXPECT_EQ(id_of(decode_shared(v1)), id1);  // same sender, same entries
   // The same entries from another sender, and new entries from this one,
   // are new contents.

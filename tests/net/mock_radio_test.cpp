@@ -6,6 +6,7 @@
 
 #include <memory>
 
+#include "net/flooding_strategy.h"
 #include "net/mesh_node.h"
 #include "phy/airtime.h"
 #include "radio/radio_interface.h"
@@ -158,6 +159,69 @@ TEST_F(MockRadioTest, RepeatedBeaconIsAnsweredFromTheMemo) {
   radio_.inject_bytes(cut);
   EXPECT_EQ(node_->stats().malformed_frames, 2u);
   EXPECT_EQ(node_->stats().beacons_received, 3u);
+}
+
+TEST_F(MockRadioTest, RepeatedBeaconTakesNoPoolBlock) {
+  RoutingPacket beacon;
+  beacon.link = LinkHeader{kBroadcast, 0x0002, PacketType::Routing};
+  beacon.entries = {{0x0002, 0}, {0x0003, 1}, {0x0004, 2}};
+  const auto frame = encode(Packet{beacon});
+  for (int copy = 0; copy < 3; ++copy) radio_.inject_bytes(frame);  // warm-up
+  // The routing layer reads the decode memo's packet in place, so a
+  // reception copies no entry list.
+  const support::PoolStats before = support::BlockPool::stats();
+  for (int copy = 0; copy < 20; ++copy) radio_.inject_bytes(frame);
+  const support::PoolStats after = support::BlockPool::stats();
+  EXPECT_EQ(after.pool_hits - before.pool_hits, 0u);
+  EXPECT_EQ(after.pool_refills - before.pool_refills, 0u);
+  EXPECT_EQ(node_->stats().beacons_received, 23u);
+  EXPECT_EQ(node_->routing_table().repeated_beacons(), 21u);
+}
+
+TEST(MockRadioShared, ForwardingEditsItsOwnCopyOfTheSharedDecode) {
+  // One flooded data frame reaches two relays in turn. Each rebroadcasts
+  // its own copy (one ttl less, one hop more); the first relay's edit must
+  // not reach the second, which reads the same decoded packet.
+  sim::Simulator sim;
+  MockRadio radio_a(sim);
+  MockRadio radio_b(sim);
+  MeshConfig cfg;
+  cfg.duty_cycle_limit = 1.0;
+  MeshNode a(sim, radio_a, 0x0011, cfg, 1, std::make_unique<FloodingStrategy>());
+  MeshNode b(sim, radio_b, 0x0012, cfg, 2, std::make_unique<FloodingStrategy>());
+  a.start();
+  b.start();
+
+  DataPacket data;
+  data.link = LinkHeader{kBroadcast, 0x0010, PacketType::Data};
+  data.route = RouteHeader{0x0099, 0x0010, 5, 1, 77};
+  data.payload = {4, 5, 6};
+  const auto frame = encode(Packet{data});
+  radio_a.inject_bytes(frame);
+  radio_b.inject_bytes(frame);
+  const Packet* shared = decode_shared(frame);
+  ASSERT_NE(shared, nullptr);
+  EXPECT_EQ(*shared, decode(frame));
+  sim.run_for(Duration::seconds(2));
+
+  for (auto [radio, self] : {std::pair{&radio_a, Address{0x0011}},
+                             std::pair{&radio_b, Address{0x0012}}}) {
+    SCOPED_TRACE(self);
+    DataPacket expected = data;
+    expected.link.src = self;
+    expected.route.ttl = 4;
+    expected.route.hops = 2;
+    std::size_t relayed = 0;
+    for (const auto& sent : radio->transmitted) {
+      const auto p = decode(sent);
+      ASSERT_TRUE(p.has_value());
+      if (std::holds_alternative<DataPacket>(*p)) {
+        ++relayed;
+        EXPECT_EQ(*p, Packet{expected});
+      }
+    }
+    EXPECT_EQ(relayed, 1u);
+  }
 }
 
 TEST_F(MockRadioTest, DatagramGoesOutAddressedToTheNextHop) {
