@@ -6,6 +6,9 @@
 //    work, isolating scheduler overhead (slab allocation, heap push/pop);
 //  * routing-table merge: one 120-entry table taking full beacons from 8
 //    neighbours and building its own, without any simulator around it;
+//  * frame delivery: a static grid of bare radios (no protocol stack) on
+//    a campus channel sending on a fixed schedule, so the time is the
+//    channel's end-of-frame sweep and little else;
 //  * 16-node mesh: a full campus-field deployment with beacons, CSMA and
 //    Poisson traffic — events/sec and simulated-seconds per wall-second as
 //    experienced by real experiments.
@@ -16,11 +19,15 @@
 #include <array>
 #include <chrono>
 #include <cstdio>
+#include <memory>
+#include <vector>
 
 #include "bench_common.h"
 #include "metrics/packet_tracker.h"
 #include "net/packet.h"
 #include "net/routing_table.h"
+#include "radio/channel.h"
+#include "radio/virtual_radio.h"
 #include "sim/simulator.h"
 #include "support/pool.h"
 #include "testbed/topology.h"
@@ -220,6 +227,73 @@ BeaconResult beacon_merge(std::size_t rounds) {
   return r;
 }
 
+struct DeliveryResult {
+  double ns_per_reception = 0.0;
+  std::uint64_t receptions = 0;  // reception opportunities decided
+  std::uint64_t delivered = 0;
+  std::uint64_t culled = 0;
+  std::uint64_t frames = 0;
+  double wall_s = 0.0;
+};
+
+// Re-arms receive after each frame sent; counts nothing itself.
+struct BareListener : radio::RadioListener {
+  radio::VirtualRadio* radio = nullptr;
+  void on_frame_received(std::span<const std::uint8_t>,
+                         const radio::FrameMeta&) override {}
+  void on_tx_done() override { radio->start_receive(); }
+};
+
+// Channel delivery in isolation: side x side bare radios 600 m apart under
+// campus propagation (shadowing and fading on), all at SF7 and 14 dBm.
+// Each round every radio sends one 24-byte frame, radio i at 30 ms * i
+// into the 20 s round, so each frame overlaps its index neighbours' and
+// collisions stay in play. A reception is one receiver the channel
+// decides on (delivered or dropped at that receiver); receivers beyond the
+// decode radius are culled in bulk and not counted.
+DeliveryResult frame_delivery(std::size_t side, int rounds) {
+  sim::Simulator sim;
+  radio::Channel channel(sim, radio::PropagationConfig::campus(), 19);
+  std::vector<std::unique_ptr<radio::VirtualRadio>> radios;
+  std::vector<BareListener> listeners(side * side);
+  for (std::size_t i = 0; i < side * side; ++i) {
+    const phy::Position at{600.0 * static_cast<double>(i % side),
+                           600.0 * static_cast<double>(i / side)};
+    radios.push_back(std::make_unique<radio::VirtualRadio>(
+        sim, channel, static_cast<radio::RadioId>(i + 1), at,
+        radio::RadioConfig{}));
+    listeners[i].radio = radios.back().get();
+    radios.back()->set_listener(&listeners[i]);
+    radios.back()->start_receive();
+  }
+  const std::vector<std::uint8_t> payload(24, 0x5A);
+  for (int round = 0; round < rounds; ++round) {
+    for (std::size_t i = 0; i < radios.size(); ++i) {
+      const Duration at = Duration::seconds(20 * round) +
+                          Duration::milliseconds(30 * static_cast<std::int64_t>(i));
+      sim.schedule_at(TimePoint::origin() + at, [&radios, &payload, i] {
+        radios[i]->transmit(std::vector<std::uint8_t>(payload));
+      });
+    }
+  }
+  bench::WallTimer wall;
+  sim.run();
+  DeliveryResult r;
+  r.wall_s = wall.seconds();
+  const radio::ChannelStats& st = channel.stats();
+  r.frames = st.frames_transmitted;
+  r.delivered = st.receptions_delivered;
+  r.culled = st.dropped_out_of_range;
+  r.receptions = st.receptions_delivered + st.dropped_not_listening +
+                 st.dropped_blocked_link + st.dropped_below_sensitivity +
+                 st.dropped_snr + st.dropped_collision +
+                 st.dropped_modulation_mismatch;
+  if (r.receptions > 0) {
+    r.ns_per_reception = 1e9 * r.wall_s / static_cast<double>(r.receptions);
+  }
+  return r;
+}
+
 struct MeshResult {
   double events_per_sec = 0.0;
   double sim_s_per_wall_s = 0.0;
@@ -315,6 +389,20 @@ int main(int argc, char** argv) {
   reporter.metric("beacon.routing_changes",
                   static_cast<double>(merge.routing_changes));
   reporter.metric("beacon.table_size", static_cast<double>(merge.table_size));
+
+  std::printf("\nframe delivery (16 x 16 bare radios 600 m apart, campus "
+              "channel, 20 rounds of one frame each):\n");
+  const auto delivery = frame_delivery(16, 20);
+  std::printf("  %.2f s wall, %llu frames, %llu receptions decided (%llu "
+              "delivered, %llu culled), %.0f ns per reception\n",
+              delivery.wall_s, static_cast<unsigned long long>(delivery.frames),
+              static_cast<unsigned long long>(delivery.receptions),
+              static_cast<unsigned long long>(delivery.delivered),
+              static_cast<unsigned long long>(delivery.culled),
+              delivery.ns_per_reception);
+  reporter.metric("delivery.ns_per_reception", delivery.ns_per_reception);
+  reporter.metric("delivery.receptions", static_cast<double>(delivery.receptions));
+  reporter.point("delivery", delivery.wall_s);
 
   std::printf("\n16-node mesh, 120 simulated hours of beacons + 4 Poisson "
               "flows:\n");

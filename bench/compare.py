@@ -7,13 +7,21 @@ Usage:
 Each directory holds the BENCH_<name>.json files written by
 `bench/run_all.sh --json` (one flat JSON object per bench: metric name ->
 number). The tool prints per-metric deltas for every bench present in both
-sets and exits 1 when any timing metric regressed by more than the
-threshold (relative).
+sets and exits 1 when any gated metric regressed: a timing or latency
+metric by more than the threshold (relative), a deterministic one by any
+amount.
 
 Regression direction is inferred from the metric name:
   *per_s*, *per_sec*, lower is worse (throughput; only these name a rate —
   *per_wall*          airtime_per_pkt_s is a time, events_per_window a count)
+  *_ms                higher is worse (simulated latency percentiles,
+                      e.g. `mesh.h4.loss10.p95_ms`; a pure function of the
+                      seed, so beyond the threshold it is a behavior
+                      change, and no wall-time floor applies)
   *wall_s, *_s        higher is worse (wall time)
+  *.events, events    any change fails (simulated event counts are
+                      deterministic: a count that moves is a behavior
+                      change, in either direction, not jitter)
   *pdr                lower is worse (delivery rate; a deterministic
                       simulated outcome, so any drop is flagged, e.g. the
                       per-cell `<strategy>.<topology>.pdr` metrics from
@@ -74,15 +82,20 @@ def load_dir(path):
 
 
 def direction(metric):
-    """Returns 'time' (higher worse), 'rate' (lower worse), 'pdr'
-    (any drop is worse), 'energy' (higher worse) or None."""
+    """Returns 'time' (higher worse), 'rate' (lower worse), 'latency'
+    (higher worse), 'pdr' (any drop is worse), 'events' (any change is
+    worse), 'energy' (higher worse) or None."""
     # Rates before times: sim_s_per_wall_s is a throughput despite its
     # trailing _s. Any other "_per_" is a ratio, not a rate:
     # airtime_per_pkt_s is a time per packet, where higher is worse.
     if "per_s" in metric or "per_sec" in metric or "per_wall" in metric:
         return "rate"
+    if metric.endswith("_ms"):
+        return "latency"
     if metric.endswith("wall_s") or metric.endswith("_s"):
         return "time"
+    if metric == "events" or metric.endswith(".events"):
+        return "events"
     if metric == "pdr" or metric.endswith(".pdr"):
         return "pdr"
     if metric.endswith("_mah"):
@@ -135,12 +148,15 @@ def main(argv):
             worse = ((kind == "time" and rel > threshold
                       and abs(delta) > EPSILON_S) or
                      (kind == "rate" and rel < -threshold) or
+                     (kind == "latency" and rel > threshold) or
+                     (kind == "events" and delta != 0) or
                      (kind == "pdr" and delta < 0) or
                      (kind == "energy" and rel > threshold
                       and abs(delta) > EPSILON_MAH))
             improved = ((kind == "time" and rel < -threshold
                          and abs(delta) > EPSILON_S) or
                         (kind == "rate" and rel > threshold) or
+                        (kind == "latency" and rel < -threshold) or
                         (kind == "pdr" and delta > 0) or
                         (kind == "energy" and rel < -threshold
                          and abs(delta) > EPSILON_MAH))
@@ -154,6 +170,8 @@ def main(argv):
                 tag = "PDR-REGRESSION (delivery dropped)"
             elif kind == "energy" and worse:
                 tag = "ENERGY-REGRESSION (charge drawn grew)"
+            elif kind == "events" and worse:
+                tag = "EVENTS-CHANGED (deterministic count moved)"
             print(f"  {metric:<44} {b:>12.4g} -> {c:>12.4g} "
                   f"({rel:+8.1%}) {tag}")
             if worse:

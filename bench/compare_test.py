@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
 """Self-test of bench/compare.py on a real trajectory snapshot.
 
-Feeds compare.py the pr15 bench_multihop snapshot against itself (must
-exit 0) and against edited copies, each of which must exit 1:
-  * wide.flood.airtime_per_pkt_s grown by 50 % (airtime per packet is a
-    time, so growth is a regression, not an improved throughput);
-  * mesh.h4.loss10.pdr lowered by 0.019 (PDR is deterministic, so any drop
-    is a regression, however small).
+Feeds compare.py real snapshots against themselves (must exit 0) and
+against edited copies, each of which must exit 1:
+  * pr15 bench_multihop, wide.flood.airtime_per_pkt_s grown by 50 %
+    (airtime per packet is a time, so growth is a regression, not an
+    improved throughput);
+  * pr15 bench_multihop, mesh.h4.loss10.pdr lowered by 0.019 (PDR is
+    deterministic, so any drop is a regression, however small);
+  * pr15 bench_multihop, mesh.h4.loss10.p95_ms tripled (a simulated
+    latency percentile: higher is worse);
+  * pr18 bench_scale, every *.events counter raised by 1,000 (event counts
+    are deterministic, so any change is a regression).
 Run by ctest as compare_py_selftest, or directly:
 
     python3 bench/compare_test.py
@@ -19,10 +24,23 @@ import sys
 import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-SNAPSHOT = os.path.join(HERE, "trajectory", "pr15", "BENCH_bench_multihop.json")
+MULTIHOP = os.path.join(HERE, "trajectory", "pr15", "BENCH_bench_multihop.json")
+SCALE = os.path.join(HERE, "trajectory", "pr18", "BENCH_bench_scale.json")
+
+
+def is_events(metric):
+    return metric == "events" or metric.endswith(".events")
+
+
+# (snapshot, label, metric selector, edit)
 EDITS = [
-    ("wide.flood.airtime_per_pkt_s", "+50%", lambda v: v * 1.5),
-    ("mesh.h4.loss10.pdr", "-0.019", lambda v: v - 0.019),
+    (MULTIHOP, "wide.flood.airtime_per_pkt_s +50%",
+     lambda m: m == "wide.flood.airtime_per_pkt_s", lambda v: v * 1.5),
+    (MULTIHOP, "mesh.h4.loss10.pdr -0.019",
+     lambda m: m == "mesh.h4.loss10.pdr", lambda v: v - 0.019),
+    (MULTIHOP, "mesh.h4.loss10.p95_ms x3",
+     lambda m: m == "mesh.h4.loss10.p95_ms", lambda v: v * 3),
+    (SCALE, "*.events +1000", is_events, lambda v: v + 1000),
 ]
 
 
@@ -35,29 +53,37 @@ def compare(base_dir, cur_dir):
 
 def main():
     failures = []
-    with open(SNAPSHOT) as f:
-        snapshot = json.load(f)
     with tempfile.TemporaryDirectory() as tmp:
-        base, same = os.path.join(tmp, "base"), os.path.join(tmp, "same")
-        for d in (base, same):
-            os.mkdir(d)
-            shutil.copy(SNAPSHOT, d)
-        code, out = compare(base, same)
-        if code != 0:
-            failures.append(f"unchanged snapshot: exit {code}, want 0\n{out}")
+        for index, (snapshot, label, selects, edit) in enumerate(EDITS):
+            with open(snapshot) as f:
+                data = json.load(f)
+            base = os.path.join(tmp, f"base{index}")
+            edited = os.path.join(tmp, f"edited{index}")
+            for d in (base, edited):
+                os.mkdir(d)
+            shutil.copy(snapshot, base)
+            code, out = compare(base, base)
+            if code != 0:
+                failures.append(f"unchanged {snapshot}: exit {code}, want 0\n{out}")
 
-        for metric, label, edit in EDITS:
-            edited = os.path.join(tmp, metric)
-            os.mkdir(edited)
-            data = dict(snapshot)
-            data[metric] = edit(data[metric])
-            with open(os.path.join(edited, os.path.basename(SNAPSHOT)), "w") as f:
+            metrics = [m for m in data if selects(m)]
+            if not metrics:
+                failures.append(f"{label}: no such metric in {snapshot}")
+                continue
+            for metric in metrics:
+                data[metric] = edit(data[metric])
+            with open(os.path.join(edited, os.path.basename(snapshot)), "w") as f:
                 json.dump(data, f)
             code, out = compare(base, edited)
             if code != 1:
-                failures.append(f"{metric} {label}: exit {code}, want 1\n{out}")
-            elif "improved" in next((l for l in out.splitlines() if metric in l), ""):
-                failures.append(f"{metric} {label} labelled improved\n{out}")
+                failures.append(f"{label}: exit {code}, want 1\n{out}")
+                continue
+            for metric in metrics:
+                line = next((l for l in out.splitlines()
+                             if l.split()[:1] == [metric]), "")
+                flagged = "REGRESSION" in line or "CHANGED" in line
+                if "improved" in line or not flagged:
+                    failures.append(f"{label}: {metric} not flagged\n{out}")
 
     for failure in failures:
         print(f"FAIL: {failure}")

@@ -93,6 +93,7 @@ void Channel::register_radio(VirtualRadio& radio) {
       min_mod_sensitivity_dbm_,
       phy::sensitivity_dbm(radio.modulation().sf, radio.modulation().bw));
   if (grids_ready_) radio_grid_.insert(&radio, radio.position());
+  ++radio_epoch_;
 }
 
 void Channel::unregister_radio(VirtualRadio& radio) {
@@ -100,10 +101,15 @@ void Channel::unregister_radio(VirtualRadio& radio) {
   if (by_id_.erase(radio.id()) > 0 && grids_ready_) {
     radio_grid_.remove(&radio, radio.position());
   }
+  if (radio.channel_ordinal() < link_tables_.size()) {
+    link_tables_[radio.channel_ordinal()] = LinkTable{};
+  }
+  ++radio_epoch_;
 }
 
 void Channel::radio_moved(VirtualRadio& radio, const phy::Position& old_position) {
   ++position_changes_;
+  ++radio_epoch_;
   if (grids_ready_) radio_grid_.move(&radio, old_position, radio.position());
 }
 
@@ -167,7 +173,7 @@ TimePoint Channel::vulnerable_start(const Transmission& t) {
   return from < t.start ? t.start : from;
 }
 
-void Channel::collect_interferers(const Transmission& t) {
+void Channel::collect_interferers(const Transmission& t, double decode_radius) {
   // A receiver only reaches the collision test when the frame decodes above
   // sensitivity there, so it lies inside decode_radius_m(t); the widest
   // noise-relevance radius any such receiver can ask for takes the most
@@ -181,7 +187,7 @@ void Channel::collect_interferers(const Transmission& t) {
       max_rx_gain_db_, phy::sensitivity_dbm(t.mod.sf, t.mod.bw), t.mod.sf));
   const TimePoint vulnerable_from = vulnerable_start(t);
   tx_grid_.for_each_within(
-      t.tx_pos, decode_radius_m(t) + widest_m, [&](Transmission* o) {
+      t.tx_pos, decode_radius + widest_m, [&](Transmission* o) {
         if (o->seq != t.seq && o->frequency_hz == t.frequency_hz &&
             o->start < t.end && o->end > vulnerable_from) {
           interferers_.push_back(o);
@@ -286,7 +292,7 @@ void Channel::inject_ghost(const TxSnapshot& snapshot) {
   t.seq = snapshot.seq;
   t.tx_id = snapshot.tx_id;
   // First ghost from this transmitter claims a fresh local ordinal so its
-  // link-loss rows can never alias a registered radio's (the home-region
+  // link table can never alias a registered radio's (the home-region
   // ordinal is meaningless here).
   auto [it, inserted] = foreign_ordinal_.try_emplace(snapshot.tx_id, 0);
   if (inserted) it->second = static_cast<std::uint32_t>(next_ordinal_++);
@@ -350,31 +356,27 @@ void Channel::finish_tx(Transmission& frame) {
 
   if (policy_.spatial_index) {
     ensure_grids();
-    // The candidate set — everything inside the provable maximum decodable
-    // range — is the snapshot: deliveries may trigger immediate responses,
-    // and those must not invalidate this iteration. Receivers outside it
-    // are tallied in bulk; they could not have decoded the frame.
-    // A ghost's transmitter is not registered here, so every local radio is
-    // a potential receiver.
+    // Every radio outside the link table lies beyond the provable maximum
+    // decodable range; those are tallied in bulk. A destroyed transmitter
+    // (or a ghost's, registered in another region) is no longer one of
+    // the radios, so only a registered transmitter is subtracted.
     const std::size_t others_total =
-        frame.ghost ? radios_.size() : radios_.size() - 1;
-    candidates_.clear();
-    radio_grid_.for_each_within(
-        frame.tx_pos, decode_radius_m(frame), [&](VirtualRadio* r) {
-          candidates_.emplace_back(r->channel_ordinal(), r);
-        });
-    // Registration order = brute-force evaluation order; keeps the
-    // sequential extra-loss/decode RNG draws bit-identical to brute force.
-    std::sort(candidates_.begin(), candidates_.end());
-    collect_interferers(frame);
-    std::size_t others_seen = 0;
-    for (auto& [ordinal, rx] : candidates_) {
-      (void)ordinal;
-      if (rx->id() == frame.tx_id) continue;
-      ++others_seen;
-      evaluate_reception(frame, *rx);
+        radios_.size() - (by_id_.contains(frame.tx_id) ? 1 : 0);
+    const double radius = decode_radius_m(frame);
+    // Deliveries may trigger immediate responses that register, unregister
+    // or move radios, so the sweep walks a copy of the table. After such a
+    // change the copied losses may be stale, and the rest of the sweep
+    // computes them directly.
+    links_scratch_ = link_table(frame, radius).links;
+    const std::uint64_t epoch = radio_epoch_;
+    collect_interferers(frame, radius);
+    for (const Link& link : links_scratch_) {
+      evaluate_reception(frame, *link.rx,
+                         radio_epoch_ == epoch
+                             ? link.loss_db
+                             : link_loss_db(frame.tx_pos, frame.tx_id, *link.rx));
     }
-    const std::size_t culled = others_total - others_seen;
+    const std::size_t culled = others_total - links_scratch_.size();
     stats_.dropped_out_of_range += culled;
     if (tracer_ != nullptr && culled > 0) {
       // Culled receivers are tallied in bulk, matching the stats counter:
@@ -393,7 +395,10 @@ void Channel::finish_tx(Transmission& frame) {
     // reused so the steady state stays allocation-free.
     receivers_scratch_.assign(radios_.begin(), radios_.end());
     for (VirtualRadio* rx : receivers_scratch_) {
-      if (rx->id() != frame.tx_id) evaluate_reception(frame, *rx);
+      if (rx->id() != frame.tx_id) {
+        evaluate_reception(frame, *rx,
+                           link_loss_db(frame.tx_pos, frame.tx_id, *rx));
+      }
     }
   }
   prune_history();
@@ -416,36 +421,62 @@ double Channel::link_shadowing_db(RadioId a, RadioId b) const {
   return it->second;
 }
 
+double Channel::link_loss_db(const phy::Position& tx_pos, RadioId tx_id,
+                             const VirtualRadio& rx) const {
+  return config_.path_loss->path_loss_db(phy::distance_m(tx_pos, rx.position())) +
+         link_shadowing_db(tx_id, rx.id());
+}
+
+const Channel::LinkTable& Channel::link_table(const Transmission& t,
+                                              double decode_radius) {
+  if (link_tables_.size() <= t.tx_ordinal) {
+    link_tables_.resize(static_cast<std::size_t>(t.tx_ordinal) + 1);
+  }
+  LinkTable& table = link_tables_[t.tx_ordinal];
+  if (table.epoch == radio_epoch_ && table.tx_pos == t.tx_pos &&
+      table.radius_m == decode_radius) {
+    return table;
+  }
+  ++link_table_builds_;
+  table.epoch = radio_epoch_;
+  table.tx_pos = t.tx_pos;
+  table.radius_m = decode_radius;
+  table.links.clear();
+  radio_grid_.for_each_within(t.tx_pos, decode_radius, [&](VirtualRadio* r) {
+    if (r->id() != t.tx_id) table.links.push_back({r->channel_ordinal(), r, 0.0});
+  });
+  // Registration order = brute-force evaluation order; keeps the
+  // sequential extra-loss/decode RNG draws bit-identical to brute force.
+  std::sort(table.links.begin(), table.links.end(),
+            [](const Link& a, const Link& b) { return a.rx_ordinal < b.rx_ordinal; });
+  for (Link& link : table.links) {
+    link.loss_db = link_loss_db(t.tx_pos, t.tx_id, *link.rx);
+  }
+  return table;
+}
+
 double Channel::propagation_loss_db(const Transmission& t,
                                     const VirtualRadio& rx) const {
-  // Path loss + static shadowing only depend on the endpoints' positions,
-  // which are stable across thousands of frames in a typical scenario —
-  // cache per directed link and re-validate by position compare (mobility
-  // moves a radio, the compare fails, the entry recomputes). Rows are keyed
-  // by registration ordinal (never reused), so a re-registered radio starts
-  // from a fresh entry; the shadowing draw underneath stays keyed by radio
-  // IDs, which is what keeps it deterministic across re-registration.
-  if (link_loss_rows_.size() <= t.tx_ordinal) {
-    link_loss_rows_.resize(static_cast<std::size_t>(t.tx_ordinal) + 1);
+  // Interferer and carrier-sense links: the transmitter's table holds the
+  // loss when it is current and covers `rx`. Positions cannot have changed
+  // since the build (any move bumps the epoch), and ordinals are never
+  // reused, so a hit is exactly the direct value.
+  if (t.tx_ordinal < link_tables_.size()) {
+    const LinkTable& table = link_tables_[t.tx_ordinal];
+    if (table.epoch == radio_epoch_ && table.tx_pos == t.tx_pos) {
+      const auto it = std::lower_bound(
+          table.links.begin(), table.links.end(), rx.channel_ordinal(),
+          [](const Link& l, std::uint32_t ordinal) { return l.rx_ordinal < ordinal; });
+      if (it != table.links.end() && it->rx_ordinal == rx.channel_ordinal()) {
+        return it->loss_db;
+      }
+    }
   }
-  LinkLoss& e = link_loss_rows_[t.tx_ordinal][rx.channel_ordinal()];
-  if (!e.valid || e.tx_pos != t.tx_pos || e.rx_pos != rx.position()) {
-    e.tx_pos = t.tx_pos;
-    e.rx_pos = rx.position();
-    e.loss_db =
-        config_.path_loss->path_loss_db(phy::distance_m(t.tx_pos, e.rx_pos)) +
-        link_shadowing_db(t.tx_id, rx.id());
-    e.valid = true;
-  }
-  return e.loss_db;
+  return link_loss_db(t.tx_pos, t.tx_id, rx);
 }
 
-double Channel::mean_rssi_from(const Transmission& t, const VirtualRadio& rx) const {
-  return t.tx_power_dbm + t.antenna_gain_db + rx.config().antenna_gain_db -
-         propagation_loss_db(t, rx);
-}
-
-double Channel::rssi_with_fading(Transmission& t, const VirtualRadio& rx) {
+double Channel::rssi_with_fading(Transmission& t, const VirtualRadio& rx,
+                                 double loss_db) {
   double fading = 0.0;
   if (config_.fading_sigma_db > 0.0) {
     auto it = t.fading_db.find(rx.id());
@@ -457,7 +488,8 @@ double Channel::rssi_with_fading(Transmission& t, const VirtualRadio& rx) {
     }
     fading = it->second;
   }
-  return mean_rssi_from(t, rx) + fading;
+  return t.tx_power_dbm + t.antenna_gain_db + rx.config().antenna_gain_db -
+         loss_db + fading;
 }
 
 void Channel::trace_reception(const Transmission& t, const VirtualRadio& rx,
@@ -474,7 +506,8 @@ void Channel::trace_reception(const Transmission& t, const VirtualRadio& rx,
   tracer_->emit(e);
 }
 
-void Channel::evaluate_reception(const Transmission& t, VirtualRadio& rx) {
+void Channel::evaluate_reception(Transmission& t, VirtualRadio& rx,
+                                 double loss_db) {
   // Different carrier: radios on other channels neither decode nor suffer
   // interference (channel spacing gives effectively complete rejection).
   if (rx.config().frequency_hz != t.frequency_hz) return;
@@ -506,10 +539,7 @@ void Channel::evaluate_reception(const Transmission& t, VirtualRadio& rx) {
     return;
   }
 
-  // Find the (mutable) transmission record for fading caching. `t` lives in
-  // active_, so this const_cast only unlocks the cache field.
-  auto& frame = const_cast<Transmission&>(t);
-  const double rssi = rssi_with_fading(frame, rx);
+  const double rssi = rssi_with_fading(t, rx, loss_db);
   if (rssi < phy::sensitivity_dbm(t.mod.sf, t.mod.bw)) {
     stats_.dropped_below_sensitivity++;
     if (tracer_ != nullptr) {
@@ -531,35 +561,36 @@ void Channel::evaluate_reception(const Transmission& t, VirtualRadio& rx) {
   // interference that dies out before the last 5 preamble symbols (it can
   // still lock), but not during sync/payload.
   auto collides_with = [&](Transmission& o) {
-    const double o_rssi = rssi_with_fading(o, rx);
+    const double o_rssi = rssi_with_fading(o, rx, propagation_loss_db(o, rx));
     return rssi - o_rssi < phy::sir_threshold_db(t.mod.sf, o.mod.sf);
   };
 
   bool collided = false;
-  if (policy_.spatial_index) {
+  if (!policy_.spatial_index) {
+    const TimePoint vulnerable_from = vulnerable_start(t);
+    for (Transmission* o : active_) {
+      if (o->seq == t.seq || o->tx_id == rx.id()) continue;
+      if (o->frequency_hz != t.frequency_hz) continue;
+      if (!(o->start < t.end && o->end > vulnerable_from)) continue;
+      if (collides_with(*o)) {
+        collided = true;
+        break;
+      }
+    }
+  } else if (!interferers_.empty()) {
     // Noise-relevance culling: an interferer weaker at rx than
     // rssi - max SIR threshold can never destroy this frame, so only
     // interferers within this receiver's noise-relevance radius of it are
     // probed — out of the frame's overlapping list, which provably holds
     // every one of them (see collect_interferers). Collision is an
-    // existence check with no sequential RNG, so visit order is free.
+    // existence check with no sequential RNG, so visit order is free. A
+    // frame nothing overlapped skips the radius.
     const double radius =
         cached_max_range_m(interference_budget_db(rx.config().antenna_gain_db,
                                                   rssi, t.mod.sf));
     for (Transmission* o : interferers_) {
       if (o->tx_id == rx.id()) continue;
       if (phy::distance_m(o->tx_pos, rx.position()) > radius) continue;
-      if (collides_with(*o)) {
-        collided = true;
-        break;
-      }
-    }
-  } else {
-    const TimePoint vulnerable_from = vulnerable_start(t);
-    for (Transmission* o : active_) {
-      if (o->seq == t.seq || o->tx_id == rx.id()) continue;
-      if (o->frequency_hz != t.frequency_hz) continue;
-      if (!(o->start < t.end && o->end > vulnerable_from)) continue;
       if (collides_with(*o)) {
         collided = true;
         break;
@@ -606,7 +637,10 @@ bool Channel::detectable_by(const Transmission& t,
     return false;
   }
   if (is_blocked(t.tx_id, listener.id())) return false;
-  return mean_rssi_from(t, listener) >= phy::sensitivity_dbm(t.mod.sf, t.mod.bw);
+  const double mean_rssi = t.tx_power_dbm + t.antenna_gain_db +
+                           listener.config().antenna_gain_db -
+                           propagation_loss_db(t, listener);
+  return mean_rssi >= phy::sensitivity_dbm(t.mod.sf, t.mod.bw);
 }
 
 bool Channel::carrier_sensed_by(const VirtualRadio& listener) const {
@@ -663,13 +697,8 @@ void Channel::set_link_extra_loss(RadioId a, RadioId b, double loss_probability)
 }
 
 double Channel::mean_rssi_dbm(const VirtualRadio& tx, const VirtualRadio& rx) const {
-  Transmission t;
-  t.tx_id = tx.id();
-  t.tx_ordinal = tx.channel_ordinal();
-  t.tx_pos = tx.position();
-  t.tx_power_dbm = tx.config().tx_power_dbm;
-  t.antenna_gain_db = tx.config().antenna_gain_db;
-  return mean_rssi_from(t, rx);
+  return tx.config().tx_power_dbm + tx.config().antenna_gain_db +
+         rx.config().antenna_gain_db - link_loss_db(tx.position(), tx.id(), rx);
 }
 
 double Channel::link_quality(const VirtualRadio& tx, const VirtualRadio& rx) const {
@@ -680,33 +709,6 @@ double Channel::link_quality(const VirtualRadio& tx, const VirtualRadio& rx) con
     return 0.0;
   }
   const double rssi = mean_rssi_dbm(tx, rx);
-  const auto& mod = tx.modulation();
-  if (rssi < phy::sensitivity_dbm(mod.sf, mod.bw)) return 0.0;
-  double quality = phy::decode_probability(
-      phy::snr_db(rssi, mod.bw, config_.noise_figure_db), mod.sf);
-  const auto loss_it = extra_loss_.find(link_key(tx.id(), rx.id()));
-  if (loss_it != extra_loss_.end()) quality *= 1.0 - loss_it->second;
-  return quality;
-}
-
-double Channel::foreign_link_quality(const VirtualRadio& tx,
-                                     const VirtualRadio& rx) const {
-  if (is_blocked(tx.id(), rx.id())) return 0.0;
-  if (tx.config().frequency_hz != rx.config().frequency_hz) return 0.0;
-  if (tx.modulation().sf != rx.modulation().sf ||
-      tx.modulation().bw != rx.modulation().bw) {
-    return 0.0;
-  }
-  // Same physics as link_quality, minus the ordinal-keyed loss cache: the
-  // foreign transmitter's channel_ordinal indexes its *home* channel's rows
-  // and would alias a local transmitter's here. The keyed shadowing draw
-  // (radio IDs + shared derived-draw seed) is what both regions agree on.
-  const double loss =
-      config_.path_loss->path_loss_db(
-          phy::distance_m(tx.position(), rx.position())) +
-      link_shadowing_db(tx.id(), rx.id());
-  const double rssi = tx.config().tx_power_dbm + tx.config().antenna_gain_db +
-                      rx.config().antenna_gain_db - loss;
   const auto& mod = tx.modulation();
   if (rssi < phy::sensitivity_dbm(mod.sf, mod.bw)) return 0.0;
   double quality = phy::decode_probability(

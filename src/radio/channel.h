@@ -163,7 +163,9 @@ class Channel {
 
   // -- Introspection ---------------------------------------------------------
   /// Mean RSSI (dBm) a frame from `tx` would have at `rx` — path loss and
-  /// shadowing, no fading. For tests and topology planning.
+  /// shadowing, no fading. For tests and topology planning. `tx` may be
+  /// registered in another region's channel: the keyed shadowing draw
+  /// (radio IDs + the shared derived-draw seed) is what regions agree on.
   double mean_rssi_dbm(const VirtualRadio& tx, const VirtualRadio& rx) const;
 
   /// Probability that an isolated frame from `tx` decodes at `rx`,
@@ -209,18 +211,15 @@ class Channel {
   /// traffic.
   void set_seq_base(std::uint64_t base);
 
-  /// link_quality for a transmitter registered in a *different* region's
-  /// channel. Bypasses the ordinal-keyed loss cache (a foreign radio's
-  /// ordinal belongs to its home channel and would alias a local row) but
-  /// computes the same physics: path loss + keyed shadowing, which the
-  /// shared derived-draw seed keeps consistent across regions.
-  double foreign_link_quality(const VirtualRadio& tx,
-                              const VirtualRadio& rx) const;
-
   /// Count of radio_moved() calls over this channel's lifetime. The PDES
   /// barrier hook polls this to skip the per-node region-membership check
   /// entirely while nothing has moved.
   std::uint64_t position_changes() const { return position_changes_; }
+
+  /// Count of link tables built (see LinkTable) over this channel's
+  /// lifetime. In a field whose radios neither move nor come and go, each
+  /// transmitter's table is built once, on its first frame.
+  std::uint64_t link_table_builds() const { return link_table_builds_; }
 
  private:
   struct Transmission {
@@ -246,15 +245,26 @@ class Channel {
         fading_db;
   };
 
-  // Cached propagation loss (path loss + static shadowing, dB) for one
-  // directed tx -> rx link, valid while both endpoints stay at the cached
-  // positions. Mobility invalidates naturally: a moved radio fails the
-  // position compare and the entry recomputes.
-  struct LinkLoss {
-    phy::Position tx_pos;
-    phy::Position rx_pos;
+  // One receiver of a transmitter's frames and the link's propagation loss
+  // (path loss + static shadowing, dB).
+  struct Link {
+    std::uint32_t rx_ordinal = 0;
+    VirtualRadio* rx = nullptr;
     double loss_db = 0.0;
-    bool valid = false;
+  };
+
+  // The radios a transmitter's frames reach: one radio_grid_ sweep out to
+  // the frame's decode radius, minus the transmitter, sorted by ordinal
+  // (the brute-force evaluation order). Valid while no radio has
+  // registered, unregistered or moved since it was built (radio_epoch_)
+  // and the frame leaves from the same position with the same decode
+  // radius; in a static field every frame after a transmitter's first
+  // reuses it.
+  struct LinkTable {
+    std::uint64_t epoch = 0;  // radio_epoch_ at build; 0 = never built
+    phy::Position tx_pos;
+    double radius_m = 0.0;
+    std::vector<Link> links;
   };
 
   /// Hands out a transmission record: a retired one when available (its
@@ -264,11 +274,20 @@ class Channel {
   void trace_reception(const Transmission& t, const VirtualRadio& rx,
                        trace::DropReason reason, double rssi_dbm) const;
   bool detectable_by(const Transmission& t, const VirtualRadio& listener) const;
-  void evaluate_reception(const Transmission& t, VirtualRadio& rx);
-  double rssi_with_fading(Transmission& t, const VirtualRadio& rx);
+  /// Decides one reception opportunity; `loss_db` is the link's
+  /// propagation loss.
+  void evaluate_reception(Transmission& t, VirtualRadio& rx, double loss_db);
+  double rssi_with_fading(Transmission& t, const VirtualRadio& rx,
+                          double loss_db);
   double link_shadowing_db(RadioId a, RadioId b) const;
+  /// Path loss + static shadowing from `tx_pos` to `rx`, computed directly.
+  double link_loss_db(const phy::Position& tx_pos, RadioId tx_id,
+                      const VirtualRadio& rx) const;
+  /// The same loss, read from `t`'s transmitter's link table when the
+  /// table is current and holds `rx`.
   double propagation_loss_db(const Transmission& t, const VirtualRadio& rx) const;
-  double mean_rssi_from(const Transmission& t, const VirtualRadio& rx) const;
+  /// Returns `t`'s transmitter's link table, rebuilt first when stale.
+  const LinkTable& link_table(const Transmission& t, double decode_radius);
   /// Memoized config_.path_loss->max_range_m keyed on the exact budget bit
   /// pattern. The budgets on the query paths come from a small, fixed set of
   /// radio configs, so the cache stays tiny and every hit is bit-identical
@@ -296,7 +315,7 @@ class Channel {
   static TimePoint vulnerable_start(const Transmission& t);
   /// Fills interferers_ with every transmission that can collide with `t`
   /// at any receiver the delivery sweep will test.
-  void collect_interferers(const Transmission& t);
+  void collect_interferers(const Transmission& t, double decode_radius);
   /// Truncated (±4 sigma) zero-mean normal derived from (tag, a, b) — the
   /// same value regardless of evaluation order, which is what makes culling
   /// RNG-transparent.
@@ -321,13 +340,12 @@ class Channel {
   support::SlidingQueue<Transmission*> active_;
   std::size_t in_flight_n_ = 0;
   mutable std::map<std::pair<RadioId, RadioId>, double> shadowing_;
-  // Link-loss cache as flat per-transmitter rows indexed by the tx ordinal,
-  // each row sorted by rx ordinal: one vector index plus a short binary
-  // search over contiguous memory on the per-reception path, where the old
-  // (tx<<32)|rx hash map paid a hash + bucket chase per lookup. Rows grow
-  // only for radios that actually transmit, so memory tracks live links,
-  // not the N*N matrix.
-  mutable std::vector<support::FlatMap<std::uint32_t, LinkLoss>> link_loss_rows_;
+  // Link tables indexed by transmitter ordinal (foreign ordinals for
+  // ghosts), and the epoch that every registration, unregistration and
+  // move bumps.
+  std::vector<LinkTable> link_tables_;
+  std::uint64_t radio_epoch_ = 1;
+  std::uint64_t link_table_builds_ = 0;
   // Memoized path-loss inversions (budget bit pattern -> max_range_m); see
   // cached_max_range_m.
   mutable support::FlatMap<std::uint64_t, double> max_range_cache_;
@@ -341,8 +359,8 @@ class Channel {
   trace::Tracer* tracer_ = nullptr;
   std::function<void(const TxSnapshot&)> tx_observer_;
   // Local ordinal assigned to each foreign (ghost) transmitter the first
-  // time one of its frames is injected, so its link-loss cache rows never
-  // alias a registered radio's. First-injection order is the fixed barrier
+  // time one of its frames is injected, so its link table never aliases a
+  // registered radio's. First-injection order is the fixed barrier
   // exchange order, hence deterministic.
   support::FlatMap<RadioId, std::uint32_t> foreign_ordinal_;
   std::uint64_t next_seq_ = 1;
@@ -361,12 +379,13 @@ class Channel {
   double max_radio_eirp_dbm_ = -300.0;
   double max_rx_gain_db_ = 0.0;
   double min_mod_sensitivity_dbm_ = 0.0;
-  mutable std::vector<std::pair<std::uint64_t, VirtualRadio*>> candidates_;
   // The frame being delivered's same-carrier transmissions overlapping its
   // vulnerable window, gathered by one grid sweep per frame (indexed path).
   std::vector<Transmission*> interferers_;
-  // Reused snapshot of radios_ for the brute-force delivery walk (deliveries
-  // may register/unregister radios mid-iteration).
+  // Reused snapshots of the receivers a frame is delivered to: the link
+  // table (indexed) or radios_ (brute force). Deliveries may register,
+  // unregister or move radios mid-iteration.
+  std::vector<Link> links_scratch_;
   std::vector<VirtualRadio*> receivers_scratch_;
 };
 

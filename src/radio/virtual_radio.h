@@ -71,7 +71,7 @@ class VirtualRadio final : public Radio {
 
   /// Dense registration index assigned by the owning Channel, stable for the
   /// radio's lifetime. Orders the spatial delivery sweep identically to the
-  /// brute-force walk and keys the channel's flat link-loss cache rows.
+  /// brute-force walk and keys the channel's link tables.
   std::uint32_t channel_ordinal() const { return channel_ordinal_; }
 
   phy::Position position() const { return position_; }

@@ -340,10 +340,9 @@ double MeshScenario::pair_link_quality(std::size_t a, std::size_t b) const {
   const radio::VirtualRadio& rx = *radios_.at(b);
   if (!pdes_mode()) return channel_->link_quality(tx, rx);
   LM_REQUIRE(finalized_);  // oracle queries need the materialized nodes
-  const std::size_t ra = node_region_.at(a);
-  const std::size_t rb = node_region_.at(b);
-  if (ra == rb) return channels_[ra]->link_quality(tx, rx);
-  return channels_[rb]->foreign_link_quality(tx, rx);
+  // The receiver's channel answers; a transmitter from another region
+  // gets the same physics (Channel::mean_rssi_dbm).
+  return channels_[node_region_.at(b)]->link_quality(tx, rx);
 }
 
 bool MeshScenario::good_link(std::size_t a, std::size_t b, double threshold) const {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "phy/geometry.h"
@@ -91,6 +92,30 @@ TEST(Reception, NoiseFloor125kHz) {
   EXPECT_NEAR(noise_floor_dbm(Bandwidth::BW125), -117.03, 0.01);
   EXPECT_NEAR(noise_floor_dbm(Bandwidth::BW500) - noise_floor_dbm(Bandwidth::BW125),
               6.02, 0.01);
+}
+
+TEST(Reception, LookupsMatchTheDirectExpressions) {
+  // The noise floor and the largest SIR threshold are tabulated once; each
+  // entry must equal its direct expression bit for bit.
+  constexpr SpreadingFactor kSfs[] = {
+      SpreadingFactor::SF7,  SpreadingFactor::SF8,  SpreadingFactor::SF9,
+      SpreadingFactor::SF10, SpreadingFactor::SF11, SpreadingFactor::SF12};
+  for (const Bandwidth bw :
+       {Bandwidth::BW125, Bandwidth::BW250, Bandwidth::BW500}) {
+    for (const double nf : {0.0, 6.0, 4.5}) {
+      EXPECT_EQ(noise_floor_dbm(bw, nf),
+                -174.0 + 10.0 * std::log10(bandwidth_hz(bw)) + nf);
+      EXPECT_EQ(snr_db(-101.3, bw, nf),
+                -101.3 - (-174.0 + 10.0 * std::log10(bandwidth_hz(bw)) + nf));
+    }
+  }
+  for (const SpreadingFactor signal : kSfs) {
+    double worst = -1e9;
+    for (const SpreadingFactor interferer : kSfs) {
+      worst = std::max(worst, sir_threshold_db(signal, interferer));
+    }
+    EXPECT_EQ(max_sir_threshold_db(signal), worst);
+  }
 }
 
 TEST(Reception, SnrIsRssiMinusNoiseFloor) {

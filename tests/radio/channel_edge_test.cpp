@@ -58,6 +58,11 @@ TEST(ChannelEdge, TransmitterDestroyedMidFlightStillDelivers) {
   a.reset();                               // radio vanishes
   sim.run_for(Duration::seconds(1));
   EXPECT_EQ(rx.frames, 1);
+  // The one remaining radio received the frame; none was out of range (a
+  // receiver count that still subtracted the departed transmitter would
+  // wrap below zero here).
+  EXPECT_EQ(channel.stats().receptions_delivered, 1u);
+  EXPECT_EQ(channel.stats().dropped_out_of_range, 0u);
 }
 
 TEST(ChannelEdge, ReceiverDestroyedMidFlightIsSafe) {

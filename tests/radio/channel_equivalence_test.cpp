@@ -7,12 +7,14 @@
 //
 // Scenarios are generated from seeds: randomized static and mobile
 // topologies with mixed SFs, shadowing/fading, blocked and lossy links,
-// and mid-flight position changes.
+// mid-flight position changes, and radios that join and leave — some of
+// them registered from inside a delivery.
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <memory>
 #include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -38,6 +40,22 @@ struct MoveEvent {
   phy::Position to;
 };
 
+/// A radio registering mid-run; it takes the next free id and sends one
+/// frame of `len` bytes each `send_after` past its join.
+struct JoinEvent {
+  Duration at;
+  phy::Position pos;
+  RadioConfig config;
+  std::vector<Duration> send_after;
+  std::size_t len = 20;
+};
+
+/// A radio leaving mid-run: destroyed, so it unregisters.
+struct LeaveEvent {
+  std::size_t node = 0;
+  Duration at;
+};
+
 struct Script {
   PropagationConfig prop;
   std::uint64_t channel_seed = 0;
@@ -45,6 +63,13 @@ struct Script {
   std::vector<RadioConfig> configs;
   std::vector<TxEvent> txs;
   std::vector<MoveEvent> moves;
+  std::vector<JoinEvent> joins;
+  std::vector<LeaveEvent> leaves;
+  // Every spawn_every-th delivery registers a new radio next to its
+  // receiver from inside the delivery handler, up to max_spawns of them;
+  // each spawned radio transmits once. 0 = never.
+  std::size_t spawn_every = 0;
+  std::size_t max_spawns = 0;
   std::vector<std::pair<RadioId, RadioId>> blocked;
   std::vector<std::pair<std::pair<RadioId, RadioId>, double>> lossy;
   Duration run_time = Duration::seconds(60);
@@ -71,12 +96,14 @@ struct Delivery {
 struct Recorder : RadioListener {
   VirtualRadio* radio = nullptr;
   std::vector<Delivery>* out = nullptr;
+  std::function<void(const VirtualRadio&)> on_delivery;  // may be empty
   void on_frame_received(std::span<const std::uint8_t> frame,
                          const FrameMeta& meta) override {
     out->push_back(Delivery{radio->id(), meta.transmitter, meta.rssi_dbm,
                             meta.snr_db,
                             (meta.end - TimePoint::origin()).ms(),
                             frame.size()});
+    if (on_delivery) on_delivery(*radio);
   }
   void on_tx_done() override { radio->start_receive(); }
 };
@@ -84,6 +111,7 @@ struct Recorder : RadioListener {
 struct RunResult {
   std::vector<Delivery> deliveries;
   ChannelStats stats;
+  std::uint64_t link_table_builds = 0;
 };
 
 RunResult run_script(const Script& s, bool indexed) {
@@ -94,38 +122,77 @@ RunResult run_script(const Script& s, bool indexed) {
   Channel channel(sim, s.prop, policy, s.channel_seed);
 
   RunResult result;
+  // Slots of departed radios stay (null) so node indices stay valid.
   std::vector<std::unique_ptr<VirtualRadio>> radios;
   std::vector<std::unique_ptr<Recorder>> recorders;
-  for (std::size_t i = 0; i < s.positions.size(); ++i) {
+  const auto transmit = [&radios](std::size_t node, std::size_t len) {
+    if (radios[node] == nullptr) return;  // left the field
+    std::vector<std::uint8_t> payload(len, static_cast<std::uint8_t>(node));
+    // May return false when the node is still mid-TX — that, too, is
+    // deterministic and must agree between the two runs.
+    radios[node]->transmit(std::move(payload));
+  };
+  std::size_t spawned = 0;
+  std::function<void(const VirtualRadio&)> spawn;
+  const auto add_radio = [&](const phy::Position& pos, const RadioConfig& cfg) {
     radios.push_back(std::make_unique<VirtualRadio>(
-        sim, channel, static_cast<RadioId>(i + 1), s.positions[i],
-        s.configs[i]));
+        sim, channel, static_cast<RadioId>(radios.size() + 1), pos, cfg));
     auto rec = std::make_unique<Recorder>();
     rec->radio = radios.back().get();
     rec->out = &result.deliveries;
+    if (s.spawn_every > 0) rec->on_delivery = spawn;
     radios.back()->set_listener(rec.get());
     radios.back()->start_receive();
     recorders.push_back(std::move(rec));
+    return radios.size() - 1;
+  };
+  spawn = [&](const VirtualRadio& rx) {
+    if (result.deliveries.size() % s.spawn_every != 0 ||
+        spawned == s.max_spawns) {
+      return;
+    }
+    ++spawned;
+    const phy::Position at{rx.position().x + 40.0 * static_cast<double>(spawned),
+                           rx.position().y - 25.0};
+    const std::size_t node = add_radio(at, rx.config());
+    sim.schedule_after(Duration::milliseconds(
+                           400 + 150 * static_cast<std::int64_t>(spawned)),
+                       [&transmit, node] { transmit(node, 24); });
+  };
+
+  for (std::size_t i = 0; i < s.positions.size(); ++i) {
+    add_radio(s.positions[i], s.configs[i]);
   }
   for (const auto& [a, b] : s.blocked) channel.block_link(a, b);
   for (const auto& [link, p] : s.lossy) {
     channel.set_link_extra_loss(link.first, link.second, p);
   }
   for (const TxEvent& e : s.txs) {
-    sim.schedule_at(TimePoint::origin() + e.at, [&radios, e] {
-      std::vector<std::uint8_t> payload(e.len,
-                                        static_cast<std::uint8_t>(e.node));
-      // May return false when the node is still mid-TX — that, too, is
-      // deterministic and must agree between the two runs.
-      radios[e.node]->transmit(std::move(payload));
-    });
+    sim.schedule_at(TimePoint::origin() + e.at,
+                    [&transmit, e] { transmit(e.node, e.len); });
   }
   for (const MoveEvent& e : s.moves) {
+    sim.schedule_at(TimePoint::origin() + e.at, [&radios, e] {
+      if (radios[e.node] != nullptr) radios[e.node]->set_position(e.to);
+    });
+  }
+  for (const JoinEvent& e : s.joins) {
+    sim.schedule_at(TimePoint::origin() + e.at, [&, e] {
+      const std::size_t node = add_radio(e.pos, e.config);
+      for (const Duration after : e.send_after) {
+        sim.schedule_after(after, [&transmit, node, len = e.len] {
+          transmit(node, len);
+        });
+      }
+    });
+  }
+  for (const LeaveEvent& e : s.leaves) {
     sim.schedule_at(TimePoint::origin() + e.at,
-                    [&radios, e] { radios[e.node]->set_position(e.to); });
+                    [&radios, e] { radios[e.node].reset(); });
   }
   sim.run_until(TimePoint::origin() + s.run_time);
   result.stats = channel.stats();
+  result.link_table_builds = channel.link_table_builds();
   return result;
 }
 
@@ -303,6 +370,69 @@ Script city_script(std::uint64_t seed) {
   return s;
 }
 
+/// Churn: radios on a small campus field join, leave and move between
+/// (and during) frames, and deliveries register new radios mid-sweep.
+/// Every one of these changes invalidates the link tables; a table that
+/// outlived one would deliver from a stale receiver set or stale losses.
+Script churn_script(std::uint64_t seed) {
+  Rng rng(seed * 0x94D049BB133111EBULL + 0x3D);
+  Script s;
+  s.channel_seed = seed ^ 0xC4A7;
+  s.prop = PropagationConfig::campus();
+  if (rng.bernoulli(0.5)) s.prop.fading_sigma_db = 0.0;
+  s.run_time = Duration::seconds(30);
+  const double field_m = rng.uniform(1500.0, 5000.0);
+  const auto random_config = [&rng] {
+    RadioConfig cfg;
+    cfg.tx_power_dbm = rng.uniform(2.0, 14.0);
+    if (rng.bernoulli(0.3)) cfg.modulation.sf = phy::SpreadingFactor::SF9;
+    return cfg;
+  };
+  const auto random_position = [&rng, field_m]() -> phy::Position {
+    return {rng.uniform(0.0, field_m), rng.uniform(0.0, field_m)};
+  };
+  const auto random_time = [&rng](double max_ms) {
+    return Duration::microseconds(
+        static_cast<std::int64_t>(rng.uniform(0.0, 1000.0 * max_ms)));
+  };
+
+  const std::size_t n = static_cast<std::size_t>(rng.uniform_int(10, 18));
+  for (std::size_t i = 0; i < n; ++i) {
+    s.positions.push_back(random_position());
+    s.configs.push_back(random_config());
+  }
+  const auto frame_len = [&rng] {
+    return static_cast<std::size_t>(rng.uniform_int(8, 48));
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    const int k = static_cast<int>(rng.uniform_int(3, 6));
+    for (int j = 0; j < k; ++j) {
+      s.txs.push_back(TxEvent{i, random_time(8'000.0), frame_len()});
+    }
+  }
+  const int joins = static_cast<int>(rng.uniform_int(2, 5));
+  for (int j = 0; j < joins; ++j) {
+    JoinEvent join{random_time(20'000.0), random_position(), random_config(),
+                   {}, frame_len()};
+    const int k = static_cast<int>(rng.uniform_int(2, 4));
+    for (int f = 0; f < k; ++f) join.send_after.push_back(random_time(8'000.0));
+    s.joins.push_back(std::move(join));
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const int k = static_cast<int>(rng.uniform_int(0, 3));
+    for (int j = 0; j < k; ++j) {
+      s.moves.push_back(MoveEvent{i, random_time(28'000.0), random_position()});
+    }
+  }
+  const std::size_t leaves = static_cast<std::size_t>(rng.uniform_int(1, 3));
+  for (std::size_t j = 0; j < leaves; ++j) {
+    s.leaves.push_back(LeaveEvent{rng.index(n), random_time(25'000.0)});
+  }
+  s.spawn_every = 5;
+  s.max_spawns = 4;
+  return s;
+}
+
 /// Runs `script` under both delivery policies and requires bit-identical
 /// outcomes. Returns the indexed run's counters (e.g. how many reception
 /// opportunities the index culled), so callers can assert the test is not
@@ -389,6 +519,55 @@ TEST(ChannelEquivalence, SparseCityFieldMatchesBruteForceBitForBit) {
     EXPECT_GT(stats.dropped_collision, 0u);
     EXPECT_GT(stats.dropped_out_of_range, 0u);
   }
+}
+
+TEST(ChannelEquivalence, ChurnMatchesBruteForceBitForBit) {
+  std::uint64_t collisions = 0;
+  std::uint64_t delivered = 0;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    const ChannelStats stats = expect_equivalent(
+        churn_script(seed), ("churn seed " + std::to_string(seed)).c_str());
+    collisions += stats.dropped_collision;
+    delivered += stats.receptions_delivered;
+  }
+  EXPECT_GT(collisions, 0u);
+  EXPECT_GT(delivered, 0u);
+}
+
+TEST(ChannelEquivalence, StaticFieldBuildsEachLinkTableOnce) {
+  // A 5 x 5 grid at 300 m, every radio transmitting on its own slot five
+  // times: each transmitter's link table is built on its first frame and
+  // serves the other four. One move then makes every table stale, so the
+  // sixth round rebuilds each exactly once more.
+  Script s;
+  s.prop = PropagationConfig::campus();
+  s.channel_seed = 11;
+  s.run_time = Duration::seconds(80);
+  constexpr std::size_t kSide = 5;
+  for (std::size_t y = 0; y < kSide; ++y) {
+    for (std::size_t x = 0; x < kSide; ++x) {
+      s.positions.push_back({300.0 * static_cast<double>(x),
+                             300.0 * static_cast<double>(y)});
+      s.configs.push_back(RadioConfig{});
+    }
+  }
+  const std::size_t n = s.positions.size();
+  for (std::int64_t round = 0; round < 6; ++round) {
+    for (std::size_t i = 0; i < n; ++i) {
+      s.txs.push_back(TxEvent{
+          i,
+          Duration::seconds(10 * round) +
+              Duration::milliseconds(300 * static_cast<std::int64_t>(i)),
+          20});
+    }
+  }
+  s.moves = {MoveEvent{12, Duration::seconds(48), {310.0, 320.0}}};
+
+  const RunResult indexed = run_script(s, /*indexed=*/true);
+  EXPECT_EQ(indexed.stats.frames_transmitted, 6 * n);
+  EXPECT_EQ(indexed.link_table_builds, 2 * n);
+  EXPECT_GT(indexed.stats.receptions_delivered, 0u);
+  expect_equivalent(s, "static field");
 }
 
 // --- Targeted mobility: cell-boundary crossings mid-flight -----------------
