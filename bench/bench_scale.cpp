@@ -116,14 +116,15 @@ ScaleResult run_field(std::size_t n, bool indexed) {
 // PDES strong scaling decomposes the 10,000-node chain into a fixed
 // 8-region stripe partition, swept over 1/2/4/8 workers. The region count
 // never follows the worker count, so every sweep point executes the exact
-// same event set; events/s, speedup-vs-1-worker and speedup-vs-serial (the
-// serial 10k run above) are the metrics. Determinism doubles as the
-// correctness check: the event count must be identical at every worker
-// count.
+// same event set; events/s, speedup-vs-1-worker, speedup-vs-serial (the
+// serial 10k run above) and the barrier windows run are the metrics.
+// Determinism doubles as the correctness check: the event count must be
+// identical at every worker count.
 
 struct PdesResult {
   double wall_s = 0.0;
   std::uint64_t events = 0;
+  std::uint64_t windows = 0;
   std::size_t regions = 0;
 };
 
@@ -133,19 +134,17 @@ struct PdesResult {
 // interaction radii, so every grid shape up to 8x8 is admissible. One
 // fixed workload swept over forced decompositions 1x8 (the stripe-equal-
 // count baseline), 2x4, 4x4 and 8x8, recording events/s, ghost-exchange
-// posts, windows run and the adaptive-widening share. Region count changes
-// across shapes (different per-region RNG streams), so event counts are
-// not comparable between shapes — each shape is its own workload; the
-// cross-shape comparison is the *overhead share* (ghosts and windows per
-// event), which 2-D tiling must not inflate versus stripes at the same
-// region count.
+// posts and windows run. Region count changes across shapes (different
+// per-region RNG streams), so event counts are not comparable between
+// shapes — each shape is its own workload; the cross-shape comparison is
+// the *overhead share* (ghosts and windows per event), which 2-D tiling
+// must not inflate versus stripes at the same region count.
 
 struct TileResult {
   double wall_s = 0.0;
   std::uint64_t events = 0;
   std::uint64_t ghosts = 0;
   std::uint64_t windows = 0;
-  std::uint64_t widened = 0;
   std::size_t regions = 0;
 };
 
@@ -169,7 +168,6 @@ TileResult run_tile_grid(std::size_t rows, std::size_t cols) {
   r.events = scenario.events_processed();
   r.ghosts = scenario.pdes_messages_applied();
   r.windows = scenario.pdes_windows_run();
-  r.widened = scenario.pdes_windows_widened();
   r.regions = scenario.region_count();
   return r;
 }
@@ -189,6 +187,7 @@ PdesResult run_chain_field(std::size_t nodes, std::size_t workers) {
   PdesResult r;
   r.wall_s = timer.seconds();
   r.events = scenario.events_processed();
+  r.windows = scenario.pdes_windows_run();
   r.regions = scenario.region_count();
   return r;
 }
@@ -310,6 +309,7 @@ int main(int argc, char** argv) {
       events_1w = r.events;
       reporter.metric("pdes.regions", static_cast<double>(r.regions));
       reporter.metric("pdes.events", static_cast<double>(r.events));
+      reporter.metric("pdes.windows", static_cast<double>(r.windows));
     } else if (r.events != events_1w) {
       // The decomposition is worker-count independent; a different event
       // count means the conservative synchronization is broken.
@@ -336,9 +336,8 @@ int main(int argc, char** argv) {
   // --- PDES tile-grid sweep --------------------------------------------------
   std::printf("\nPDES tile sweep: 32x32-node grid (~12.4 km square), forced "
               "RxC decompositions, 2 workers, 1 simulated minute\n");
-  std::printf("%8s %8s %12s %14s %10s %10s %12s %10s\n", "grid", "regions",
-              "wall s", "events/s", "ghosts", "windows", "ev/window",
-              "widened%");
+  std::printf("%8s %8s %12s %14s %10s %10s %12s\n", "grid", "regions",
+              "wall s", "events/s", "ghosts", "windows", "ev/window");
   const std::pair<std::size_t, std::size_t> grids[] = {
       {1, 8}, {2, 4}, {4, 4}, {8, 8}};
   for (const auto& [rows, cols] : grids) {
@@ -354,9 +353,6 @@ int main(int argc, char** argv) {
     const double ev_per_window =
         static_cast<double>(r.events) /
         std::max<double>(static_cast<double>(r.windows), 1.0);
-    const double widened_pct =
-        100.0 * static_cast<double>(r.widened) /
-        std::max<double>(static_cast<double>(r.windows), 1.0);
     const std::string tag = bench::format("tile.%zux%zu", rows, cols);
     reporter.point(tag, r.wall_s);
     reporter.metric(tag + ".events", static_cast<double>(r.events));
@@ -364,12 +360,10 @@ int main(int argc, char** argv) {
     reporter.metric(tag + ".ghosts", static_cast<double>(r.ghosts));
     reporter.metric(tag + ".windows", static_cast<double>(r.windows));
     reporter.metric(tag + ".events_per_window", ev_per_window);
-    reporter.metric(tag + ".widened_pct", widened_pct);
-    std::printf("%5zux%-2zu %8zu %12.3f %14.0f %10llu %10llu %12.1f %9.1f%%\n",
-                rows, cols, r.regions, r.wall_s, events_per_s,
+    std::printf("%5zux%-2zu %8zu %12.3f %14.0f %10llu %10llu %12.1f\n", rows,
+                cols, r.regions, r.wall_s, events_per_s,
                 static_cast<unsigned long long>(r.ghosts),
-                static_cast<unsigned long long>(r.windows), ev_per_window,
-                widened_pct);
+                static_cast<unsigned long long>(r.windows), ev_per_window);
   }
   return 0;
 }

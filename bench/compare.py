@@ -19,9 +19,11 @@ Regression direction is inferred from the metric name:
                       seed, so beyond the threshold it is a behavior
                       change, and no wall-time floor applies)
   *wall_s, *_s        higher is worse (wall time)
-  *.events, events    any change fails (simulated event counts are
-                      deterministic: a count that moves is a behavior
-                      change, in either direction, not jitter)
+  *.events, events,   any change fails (simulated event counts and the
+  *.windows,          PDES engine's barrier windows, ghost-exchange posts
+  *.ghosts,           and events per window are deterministic: a count
+  *.events_per_window that moves is a behavior change, in either
+                      direction, not jitter)
   *pdr                lower is worse (delivery rate; a deterministic
                       simulated outcome, so any drop is flagged, e.g. the
                       per-cell `<strategy>.<topology>.pdr` metrics from
@@ -55,6 +57,8 @@ EPSILON_S = 0.1
 # Energy deltas below this absolute floor (mAh) are double-rounding noise
 # in the ledger, not a protocol drawing more current.
 EPSILON_MAH = 0.01
+# Name suffixes of deterministic simulated counts, where any change fails.
+COUNT_SUFFIXES = ("events", "windows", "ghosts", "events_per_window")
 
 
 def load_dir(path):
@@ -83,7 +87,7 @@ def load_dir(path):
 
 def direction(metric):
     """Returns 'time' (higher worse), 'rate' (lower worse), 'latency'
-    (higher worse), 'pdr' (any drop is worse), 'events' (any change is
+    (higher worse), 'pdr' (any drop is worse), 'count' (any change is
     worse), 'energy' (higher worse) or None."""
     # Rates before times: sim_s_per_wall_s is a throughput despite its
     # trailing _s. Any other "_per_" is a ratio, not a rate:
@@ -94,8 +98,8 @@ def direction(metric):
         return "latency"
     if metric.endswith("wall_s") or metric.endswith("_s"):
         return "time"
-    if metric == "events" or metric.endswith(".events"):
-        return "events"
+    if any(metric == s or metric.endswith("." + s) for s in COUNT_SUFFIXES):
+        return "count"
     if metric == "pdr" or metric.endswith(".pdr"):
         return "pdr"
     if metric.endswith("_mah"):
@@ -149,7 +153,7 @@ def main(argv):
                       and abs(delta) > EPSILON_S) or
                      (kind == "rate" and rel < -threshold) or
                      (kind == "latency" and rel > threshold) or
-                     (kind == "events" and delta != 0) or
+                     (kind == "count" and delta != 0) or
                      (kind == "pdr" and delta < 0) or
                      (kind == "energy" and rel > threshold
                       and abs(delta) > EPSILON_MAH))
@@ -170,8 +174,8 @@ def main(argv):
                 tag = "PDR-REGRESSION (delivery dropped)"
             elif kind == "energy" and worse:
                 tag = "ENERGY-REGRESSION (charge drawn grew)"
-            elif kind == "events" and worse:
-                tag = "EVENTS-CHANGED (deterministic count moved)"
+            elif kind == "count" and worse:
+                tag = "COUNT-CHANGED (deterministic count moved)"
             print(f"  {metric:<44} {b:>12.4g} -> {c:>12.4g} "
                   f"({rel:+8.1%}) {tag}")
             if worse:
@@ -179,7 +183,8 @@ def main(argv):
 
     print()
     if regressions:
-        print(f"{len(regressions)} regression(s) beyond {threshold:.0%}:")
+        print(f"{len(regressions)} regression(s) (threshold {threshold:.0%}; "
+              "deterministic counts and PDR have none):")
         for bench, metric, rel in regressions:
             print(f"  {bench}.{metric}: {rel:+.1%}")
         return 1

@@ -11,7 +11,11 @@ against edited copies, each of which must exit 1:
   * pr15 bench_multihop, mesh.h4.loss10.p95_ms tripled (a simulated
     latency percentile: higher is worse);
   * pr18 bench_scale, every *.events counter raised by 1,000 (event counts
-    are deterministic, so any change is a regression).
+    are deterministic, so any change is a regression);
+  * pr19 bench_scale, every *.windows count raised by 1, every *.ghosts
+    count lowered by 1 and every *.events_per_window scaled by 1.01 (the
+    PDES engine's barrier windows and ghost-exchange posts are
+    deterministic too, so a move in either direction is a regression).
 Run by ctest as compare_py_selftest, or directly:
 
     python3 bench/compare_test.py
@@ -26,10 +30,15 @@ import tempfile
 HERE = os.path.dirname(os.path.abspath(__file__))
 MULTIHOP = os.path.join(HERE, "trajectory", "pr15", "BENCH_bench_multihop.json")
 SCALE = os.path.join(HERE, "trajectory", "pr18", "BENCH_bench_scale.json")
+SCALE_PR19 = os.path.join(HERE, "trajectory", "pr19", "BENCH_bench_scale.json")
 
 
 def is_events(metric):
     return metric == "events" or metric.endswith(".events")
+
+
+def ends_with(suffix):
+    return lambda metric: metric.endswith("." + suffix)
 
 
 # (snapshot, label, metric selector, edit)
@@ -41,6 +50,10 @@ EDITS = [
     (MULTIHOP, "mesh.h4.loss10.p95_ms x3",
      lambda m: m == "mesh.h4.loss10.p95_ms", lambda v: v * 3),
     (SCALE, "*.events +1000", is_events, lambda v: v + 1000),
+    (SCALE_PR19, "*.windows +1", ends_with("windows"), lambda v: v + 1),
+    (SCALE_PR19, "*.ghosts -1", ends_with("ghosts"), lambda v: v - 1),
+    (SCALE_PR19, "*.events_per_window x1.01", ends_with("events_per_window"),
+     lambda v: v * 1.01),
 ]
 
 

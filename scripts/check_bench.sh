@@ -12,8 +12,11 @@
 # busy host jitter well beyond that — compare.py already ignores sub-100 ms
 # absolute deltas, and its output says which metrics are informational —
 # so treat a failure here as "re-run and confirm", not as an instant
-# verdict. Deterministic metrics (events, PDR, counters) must not move at
-# all; any delta there is a behavior change, not noise.
+# verdict. compare.py fails on any change of the deterministic counts
+# `*.events`, `*.windows`, `*.ghosts` and `*.events_per_window`, and on any
+# `*.pdr` drop. Other deterministic counters (e.g. `delivery.receptions`,
+# `n1000.delivered`) must not move either, but compare.py does not gate
+# them yet: check them by hand with `bench/compare.py --all`.
 set -eu
 
 BUILD_DIR=build

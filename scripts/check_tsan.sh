@@ -30,7 +30,7 @@ cmake --build "$BUILD_DIR" --target test_parallel test_pdes test_strategy_matrix
 TSAN_OPTIONS="halt_on_error=1" "$BUILD_DIR/tests/test_parallel"
 echo "TSan: thread_pool + parallel_runner tests clean"
 
-# PDES engine units under TSan first (partitions, adaptive windows,
+# PDES engine units under TSan first (partitions, fixed windows,
 # cross-region messaging).
 TSAN_OPTIONS="halt_on_error=1" "$BUILD_DIR/tests/test_pdes" \
   --gtest_filter='TileStripes.*:TilePartition.*:Lookahead.*:ParallelEngine.*'

@@ -405,20 +405,12 @@ void Channel::finish_tx(Transmission& frame) {
 }
 
 double Channel::link_shadowing_db(RadioId a, RadioId b) const {
-  if (config_.shadowing_sigma_db == 0.0) return 0.0;
+  // Derived (not sequential) draw: the value depends only on the link and
+  // the channel seed, so whether or when the spatial index visits this link
+  // cannot shift any other draw.
   const auto key = link_key(a, b);
-  auto it = shadowing_.find(key);
-  if (it == shadowing_.end()) {
-    // Derived (not sequential) draw: the value depends only on the link and
-    // the channel seed, so whether or when the spatial index visits this
-    // link cannot shift any other draw.
-    it = shadowing_
-             .emplace(key, derived_normal_db(kShadowingTag, key.first,
-                                             key.second,
-                                             config_.shadowing_sigma_db))
-             .first;
-  }
-  return it->second;
+  return derived_normal_db(kShadowingTag, key.first, key.second,
+                           config_.shadowing_sigma_db);
 }
 
 double Channel::link_loss_db(const phy::Position& tx_pos, RadioId tx_id,

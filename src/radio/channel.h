@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <span>
 #include <unordered_map>
@@ -339,7 +338,6 @@ class Channel {
   std::vector<Transmission*> spare_;
   support::SlidingQueue<Transmission*> active_;
   std::size_t in_flight_n_ = 0;
-  mutable std::map<std::pair<RadioId, RadioId>, double> shadowing_;
   // Link tables indexed by transmitter ordinal (foreign ordinals for
   // ghosts), and the epoch that every registration, unregistration and
   // move bumps.

@@ -53,8 +53,7 @@ void wire_ghost_exchange(sim::pdes::ParallelEngine& engine,
   const std::size_t cols = partition.cols();
   for (std::size_t r = 0; r < chans.size(); ++r) {
     // The observer runs on whichever worker is executing region r's window
-    // — exactly the single writer the engine licenses for outbox r and the
-    // boundary high-water mark r.
+    // — exactly the single writer the engine licenses for outbox r.
     chans[r]->set_tx_observer(
         [&engine, chans, partition, halo_m, cols, r](const TxSnapshot& s) {
           // Tiles are >= one halo on both axes, so the reachable block is
@@ -67,9 +66,6 @@ void wire_ghost_exchange(sim::pdes::ParallelEngine& engine,
               r_lo * cols + c_lo == r) {
             return;  // halo stays inside the tile
           }
-          // A boundary carrier pins the adaptive window to the tight grid
-          // until it leaves the air.
-          engine.note_boundary_tx(r, s.end);
           auto rec = std::make_shared<GhostRecord>();
           rec->snapshot = s;
           rec->bytes.assign(s.frame.begin(), s.frame.end());

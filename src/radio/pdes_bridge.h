@@ -23,9 +23,7 @@
 //    exact end time, but emits no duplicate TxStart/TxEnd trace and counts
 //    no duplicate frames_transmitted. Ghosts are injected in row-major
 //    region-id order, so a 1-row tiling reproduces the stripe exchange
-//    order bit-for-bit. The observer also reports the boundary frame's end
-//    time to the engine (note_boundary_tx), which is what keeps adaptive
-//    windows on the tight grid while a boundary carrier is on the air.
+//    order bit-for-bit.
 //
 // Timing: deliveries happen at the frame's end. The engine's lookahead is
 // the minimum preamble airtime, and every frame's airtime is at least its
@@ -35,14 +33,9 @@
 // What is allowed to lag one window is only the ghost's presence as a
 // carrier for CAD and interference queries; that staleness is a function of
 // the window grid, which derives from event timestamps alone, so it is
-// identical at every worker count. Note that this conservativeness argument
-// bounds *delivery timing* only: under adaptive windows
-// (sim/pdes/lookahead.h, conservative_lookahead_max) the carrier staleness
-// itself grows — note_boundary_tx keeps the grid tight only for boundary
-// frames already on the air when a window opens, so a boundary frame that
-// starts inside a widened window stays invisible to neighbor carrier
-// queries for up to one whole-frame airtime. Deterministic, but a coarser
-// carrier-sense approximation than the fixed preamble-width grid.
+// identical at every worker count, and bounded by one window: a boundary
+// frame that starts inside a window reaches neighbor carrier queries at the
+// next barrier, at most one preamble airtime after its start.
 #pragma once
 
 #include <cstddef>

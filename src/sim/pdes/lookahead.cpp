@@ -5,33 +5,14 @@
 
 namespace lm::sim::pdes {
 
-Duration conservative_lookahead(std::span<const phy::Modulation> modulations,
-                                double min_cross_region_m) {
+Duration conservative_lookahead(std::span<const phy::Modulation> modulations) {
   LM_REQUIRE(!modulations.empty());
   Duration min_preamble = Duration::max();
   for (const phy::Modulation& mod : modulations) {
     const Duration p = phy::preamble_time(mod);
     if (p < min_preamble) min_preamble = p;
   }
-  // Free-space flight time at c ~ 3.336 us per km.
-  const double flight_us = min_cross_region_m / 299.792458;
-  return min_preamble +
-         Duration::microseconds(static_cast<std::int64_t>(flight_us));
-}
-
-Duration conservative_lookahead_max(
-    std::span<const phy::Modulation> modulations, std::size_t min_frame_bytes,
-    double min_cross_region_m) {
-  LM_REQUIRE(!modulations.empty());
-  LM_REQUIRE(min_frame_bytes >= 1);
-  Duration min_airtime = Duration::max();
-  for (const phy::Modulation& mod : modulations) {
-    const Duration t = phy::time_on_air(mod, min_frame_bytes);
-    if (t < min_airtime) min_airtime = t;
-  }
-  const double flight_us = min_cross_region_m / 299.792458;
-  return min_airtime +
-         Duration::microseconds(static_cast<std::int64_t>(flight_us));
+  return min_preamble;
 }
 
 }  // namespace lm::sim::pdes

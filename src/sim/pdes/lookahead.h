@@ -8,15 +8,12 @@
 // barrier granularity — see DESIGN.md): a frame that starts at t cannot be
 // delivered anywhere before t + time_on_air, and time_on_air is bounded
 // below by the preamble alone (programmed symbols + 4.25 sync symbols —
-// 12.544 ms at SF7/125 kHz, growing with SF). Radio-wave flight time over
-// the minimum cross-region distance adds on top (~3.3 us/km; tiny, but it
-// is the classically "free" lookahead of wireless PDES, so it is kept).
+// 12.544 ms at SF7/125 kHz, growing with SF).
 //
 // The protocol physics is what makes this generous: LoRa's long airtimes
 // give windows 4-6 orders of magnitude above the microsecond event grid.
 #pragma once
 
-#include <cstddef>
 #include <span>
 
 #include "phy/lora_params.h"
@@ -24,38 +21,8 @@
 
 namespace lm::sim::pdes {
 
-/// Lookahead for a channel whose traffic uses any of `modulations`:
-/// min preamble time over the set, plus propagation flight time over
-/// `min_cross_region_m` meters. Requires a non-empty set.
-Duration conservative_lookahead(std::span<const phy::Modulation> modulations,
-                                double min_cross_region_m = 0.0);
-
-/// The widest window that is still conservative: the minimum *whole-frame*
-/// airtime over the set at `min_frame_bytes` (the smallest frame the
-/// protocol ever puts on the air — net::kLinkHeaderSize for the mesh
-/// stack), plus flight time. Any frame's airtime is >= this, so a frame
-/// starting inside a window of this length still ends at or after the
-/// window's close and its ghost is injected before its end — the exact
-/// argument radio/pdes_bridge.h makes for the preamble bound, with the
-/// preamble replaced by the tighter full-frame floor. The engine may widen
-/// its window up to this value whenever no transmission is pending near a
-/// region boundary (adaptive windows); Channel::inject_ghost's
-/// end >= now() precondition is the in-run check that the bound holds.
-///
-/// Trade-off the bound does NOT cover: delivery timing stays exact, but a
-/// ghost's *presence as a carrier* always lags to the next barrier, so a
-/// boundary frame that starts inside an already-widened window is invisible
-/// to neighbor CAD/interference queries for up to one whole-frame airtime —
-/// versus the preamble-scale staleness of the tight grid
-/// (note_boundary_tx pins windows only for boundary frames known before the
-/// window opens). The widening choice is a pure function of simulation
-/// state, so results stay identical across worker counts, but multi-region
-/// runs with a ceiling are a coarser carrier-sense approximation than
-/// fixed-window (no-ceiling) runs and diverge from them; pass
-/// max_lookahead = 0 / adaptive = false where that fidelity matters.
-/// Requires a non-empty set and min_frame_bytes >= 1.
-Duration conservative_lookahead_max(
-    std::span<const phy::Modulation> modulations, std::size_t min_frame_bytes,
-    double min_cross_region_m = 0.0);
+/// Lookahead for a channel whose traffic uses any of `modulations`: the
+/// minimum preamble time over the set. Requires a non-empty set.
+Duration conservative_lookahead(std::span<const phy::Modulation> modulations);
 
 }  // namespace lm::sim::pdes

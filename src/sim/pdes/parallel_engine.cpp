@@ -7,11 +7,9 @@
 namespace lm::sim::pdes {
 
 ParallelEngine::ParallelEngine(std::size_t regions, std::size_t workers,
-                               Duration lookahead, Duration max_lookahead)
+                               Duration lookahead)
     : lookahead_(lookahead),
-      lookahead_max_(std::max(lookahead, max_lookahead)),
       outbox_(regions),
-      boundary_end_us_(regions, TimePoint::origin().us()),
       pool_(std::max<std::size_t>(workers, 1)) {
   LM_REQUIRE(regions >= 1);
   LM_REQUIRE(lookahead > Duration::zero());
@@ -25,24 +23,6 @@ ParallelEngine::~ParallelEngine() = default;
 
 void ParallelEngine::post(std::size_t from, std::function<void()> apply) {
   outbox_.at(from).push_back(std::move(apply));
-}
-
-void ParallelEngine::note_boundary_tx(std::size_t from, TimePoint end) {
-  std::int64_t& mark = boundary_end_us_.at(from);
-  if (end.us() > mark) mark = end.us();
-}
-
-Duration ParallelEngine::window_for(TimePoint t0) const {
-  if (lookahead_max_ <= lookahead_) return lookahead_;
-  // A boundary transmission still on the air at t0 must surface as a
-  // carrier for neighboring regions' CAD/interference queries on the tight
-  // window grid; otherwise the window may stretch to the whole-frame floor.
-  // The marks only ever come from executed events, so this choice is a
-  // function of simulation state — identical at every worker count.
-  for (const std::int64_t end_us : boundary_end_us_) {
-    if (end_us > t0.us()) return lookahead_;
-  }
-  return lookahead_max_;
 }
 
 void ParallelEngine::exchange() {
@@ -73,12 +53,7 @@ void ParallelEngine::run_until(TimePoint t) {
     }
     if (t0 > t) break;  // nothing left inside the horizon
     if (t0 < now_) t0 = now_;
-    const Duration window = window_for(t0);
-    // The adaptive choice must stay within the proven conservative band;
-    // tripping this means window_for violated the lookahead bound.
-    LM_ASSERT(window >= lookahead_ && window <= lookahead_max_);
-    if (window > lookahead_) ++widened_;
-    const TimePoint w_end = std::min(t0 + window, t);
+    const TimePoint w_end = std::min(t0 + lookahead_, t);
     for (std::size_t r = 0; r < sims_.size(); ++r) {
       Simulator* s = sims_[r].get();
       pool_.submit([s, w_end] { s->run_until(w_end); });

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "net/packet.h"
 #include "radio/pdes_bridge.h"
 #include "sim/pdes/lookahead.h"
 #include "support/assert.h"
@@ -94,10 +93,8 @@ void MeshScenario::finalize() {
     xs.push_back(p.position.x);
     ys.push_back(p.position.y);
   }
-  halo_m_ = config_.pdes.halo_m > 0.0
-                ? config_.pdes.halo_m
-                : radio::pdes::interaction_radius_m(config_.propagation,
-                                                    config_.radio);
+  halo_m_ = radio::pdes::interaction_radius_m(config_.propagation,
+                                               config_.radio);
   partition_ =
       config_.pdes.tile
           ? sim::pdes::TilePartition::make(xs, ys, halo_m_,
@@ -108,20 +105,9 @@ void MeshScenario::finalize() {
                                               config_.pdes.max_regions);
 
   const phy::Modulation mods[] = {config_.radio.modulation};
-  const Duration lookahead =
-      config_.pdes.lookahead > Duration::zero()
-          ? config_.pdes.lookahead
-          : sim::pdes::conservative_lookahead(mods);
-  // Adaptive ceiling: the smallest whole frame the link layer can emit is a
-  // bare 5-byte header, so its airtime bounds how long any boundary
-  // transmission started inside a window keeps running past it.
-  Duration max_lookahead = config_.pdes.max_lookahead;
-  if (max_lookahead == Duration::zero() && config_.pdes.adaptive) {
-    max_lookahead =
-        sim::pdes::conservative_lookahead_max(mods, net::kLinkHeaderSize);
-  }
   engine_ = std::make_unique<sim::pdes::ParallelEngine>(
-      partition_.count(), config_.pdes.workers, lookahead, max_lookahead);
+      partition_.count(), config_.pdes.workers,
+      sim::pdes::conservative_lookahead(mods));
 
   // Split seeds: every region shares the serial channel's seed for the
   // keyed (order-free) shadowing/fading draws, so cross-region links see
@@ -289,9 +275,7 @@ std::uint64_t MeshScenario::pdes_windows_run() const {
   return engine_ != nullptr ? engine_->windows_run() : 0;
 }
 
-std::uint64_t MeshScenario::pdes_windows_widened() const {
-  return engine_ != nullptr ? engine_->windows_widened() : 0;
-}
+std::uint64_t MeshScenario::pdes_windows_widened() const { return 0; }
 
 radio::Channel& MeshScenario::channel() {
   if (!pdes_mode()) return *channel_;

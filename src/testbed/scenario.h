@@ -105,11 +105,13 @@ class MeshScenario {
   /// strong-scaling bench's events/s metric.
   std::uint64_t events_processed() const;
   /// PDES engine counters (all 0 in serial mode): barrier messages applied
-  /// (ghost-exchange posts), lookahead windows run, and windows that
-  /// stretched to the adaptive ceiling. Feed the tile-sweep bench's
-  /// overhead-share metrics.
+  /// (ghost-exchange posts) and lookahead windows run. Feed the tile-sweep
+  /// bench's overhead-share metrics.
   std::uint64_t pdes_messages_applied() const;
   std::uint64_t pdes_windows_run() const;
+  /// Always 0: every window runs at the fixed conservative lookahead. Kept
+  /// only because meshbench/field.cpp reads it for `pdes.widened_pct`, and
+  /// meshbench/ changes only together with BENCHMARK.json.
   std::uint64_t pdes_windows_widened() const;
   /// The radio medium. In PDES mode requires a single-region decomposition
   /// (each region owns a channel; cross-region scripting is not supported).
