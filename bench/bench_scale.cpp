@@ -110,14 +110,17 @@ ScaleResult run_field(std::size_t n, bool indexed) {
 // phase-locked worst case for the serial event queue.
 //
 // Serial N-scaling runs the chain on the serial engine (workers = 0) at
-// 1,250 to 10,000 nodes: events/s should stay flat across N, and the event
-// count must be linear in N (checked in-run).
+// 1,250 to 10,000 nodes over a steady window: one simulated minute of
+// warm-up (boot, first beacons), then five timed minutes, the same horizon
+// at every N. events/s should stay flat across N, and the event count must
+// be linear in N (checked in-run).
 //
 // PDES strong scaling decomposes the 10,000-node chain into a fixed
 // 8-region stripe partition, swept over 1/2/4/8 workers. The region count
 // never follows the worker count, so every sweep point executes the exact
 // same event set; events/s, speedup-vs-1-worker, speedup-vs-serial (the
-// serial 10k run above) and the barrier windows run are the metrics.
+// serial 10k run's warm-up minute, the same simulated minute) and the
+// barrier windows run are the metrics.
 // Determinism doubles as the correctness check: the event count must be
 // identical at every worker count.
 
@@ -172,10 +175,38 @@ TileResult run_tile_grid(std::size_t rows, std::size_t cols) {
   return r;
 }
 
-PdesResult run_chain_field(std::size_t nodes, std::size_t workers) {
+lm::testbed::ScenarioConfig chain_config() {
   lm::testbed::ScenarioConfig config = bench::campus_config(0xDE5ULL);
   config.mesh.hello_interval = Duration::seconds(10);
   config.mesh.maintenance_interval = Duration::seconds(2);
+  return config;
+}
+
+struct SerialResult {
+  double warmup_wall_s = 0.0;  // the first simulated minute, from boot
+  double wall_s = 0.0;         // the timed window
+  std::uint64_t events = 0;    // events in the timed window
+};
+
+SerialResult run_serial_chain(std::size_t nodes) {
+  lm::testbed::MeshScenario scenario(chain_config());
+  scenario.add_nodes(lm::testbed::chain(nodes, bench::kChainSpacing));
+  scenario.start_all();
+
+  SerialResult r;
+  bench::WallTimer warmup;
+  scenario.run_for(Duration::minutes(1));
+  r.warmup_wall_s = warmup.seconds();
+  const std::uint64_t warm_events = scenario.events_processed();
+  bench::WallTimer timer;
+  scenario.run_for(Duration::minutes(5));
+  r.wall_s = timer.seconds();
+  r.events = scenario.events_processed() - warm_events;
+  return r;
+}
+
+PdesResult run_chain_field(std::size_t nodes, std::size_t workers) {
+  lm::testbed::ScenarioConfig config = chain_config();
   config.pdes.workers = workers;
   config.pdes.max_regions = 8;
   lm::testbed::MeshScenario scenario(config);
@@ -244,22 +275,26 @@ int main(int argc, char** argv) {
   // --- Serial N-scaling -------------------------------------------------------
   constexpr std::size_t kPdesNodes = 10'000;
   std::printf("\nSerial N-scaling: N-node chain on the serial engine, "
-              "1 simulated minute, median wall of 3 runs\n");
+              "simulated minutes 1-6 after a 1-minute warm-up, median wall "
+              "of 3 runs\n");
   std::printf("%8s %12s %12s %14s\n", "nodes", "events", "wall s", "events/s");
   const std::size_t chain_sizes[] = {1'250, 2'500, 5'000, kPdesNodes};
   double first_events_per_s = 0.0;
   double first_events_per_node = 0.0;
   double serial_wall = 0.0;
   for (const std::size_t n : chain_sizes) {
-    // The small fields finish in tens of milliseconds, where one host
-    // hiccup would swing the ratio, so each size reports its median run.
+    // One host hiccup would swing the ratio, so each size reports its
+    // median run.
     std::array<double, 3> walls{};
-    PdesResult r;
-    for (double& wall : walls) {
-      r = run_chain_field(n, /*workers=*/0);
-      wall = r.wall_s;
+    std::array<double, 3> warmup_walls{};
+    SerialResult r;
+    for (std::size_t run = 0; run < walls.size(); ++run) {
+      r = run_serial_chain(n);
+      walls[run] = r.wall_s;
+      warmup_walls[run] = r.warmup_wall_s;
     }
     std::sort(walls.begin(), walls.end());
+    std::sort(warmup_walls.begin(), warmup_walls.end());
     r.wall_s = walls[1];
     const double events_per_s =
         static_cast<double>(r.events) / std::max(r.wall_s, 1e-9);
@@ -277,7 +312,8 @@ int main(int argc, char** argv) {
                    n, events_per_node, chain_sizes[0], first_events_per_node);
       return 1;
     }
-    serial_wall = r.wall_s;  // ends on the 10k run PDES is compared against
+    // Ends on the 10k run's first minute, the span PDES runs.
+    serial_wall = warmup_walls[1];
     reporter.point(bench::format("serial.n%zu", n), r.wall_s);
     reporter.metric(bench::format("serial.n%zu.events", n),
                     static_cast<double>(r.events));

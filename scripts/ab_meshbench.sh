@@ -3,6 +3,7 @@
 #
 #   scripts/ab_meshbench.sh --base=REV [--workload=city] [--pairs=10]
 #                           [--seconds=20] [--seed=1] [--scratch=DIR]
+#                           [--cpu=N]
 #
 # Host speed on a shared machine drifts by 20 % or more over minutes, so
 # two timings taken one after the other compare the host, not the code.
@@ -14,6 +15,9 @@
 # and peak_rss_mb of both sides and the change/base speed ratio; then each
 # side's median and quartiles, the median of each metric's per-pair ratio
 # and how many pairs the change won on speed (ties count for neither).
+# With --cpu=N every timed run of both sides is pinned to CPU N with
+# `taskset -c N` (the untimed build runs are not); the default leaves them
+# unpinned. The header line names the pinning.
 #
 # The simulated metrics (pdr, latency_p50_s, latency_p99_s,
 # airtime_ms_per_delivery, ops_failed_pct) are a pure function of the seed,
@@ -28,7 +32,7 @@
 # dir if it made it; the per-pair JSON lines are printed to stderr first.
 set -euo pipefail
 
-base="" workload=city pairs=10 seconds=20 seed=1 scratch=""
+base="" workload=city pairs=10 seconds=20 seed=1 scratch="" cpu=""
 for arg in "$@"; do
   case "$arg" in
     --base=*) base="${arg#*=}" ;;
@@ -37,12 +41,21 @@ for arg in "$@"; do
     --seconds=*) seconds="${arg#*=}" ;;
     --seed=*) seed="${arg#*=}" ;;
     --scratch=*) scratch="${arg#*=}" ;;
-    *) sed -n '2,28p' "$0" >&2; exit 2 ;;
+    --cpu=*) cpu="${arg#*=}" ;;
+    *) sed -n '2,32p' "$0" >&2; exit 2 ;;
   esac
 done
 if [ -z "$base" ]; then
   echo "ab_meshbench: --base=REV is required" >&2
   exit 2
+fi
+pin=()
+if [ -n "$cpu" ]; then
+  if ! [[ "$cpu" =~ ^[0-9]+$ ]] || ! command -v taskset >/dev/null; then
+    echo "ab_meshbench: --cpu=N needs a CPU number and taskset" >&2
+    exit 2
+  fi
+  pin=(taskset -c "$cpu")
 fi
 
 repo=$(git -C "$(dirname "$0")/.." rev-parse --show-toplevel)
@@ -89,11 +102,13 @@ for side in base change; do
 done
 
 # run SIDE PAIR: one run of SIDE, its JSON line left in $line (the first
-# run also builds). A failed run ends the script with exit 2.
+# run also builds; timed runs are pinned when --cpu is given). A failed run
+# ends the script with exit 2.
 run() {
-  local status=0
+  local status=0 launch=()
+  [ "$2" != warm-up ] && launch=("${pin[@]}")
   line=$(cd "$scratch/$1" &&
-         CARGO_TARGET_DIR="$scratch/build-$1" python3 meshbench/run.py \
+         CARGO_TARGET_DIR="$scratch/build-$1" "${launch[@]}" python3 meshbench/run.py \
            --workload "$workload" --seed "$seed" --seconds "$seconds" 2>/dev/null |
          tail -n 1) || status=$?
   if [ "$status" -ne 0 ] || ! python3 - "$line" <<'EOF'
@@ -110,8 +125,10 @@ EOF
   fi
 }
 
+pinning="unpinned"
+[ -n "$cpu" ] && pinning="timed runs pinned to CPU $cpu (taskset -c $cpu)"
 echo "ab_meshbench: base $(git -C "$repo" rev-parse --short "$base_rev") vs working tree;" \
-     "$workload seed $seed, $pairs pairs of ${seconds}s runs" >&2
+     "$workload seed $seed, $pairs pairs of ${seconds}s runs; $pinning" >&2
 # One untimed run per side builds it and warms the page cache.
 for side in base change; do
   run "$side" warm-up

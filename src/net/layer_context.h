@@ -27,12 +27,11 @@ class EnergyModel;
 
 namespace lm::net {
 
-/// Cumulative per-node protocol counters.
+/// Cumulative per-node protocol counters. The last three are the ones a
+/// frame reception writes; LayerContext keeps them in its hot lines.
 struct NodeStats {
   // Control plane.
   std::uint64_t beacons_sent = 0;
-  std::uint64_t beacons_received = 0;
-  std::uint64_t routing_changes = 0;  // beacons that changed the table
   // Data plane.
   std::uint64_t datagrams_sent = 0;       // originated here
   std::uint64_t datagrams_delivered = 0;  // consumed here as final destination
@@ -43,7 +42,6 @@ struct NodeStats {
   std::uint64_t dropped_ttl = 0;
   std::uint64_t dropped_queue_full = 0;
   std::uint64_t malformed_frames = 0;
-  std::uint64_t foreign_frames = 0;  // overheard unicast for someone else
   std::uint64_t beacons_ignored_low_quality = 0;  // link-quality gating
   // Channel access.
   std::uint64_t cad_busy_events = 0;
@@ -71,6 +69,10 @@ struct NodeStats {
   std::uint64_t rx_sessions_rejected = 0;  // SYNCs refused at the session cap
   std::uint64_t fragments_sent = 0;
   std::uint64_t fragments_retransmitted = 0;
+  // Receive path.
+  std::uint64_t foreign_frames = 0;  // overheard unicast for someone else
+  std::uint64_t beacons_received = 0;
+  std::uint64_t routing_changes = 0;  // beacons that changed the table
 
   /// Field-wise sum (scenario totals).
   NodeStats& operator+=(const NodeStats& o) {
@@ -113,27 +115,38 @@ struct NodeStats {
   }
 };
 
-struct LayerContext {
+/// Cache-line aligned, and laid out so that everything a beacon reception
+/// reads or writes here sits in two adjacent lines (receive_hot_lines()):
+/// the receive counters that end `stats`, the fields up to `running`, and
+/// the head of `config` (snr_ewma_alpha, require_link_quality,
+/// min_snr_margin_db). layer_context.cpp pins this with static_asserts.
+struct alignas(64) LayerContext {
+  LayerContext(sim::Simulator& loop, Address self, MeshConfig node_config,
+               Rng stream);
+
+  NodeStats stats{};
   /// The owning event loop, fixed for the node's lifetime.
   sim::Simulator& sim;
+  /// Flight recorder; null = detached. Instrumentation sites guard on this
+  /// pointer so the untraced hot path never evaluates arguments.
+  trace::Tracer* tracer = nullptr;
+  /// The node's oscillator (config.clock). Identity by default, in which
+  /// case every conversion below is bit-exact passthrough.
+  sim::NodeClock clock{};
   const Address address;
+  bool running = false;
   /// Owned copy: the link layer shrinks max_fragment_payload to the dwell
   /// cap at construction, and every layer reads the same adjusted values.
   MeshConfig config;
   /// The node's single randomness stream (jitter, backoff, retry fuzz,
   /// session seeds). All layers draw from here, in event order.
   Rng rng;
-  NodeStats stats{};
-  /// Flight recorder; null = detached. Instrumentation sites guard on this
-  /// pointer so the untraced hot path never evaluates arguments.
-  trace::Tracer* tracer = nullptr;
-  bool running = false;
-  /// The node's oscillator (config.clock). Identity by default, in which
-  /// case every conversion below is bit-exact passthrough.
-  sim::NodeClock clock{};
   /// Live battery, owned by the testbed; null = unmetered (infinite).
   /// Routing strategies read state of charge for energy-aware metrics.
   const radio::EnergyModel* energy = nullptr;
+
+  /// The first of the two cache lines holding the receive-hot fields.
+  const void* receive_hot_lines() const;
 
   // --- Clock seam -------------------------------------------------------------
   // Protocol code reads time and arms timers ONLY through these helpers

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cstddef>
 #include <limits>
 #include <unordered_map>
 
@@ -14,6 +15,10 @@ namespace lm::net {
 
 namespace {
 constexpr const char* kTag = "mesh";
+
+// Neighbours whose SNR entries fit the table's first block: the eight
+// grid neighbours of a dense field.
+constexpr std::size_t kSnrReserve = 8;
 
 // Content ids are drawn from one process-wide counter, so an id names a
 // single entry list on every thread, PDES worker and ParallelRunner job.
@@ -85,6 +90,15 @@ LinkLayer::LinkLayer(LayerContext& ctx, radio::Radio& radio,
       radio_(radio),
       callbacks_(std::move(callbacks)),
       duty_(ctx.config.duty_cycle_limit, ctx.config.duty_cycle_window) {
+  // A member edit must not spread the receive path over another line.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Winvalid-offsetof"
+  constexpr std::size_t kLine = 64;
+  static_assert(offsetof(LinkLayer, ctx_) + sizeof(void*) <= kLine);
+  static_assert(offsetof(LinkLayer, callbacks_) + offsetof(Callbacks, on_packet) +
+                    sizeof(Callbacks::on_packet) <= 2 * kLine);
+#pragma GCC diagnostic pop
+  neighbor_snr_margin_.reserve(kSnrReserve);
   // US915-style dwell rule: cap the frame size so every transmission fits,
   // and shrink reliable-transfer fragments to match.
   max_frame_bytes_ = phy::kMaxPhyPayload;
@@ -107,6 +121,15 @@ LinkLayer::LinkLayer(LayerContext& ctx, radio::Radio& radio,
         std::min(ctx_.config.max_fragment_payload, fragment_fit);
   }
   radio_.set_listener(this);
+}
+
+void LinkLayer::set_receive_hint_above(
+    const std::array<const void*, kHintSpansAbove>& above) {
+  ReceiveHint hint{};
+  hint[0] = reinterpret_cast<const char*>(this) + 64;  // radio_ .. on_packet
+  hint[1] = neighbor_snr_margin_.data();
+  std::ranges::copy(above, hint.begin() + 2);
+  set_receive_hint(hint);
 }
 
 LinkLayer::~LinkLayer() {
@@ -412,6 +435,11 @@ void LinkLayer::on_frame_received(std::span<const std::uint8_t> frame,
     const auto it = neighbor_snr_margin_.find(link.src);
     if (it == neighbor_snr_margin_.end()) {
       neighbor_snr_margin_.try_emplace(link.src, margin);
+      if (receive_hint()[1] != neighbor_snr_margin_.data()) {
+        ReceiveHint hint = receive_hint();  // the entries moved
+        hint[1] = neighbor_snr_margin_.data();
+        set_receive_hint(hint);
+      }
     } else {
       it->second += ctx_.config.snr_ewma_alpha * (margin - it->second);
     }

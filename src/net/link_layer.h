@@ -52,13 +52,14 @@ class LinkLayer final : public radio::RadioListener {
   /// path; the facade outlives the layers it binds, and all four are invoked
   /// on the simulator thread only.
   struct Callbacks {
+    /// A decoded, addressed-to-us (or broadcast) packet arrived. The
+    /// reference is decode_shared's memo: valid for the call only. First,
+    /// so it shares a line with the rest of the receive path's state.
+    support::FunctionRef<void(const Packet&)> on_packet;
     /// Late next-hop resolution for packets queued with dst == kUnassigned.
     /// nullopt drops the packet (route lost while queued).
     support::FunctionRef<std::optional<Address>(const RouteHeader&)>
         resolve_next_hop;
-    /// A decoded, addressed-to-us (or broadcast) packet arrived. The
-    /// reference is decode_shared's memo: valid for the call only.
-    support::FunctionRef<void(const Packet&)> on_packet;
     /// A frame finished transmitting (fragment pacing, session GC).
     support::FunctionRef<void(const Packet&)> on_sent;
     /// A queued packet was dropped before the air (queue full, route lost).
@@ -72,6 +73,11 @@ class LinkLayer final : public radio::RadioListener {
 
   LinkLayer(const LinkLayer&) = delete;
   LinkLayer& operator=(const LinkLayer&) = delete;
+
+  /// Registers the receive hint (radio_types.h): this layer's own spans
+  /// plus `above`, the spans the layers above touch for a delivered beacon.
+  static constexpr std::size_t kHintSpansAbove = kReceiveHintSpans - 2;
+  void set_receive_hint_above(const std::array<const void*, kHintSpansAbove>& above);
 
   // --- Lifecycle (driven by the owning facade) -------------------------------
   /// Opens the receive window and starts listening.
@@ -132,9 +138,16 @@ class LinkLayer final : public radio::RadioListener {
   void transmit_now();
   void resume_radio();
 
+  // Receive path: the end of the first line, after the RadioListener
+  // base, and the second (pinned by static_asserts in link_layer.cpp).
   LayerContext& ctx_;
   radio::Radio& radio_;
+  // EWMA, dB above floor. Holds room for a few neighbours from the start,
+  // so its entries share the node's allocation neighbourhood and keep a
+  // stable address for the receive hint.
+  support::FlatMap<Address, double> neighbor_snr_margin_;
   Callbacks callbacks_;
+
   DutyCycleLimiter duty_;
 
   TxPhase tx_phase_ = TxPhase::Idle;
@@ -147,8 +160,6 @@ class LinkLayer final : public radio::RadioListener {
   std::size_t max_frame_bytes_ = 255;  // dwell-capped frame size
 
   FrameBuffer tx_frame_;  // reused encode buffer: one pooled block per node
-
-  support::FlatMap<Address, double> neighbor_snr_margin_;  // EWMA, dB above floor
 };
 
 }  // namespace lm::net

@@ -1,5 +1,7 @@
 #include "net/network_layer.h"
 
+#include <cstddef>
+
 #include "support/assert.h"
 
 namespace lm::net {
@@ -7,13 +9,17 @@ namespace lm::net {
 NetworkLayer::NetworkLayer(LayerContext& ctx, LinkLayer& link,
                            std::unique_ptr<RoutingStrategy> strategy,
                            RoutingStrategy::DeliverFn deliver)
-    : ctx_(ctx),
-      link_(link),
+    : strategy_(std::move(strategy)),
+      ctx_(ctx),
       table_(ctx.address,
              ctx.config.hello_interval *
                  static_cast<std::int64_t>(ctx.config.route_timeout_intervals),
              kInfiniteMetric, ctx.config.role),
-      strategy_(std::move(strategy)) {
+      link_(link) {
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Winvalid-offsetof"
+  static_assert(offsetof(NetworkLayer, table_) + RoutingTable::kReceiveHotBytes <= 64);
+#pragma GCC diagnostic pop
   LM_REQUIRE(strategy_ != nullptr);
   strategy_->attach(ctx_, link_, table_, std::move(deliver));
 }

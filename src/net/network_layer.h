@@ -22,7 +22,9 @@
 
 namespace lm::net {
 
-class NetworkLayer {
+/// Cache-line aligned: the strategy and context pointers and the routing
+/// table's receive-hot head share the first line (network_layer.cpp).
+class alignas(64) NetworkLayer {
  public:
   NetworkLayer(LayerContext& ctx, LinkLayer& link,
                std::unique_ptr<RoutingStrategy> strategy,
@@ -66,10 +68,10 @@ class NetworkLayer {
   const RoutingStrategy& strategy() const { return *strategy_; }
 
  private:
-  LayerContext& ctx_;
-  LinkLayer& link_;
-  RoutingTable table_;
   std::unique_ptr<RoutingStrategy> strategy_;
+  LayerContext& ctx_;
+  RoutingTable table_;
+  LinkLayer& link_;
   std::uint16_t next_packet_id_ = 1;
 };
 

@@ -23,6 +23,8 @@
 
 namespace lm::net {
 
+/// A beacon reception reads the vtable pointer and the ctx_, table_ and
+/// link_ pointers: the object's first 32 bytes.
 class RoutingStrategy {
  public:
   /// Hands a packet up the stack for local consumption (the facade routes
@@ -88,8 +90,8 @@ class RoutingStrategy {
   }
 
   LayerContext* ctx_ = nullptr;
-  LinkLayer* link_ = nullptr;
   RoutingTable* table_ = nullptr;
+  LinkLayer* link_ = nullptr;
   DeliverFn deliver_;
 
  private:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cstddef>
 #include <cstdio>
 
 #include "support/assert.h"
@@ -10,15 +11,29 @@
 
 namespace lm::net {
 
+namespace {
+// Neighbours whose memos fit the list's first block: the eight grid
+// neighbours of a dense field.
+constexpr std::size_t kMemoReserve = 8;
+}  // namespace
+
 RoutingTable::RoutingTable(Address self, Duration route_timeout,
                            std::uint8_t max_metric, Role own_role)
     : self_(self),
-      route_timeout_(route_timeout),
       max_metric_(max_metric),
-      own_role_(own_role) {
+      own_role_(own_role),
+      route_timeout_(route_timeout) {
   LM_REQUIRE(self != kUnassigned && self != kBroadcast);
   LM_REQUIRE(route_timeout > Duration::zero());
   LM_REQUIRE(max_metric >= 2);
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Winvalid-offsetof"
+  // The memo list's begin and end pointers lead std::vector.
+  static_assert(offsetof(RoutingTable, memos_) + 2 * sizeof(void*) <=
+                kReceiveHotBytes);
+  static_assert(offsetof(RoutingTable, repeated_beacons_) < kReceiveHotBytes);
+#pragma GCC diagnostic pop
+  memos_.reserve(kMemoReserve);
 }
 
 RouteEntry* RoutingTable::find(Address destination) {

@@ -149,6 +149,14 @@ class RoutingTable {
   /// Beacons answered from the repeat memo instead of a merge (tests).
   std::uint64_t repeated_beacons() const { return repeated_beacons_; }
 
+  /// A beacon answered from the memo reads and writes only the table's
+  /// first kReceiveHotBytes and the memo list (two lines for eight
+  /// neighbours).
+  static constexpr std::size_t kReceiveHotBytes = 48;
+  /// Where the memos live: room for eight neighbours is reserved up front,
+  /// so the address stays put unless a node hears more.
+  const void* memo_storage() const { return memos_.data(); }
+
   /// Called whenever a route gains a (destination, via) pairing it did not
   /// hold before — adoption, next-hop switch, or warm-boot restore. Used by
   /// the flight recorder; withdrawals and expiry are not reported.
@@ -215,26 +223,30 @@ class RoutingTable {
   std::span<std::uint64_t> clear_marks(const BeaconMemo& memo);
   void disarm_memos();
 
+  // Receive-hot head, through the memo list's begin and end pointers
+  // (kReceiveHotBytes, pinned in routing_table.cpp): what a beacon
+  // answered from the memo touches.
   Address self_;
-  Duration route_timeout_;
-  std::function<void(const RouteEntry&)> observer_;
   std::uint8_t max_metric_;
   Role own_role_;
-  // Sorted by destination, no duplicates. Mutable: const readers write out
-  // owed deadlines first.
-  mutable std::vector<RouteEntry> entries_;
+  mutable bool owed_ = false;  // some armed memo has an owed deadline
+  Duration route_timeout_;
+  // Lower bound on every expires_at: an idle expire() is one comparison.
+  // Each deadline write lowers it; a postponing refresh leaves it loose,
+  // costing one real sweep, which recomputes it exactly.
+  TimePoint next_expiry_ = TimePoint::max();
+  std::uint64_t repeated_beacons_ = 0;
   // Armed memos are valid for the current (destination, via, metric, role)
   // contents, so entry indices are stable while any is armed. A no-op merge
   // refreshes only routes via its sender, so no entry is marked twice.
   // expire() drops the memos of neighbours no longer in the table.
   mutable std::vector<BeaconMemo> memos_;
+
+  std::function<void(const RouteEntry&)> observer_;
+  // Sorted by destination, no duplicates. Mutable: const readers write out
+  // owed deadlines first.
+  mutable std::vector<RouteEntry> entries_;
   std::vector<std::uint64_t> memo_bits_;
-  mutable bool owed_ = false;  // some armed memo has an owed deadline
-  std::uint64_t repeated_beacons_ = 0;
-  // Lower bound on every expires_at: an idle expire() is one comparison.
-  // Each deadline write lowers it; a postponing refresh leaves it loose,
-  // costing one real sweep, which recomputes it exactly.
-  TimePoint next_expiry_ = TimePoint::max();
 };
 
 }  // namespace lm::net

@@ -44,6 +44,7 @@ class FlatMap {
   size_type size() const { return data_.size(); }
   void clear() { data_.clear(); }  // keeps capacity
   void reserve(size_type n) { data_.reserve(n); }
+  const value_type* data() const { return data_.data(); }
 
   iterator lower_bound(const Key& key) {
     return std::lower_bound(data_.begin(), data_.end(), key,

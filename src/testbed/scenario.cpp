@@ -21,6 +21,19 @@ void apply_region(ScenarioConfig& config, const phy::RegionParams& region) {
   config.mesh.max_dwell_time = region.max_dwell_time;
 }
 
+struct MeshScenario::NodeBlock {
+  NodeBlock(sim::Simulator& sim, radio::Channel& channel, radio::RadioId id,
+            phy::Position position, const radio::RadioConfig& radio_config,
+            net::Address address, net::MeshConfig mesh_config,
+            std::uint64_t seed, std::unique_ptr<net::RoutingStrategy> strategy)
+      : radio(sim, channel, id, position, radio_config),
+        node(sim, radio, address, std::move(mesh_config), seed,
+             std::move(strategy)) {}
+
+  radio::VirtualRadio radio;
+  net::MeshNode node;
+};
+
 MeshScenario::MeshScenario(ScenarioConfig config) : config_(std::move(config)) {
   // PDES mode defers channel construction to finalize(): each region owns a
   // channel on its own event loop, and the decomposition needs the node
@@ -33,12 +46,13 @@ MeshScenario::MeshScenario(ScenarioConfig config) : config_(std::move(config)) {
 }
 
 MeshScenario::~MeshScenario() {
-  // Nodes reference radios, energy models meter radios, radios reference
-  // channels, channels reference their region Simulators inside the engine;
-  // destroy in that order.
+  // Nodes reference radios, radios reference their energy models (a dying
+  // radio detaches its model) and channels, channels reference their
+  // region Simulators inside the engine; destroy in that order.
   nodes_.clear();
-  energy_models_.clear();
   radios_.clear();
+  blocks_.clear();
+  energy_models_.clear();
   channels_.clear();
   engine_.reset();
 }
@@ -54,6 +68,22 @@ void MeshScenario::make_energy_model(std::size_t i, sim::Simulator& sim) {
   nodes_.back()->set_energy_model(energy_models_.back().get());
 }
 
+void MeshScenario::make_node(std::size_t i, sim::Simulator& sim,
+                             radio::Channel& channel, phy::Position position,
+                             net::Role role) {
+  net::MeshConfig node_config = config_.mesh;
+  node_config.role = role;
+  if (config_.clock_profile) node_config.clock = config_.clock_profile(i);
+  blocks_.push_back(std::make_unique<NodeBlock>(
+      sim, channel, static_cast<radio::RadioId>(i + 1), position,
+      config_.radio, address_of(i), std::move(node_config),
+      config_.seed * 0x9E3779B97F4A7C15ULL + i + 1,
+      config_.strategy_factory ? config_.strategy_factory() : nullptr));
+  radios_.push_back(&blocks_.back()->radio);
+  nodes_.push_back(&blocks_.back()->node);
+  make_energy_model(i, sim);
+}
+
 std::size_t MeshScenario::add_node(phy::Position position, net::Role role) {
   if (pdes_mode()) {
     LM_REQUIRE(!finalized_);  // the decomposition is frozen on first access
@@ -61,18 +91,7 @@ std::size_t MeshScenario::add_node(phy::Position position, net::Role role) {
     return pending_.size() - 1;
   }
   const std::size_t index = nodes_.size();
-  const net::Address address = address_of(index);
-  radios_.push_back(std::make_unique<radio::VirtualRadio>(
-      sim_, *channel_, static_cast<radio::RadioId>(index + 1), position,
-      config_.radio));
-  net::MeshConfig node_config = config_.mesh;
-  node_config.role = role;
-  if (config_.clock_profile) node_config.clock = config_.clock_profile(index);
-  nodes_.push_back(std::make_unique<net::MeshNode>(
-      sim_, *radios_.back(), address, node_config,
-      config_.seed * 0x9E3779B97F4A7C15ULL + index + 1,
-      config_.strategy_factory ? config_.strategy_factory() : nullptr));
-  make_energy_model(index, sim_);
+  make_node(index, sim_, *channel_, position, role);
   if (tracer_ != nullptr) {
     radios_.back()->set_tracer(tracer_);
     nodes_.back()->set_tracer(tracer_);
@@ -131,18 +150,8 @@ void MeshScenario::finalize() {
     const std::size_t r =
         partition_.region_of(pending_[i].position.x, pending_[i].position.y);
     node_region_.push_back(r);
-    sim::Simulator& region_sim = engine_->region(r);
-    radios_.push_back(std::make_unique<radio::VirtualRadio>(
-        region_sim, *channels_[r], static_cast<radio::RadioId>(i + 1),
-        pending_[i].position, config_.radio));
-    net::MeshConfig node_config = config_.mesh;
-    node_config.role = pending_[i].role;
-    if (config_.clock_profile) node_config.clock = config_.clock_profile(i);
-    nodes_.push_back(std::make_unique<net::MeshNode>(
-        region_sim, *radios_.back(), address_of(i), node_config,
-        config_.seed * 0x9E3779B97F4A7C15ULL + i + 1,
-        config_.strategy_factory ? config_.strategy_factory() : nullptr));
-    make_energy_model(i, region_sim);
+    make_node(i, engine_->region(r), *channels_[r], pending_[i].position,
+              pending_[i].role);
   }
   pending_.clear();
   pending_.shrink_to_fit();

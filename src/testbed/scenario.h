@@ -202,14 +202,23 @@ class MeshScenario {
   /// meters the just-created radio, browns the node out at 0 mAh.
   void make_energy_model(std::size_t i, sim::Simulator& sim);
 
+  /// Creates node `i` (radio and stack) on `sim` and `channel`.
+  void make_node(std::size_t i, sim::Simulator& sim, radio::Channel& channel,
+                 phy::Position position, net::Role role);
+
   ScenarioConfig config_;
   sim::Simulator sim_;
   std::unique_ptr<radio::Channel> channel_;
-  std::vector<std::unique_ptr<radio::VirtualRadio>> radios_;
+  // Each node's radio and stack live in one allocation, so a frame's
+  // receiver touches one neighbourhood of memory; radios_ and nodes_ view
+  // into them.
+  struct NodeBlock;
+  std::vector<std::unique_ptr<NodeBlock>> blocks_;
+  std::vector<radio::VirtualRadio*> radios_;
+  std::vector<net::MeshNode*> nodes_;
   // One per node when config.energy is enabled, else empty. Each meters its
   // radio's power states; brownout of a finite battery stops the node.
   std::vector<std::unique_ptr<radio::EnergyModel>> energy_models_;
-  std::vector<std::unique_ptr<net::MeshNode>> nodes_;
   trace::Tracer* tracer_ = nullptr;
 
   // --- PDES mode state (empty / unused in serial mode) ---------------------

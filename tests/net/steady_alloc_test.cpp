@@ -8,6 +8,9 @@
 // counting shim and asserts the count stays at zero across a measurement
 // window of end-to-end datagrams.
 //
+// A second case does the same for the beacon receive path: a neighbour's
+// repeated beacon, answered from the routing table's repeat memo.
+//
 // The test lives in its own binary: the counting operator new/delete
 // replacement is global to the executable, and no other test should pay for
 // it (or accidentally depend on it).
@@ -19,7 +22,9 @@
 #include <new>
 #include <vector>
 
+#include "net/packet.h"
 #include "phy/path_loss.h"
+#include "radio/virtual_radio.h"
 #include "testbed/scenario.h"
 #include "testbed/topology.h"
 
@@ -97,10 +102,18 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
 }
 void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
 void operator delete[](void* p, std::align_val_t) noexcept { counted_free(p); }
-void operator delete(void* p, std::align_val_t, std::size_t) noexcept {
+// The sized forms take the size before the alignment; the radios and node
+// blocks of a scenario are over-aligned, so these do get called.
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
   counted_free(p);
 }
-void operator delete[](void* p, std::align_val_t, std::size_t) noexcept {
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  counted_free(p);
+}
+void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
+void operator delete[](void* p, std::align_val_t, const std::nothrow_t&) noexcept {
   counted_free(p);
 }
 
@@ -181,6 +194,45 @@ TEST(SteadyStateAllocation, ChainForwardingIsAllocationFreeAfterWarmUp) {
   EXPECT_EQ(log.last_hops, 3u);
   EXPECT_EQ(g_allocs.load(), 0u)
       << "steady-state forwarding touched the heap " << g_allocs.load()
+      << " times";
+}
+
+TEST(SteadyStateAllocation, RepeatedBeaconReceptionIsAllocationFree) {
+  // A bare radio next to two nodes replays one neighbour's beacon: after
+  // two identical ones every node answers it from the repeat memo, and
+  // that reception, like the frame's trip through the channel, must not
+  // touch the heap.
+  ScenarioConfig c = cfg();
+  c.mesh.hello_interval = Duration::hours(1);  // the replayed beacon only
+  MeshScenario s(c);
+  s.add_nodes(chain(2, 100.0));
+  radio::VirtualRadio beaconer(s.simulator(), s.channel(), 100, {50.0, 50.0},
+                               c.radio);
+  s.start_all();
+
+  net::RoutingPacket beacon;
+  beacon.link = net::LinkHeader{net::kBroadcast, 0x0064, net::PacketType::Routing};
+  beacon.entries = {{0x0064, 0}, {0x0065, 1}, {0x0066, 2}};
+  const std::vector<std::uint8_t> frame = net::encode(net::Packet{beacon});
+  const auto replay = [&] {
+    ASSERT_TRUE(beaconer.transmit(frame));
+    s.run_for(Duration::seconds(2));
+  };
+  // Warm-up: arms the memos, and takes the channel's record queue (which
+  // compacts only once 32 retired records lead it) to its steady capacity.
+  for (int i = 0; i < 40; ++i) replay();
+  const std::uint64_t memo_before = s.node(0).routing_table().repeated_beacons();
+  const std::uint64_t heard_before = s.node(1).stats().beacons_received;
+
+  g_allocs.store(0);
+  g_counting.store(true);
+  for (int i = 0; i < 20; ++i) replay();
+  g_counting.store(false);
+
+  EXPECT_EQ(s.node(0).routing_table().repeated_beacons() - memo_before, 20u);
+  EXPECT_EQ(s.node(1).stats().beacons_received - heard_before, 20u);
+  EXPECT_EQ(g_allocs.load(), 0u)
+      << "memo-answered beacon receptions touched the heap " << g_allocs.load()
       << " times";
 }
 
