@@ -81,6 +81,8 @@ class MockRadio final : public radio::Radio {
     listener_->on_frame_received(frame, meta);
   }
 
+  const radio::RadioListener* listener() const { return listener_; }
+
   std::vector<std::vector<std::uint8_t>> transmitted;
   int cad_runs = 0;
 
@@ -176,6 +178,24 @@ TEST_F(MockRadioTest, RepeatedBeaconTakesNoPoolBlock) {
   EXPECT_EQ(after.pool_refills - before.pool_refills, 0u);
   EXPECT_EQ(node_->stats().beacons_received, 23u);
   EXPECT_EQ(node_->routing_table().repeated_beacons(), 21u);
+}
+
+TEST_F(MockRadioTest, ReceiveHintFollowsTheGrowingMemoList) {
+  // Twelve neighbours outgrow the room the memo list reserves, so the list
+  // moves; the receive hint must name its new block, not the freed one.
+  const void* first = node_->routing_table().memo_storage();
+  for (int round = 0; round < 2; ++round) {
+    for (Address n = 0x0010; n < 0x001C; ++n) {
+      RoutingPacket beacon;
+      beacon.link = LinkHeader{kBroadcast, n, PacketType::Routing};
+      beacon.entries = {{n, 0}};
+      radio_.inject(Packet{beacon});
+    }
+  }
+  const void* now = node_->routing_table().memo_storage();
+  EXPECT_NE(now, first);
+  ASSERT_NE(radio_.listener(), nullptr);
+  EXPECT_EQ(radio_.listener()->receive_hint().back(), now);
 }
 
 TEST(MockRadioShared, ForwardingEditsItsOwnCopyOfTheSharedDecode) {
