@@ -34,7 +34,7 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" --target test_trace
 
 if [ "$UPDATE" -eq 1 ]; then
   LM_UPDATE_GOLDEN=1 "$BUILD_DIR/tests/test_trace" \
-    --gtest_filter='GoldenTrace.MatchesCheckedInGolden'
+    --gtest_filter='GoldenTrace.*MatchesCheckedInGolden'
   git -C . diff --stat -- tests/trace/golden || true
   echo "golden regenerated; review the diff above before committing"
 fi

@@ -7,10 +7,12 @@
 // shifts at least one event and flips this test.
 //
 // To regenerate after an intentional behavior change:
-//   LM_UPDATE_GOLDEN=1 ./build/tests/test_trace
-//       --gtest_filter='GoldenTrace.MatchesCheckedInGolden'
-// then inspect the diff of tests/trace/golden/chain4_seed2022.trace and
-// commit it alongside the change that explains it.
+//   scripts/check_traces.sh --update-golden
+// (or LM_UPDATE_GOLDEN=1 ./build/tests/test_trace
+//      --gtest_filter='GoldenTrace.*MatchesCheckedInGolden')
+// then inspect the diff of every file in tests/trace/golden/ (the
+// distance-vector, AODV, gateway-tree and flooding chains) and commit it
+// alongside the change that explains it.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -20,6 +22,7 @@
 #include <string>
 
 #include "net/aodv_strategy.h"
+#include "net/flooding_strategy.h"
 #include "net/gateway_tree_strategy.h"
 #include "trace/trace_analyzer.h"
 #include "trace_test_util.h"
@@ -110,6 +113,17 @@ TEST(GoldenTrace, GatewayTreeChainMatchesCheckedInGolden) {
           /*gateway_root=*/true, kGoldenSeed));
   check_against_golden(canonical,
                        LM_TRACE_GOLDEN_DIR "/tree_chain4_seed2022.trace");
+}
+
+// Flooding has no routing plane: the warm-up is silent and the traffic
+// phase pins every relay's jitter draw and every duplicate drop.
+TEST(GoldenTrace, FloodingChainMatchesCheckedInGolden) {
+  const std::string canonical = lm::trace::TraceAnalyzer::canonical_text(
+      trace_test::capture_strategy_chain_trace(
+          [] { return std::make_unique<lm::net::FloodingStrategy>(); },
+          /*gateway_root=*/false, kGoldenSeed));
+  check_against_golden(canonical,
+                       LM_TRACE_GOLDEN_DIR "/flood_chain4_seed2022.trace");
 }
 
 TEST(GoldenTrace, SameBinaryProducesIdenticalTraceTwice) {
