@@ -103,9 +103,6 @@ struct MeshConfig {
   int acked_max_retries = 3;
   /// Wait for the end-to-end ACK before each retransmission.
   Duration acked_retry_timeout = Duration::seconds(10);
-  /// Remembered (origin, packet_id) pairs for duplicate suppression of
-  /// retransmitted acked datagrams.
-  std::size_t acked_dedup_cache = 64;
 
   /// Concurrent reliable-transfer receive sessions. Each session holds
   /// fragment buffers and timers, so an attacker (or a bug) spraying SYNCs

@@ -1,9 +1,5 @@
 #include "net/distance_vector_strategy.h"
 
-#include <variant>
-
-#include "support/assert.h"
-
 namespace lm::net {
 
 DistanceVectorStrategy::~DistanceVectorStrategy() {
@@ -38,61 +34,18 @@ void DistanceVectorStrategy::on_routing(const RoutingPacket& packet) {
 }
 
 void DistanceVectorStrategy::handle(Packet packet) {
-  const RouteHeader* route = route_of(packet);
-  LM_ASSERT(route != nullptr);
-  if (route->final_dst == kBroadcast) {
-    // Single-hop broadcast datagram: deliver, never forward.
-    if (std::holds_alternative<DataPacket>(packet)) {
-      deliver_(std::move(packet));
-    }
-    return;
-  }
-  if (route->final_dst == ctx_->address) {
+  if (deliver_if_broadcast(packet)) return;
+  const RouteHeader& route = *route_of(packet);
+  if (route.final_dst == ctx_->address) {
     deliver_(std::move(packet));
-  } else {
-    forward(std::move(packet));
-  }
-}
-
-void DistanceVectorStrategy::forward(Packet packet) {
-  RouteHeader* route = route_of(packet);
-  LM_ASSERT(route != nullptr);
-  if (route->ttl <= 1) {
-    ctx_->stats.dropped_ttl++;
-    if (ctx_->tracer != nullptr) {
-      ctx_->trace_packet(trace::EventKind::Drop, packet,
-                         trace::DropReason::TtlExpired);
-    }
     return;
   }
-  if (!table_->has_route(route->final_dst)) {
-    ctx_->stats.dropped_no_route++;
-    if (ctx_->tracer != nullptr) {
-      ctx_->trace_packet(trace::EventKind::Drop, packet,
-                         trace::DropReason::NoRoute);
-    }
+  if (drop_if_ttl_expired(packet)) return;
+  if (!table_->has_route(route.final_dst)) {
+    drop_no_route(packet);
     return;
   }
-  route->ttl--;
-  route->hops++;
-  LinkHeader& link = link_of(packet);
-  link.src = ctx_->address;
-  link.dst = kUnassigned;  // resolved at transmit time
-  ctx_->stats.packets_forwarded++;
-  if (ctx_->tracer != nullptr) {
-    ctx_->trace_packet(trace::EventKind::Forward, packet);
-  }
-  const bool control = is_control_plane(packet);
-  if (ctx_->config.forward_jitter > Duration::zero()) {
-    const Duration delay = Duration::from_seconds(
-        ctx_->rng.uniform(0.0, ctx_->config.forward_jitter.seconds_d()));
-    track_jitter(ctx_->schedule_local(
-        delay, [this, control, p = std::move(packet)]() mutable {
-          if (ctx_->running) link_->enqueue(std::move(p), control);
-        }));
-  } else {
-    link_->enqueue(std::move(packet), control);
-  }
+  relay(std::move(packet), kUnassigned, ctx_->config.forward_jitter);
 }
 
 void DistanceVectorStrategy::schedule_next_beacon(bool first) {

@@ -34,7 +34,6 @@ class DistanceVectorStrategy : public RoutingStrategy {
  private:
   void schedule_next_beacon(bool first);
   void send_beacon();
-  void forward(Packet packet);
 
   sim::TimerId beacon_timer_ = 0;
 };

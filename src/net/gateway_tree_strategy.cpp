@@ -170,20 +170,16 @@ void GatewayTreeStrategy::elect_and_rebroadcast() {
   }
   // Relay the wave with our own depth so deeper nodes can join.
   if (ctx_->config.max_ttl > depth_ + 1 && depth_ < 255) {
-    TreeBeaconPacket relay;
-    relay.link = LinkHeader{kBroadcast, ctx_->address, PacketType::TreeBeacon};
-    relay.route.final_dst = kBroadcast;
-    relay.route.origin = *root_;
-    relay.route.ttl = static_cast<std::uint8_t>(ctx_->config.max_ttl - depth_);
-    relay.route.hops = static_cast<std::uint8_t>(depth_);
-    relay.route.packet_id = round_;
+    TreeBeaconPacket wave;
+    wave.link = LinkHeader{kBroadcast, ctx_->address, PacketType::TreeBeacon};
+    wave.route.final_dst = kBroadcast;
+    wave.route.origin = *root_;
+    wave.route.ttl = static_cast<std::uint8_t>(ctx_->config.max_ttl - depth_);
+    wave.route.hops = static_cast<std::uint8_t>(depth_);
+    wave.route.packet_id = round_;
     beacons_relayed_++;
     ctx_->stats.beacons_sent++;
-    const Duration jitter = Duration::from_seconds(ctx_->rng.uniform(
-        0.0, std::max(config_.rebroadcast_jitter.seconds_d(), 1e-4)));
-    track_jitter(ctx_->schedule_local(jitter, [this, relay] {
-      if (ctx_->running) link_->enqueue(Packet{relay}, /*control=*/true);
-    }));
+    enqueue_jittered(Packet{wave}, flood_jitter(config_.rebroadcast_jitter));
   }
   if (first_parent && config_.report_interval > Duration::zero()) {
     schedule_report(/*first=*/true);
@@ -250,19 +246,12 @@ void GatewayTreeStrategy::handle(Packet packet) {
     on_report(std::move(packet));
     return;
   }
-  RouteHeader* route = route_of(packet);
-  LM_ASSERT(route != nullptr);
-  if (route->final_dst == kBroadcast) {
-    // Single-hop broadcast datagram: deliver, never forward.
-    if (std::holds_alternative<DataPacket>(packet)) {
-      deliver_(std::move(packet));
-    }
-    return;
-  }
+  if (deliver_if_broadcast(packet)) return;
   // Any relayed unicast teaches the downward direction: the origin is
   // reachable through whoever just handed us the packet.
-  learn_backward(link_of(packet), *route);
-  if (route->final_dst == ctx_->address) {
+  const RouteHeader& route = *route_of(packet);
+  learn_backward(link_of(packet), route);
+  if (route.final_dst == ctx_->address) {
     deliver_(std::move(packet));
   } else {
     forward(std::move(packet));
@@ -282,45 +271,13 @@ void GatewayTreeStrategy::on_report(Packet packet) {
 }
 
 void GatewayTreeStrategy::forward(Packet packet) {
-  RouteHeader* route = route_of(packet);
-  LM_ASSERT(route != nullptr);
-  if (route->ttl <= 1) {
-    ctx_->stats.dropped_ttl++;
-    if (ctx_->tracer != nullptr) {
-      ctx_->trace_packet(trace::EventKind::Drop, packet,
-                         trace::DropReason::TtlExpired);
-    }
-    return;
-  }
-  if (!table_->has_route(route->final_dst) &&
+  if (drop_if_ttl_expired(packet)) return;
+  if (!table_->has_route(route_of(packet)->final_dst) &&
       !(parent_.has_value() && !is_root_)) {
-    ctx_->stats.dropped_no_route++;
-    if (ctx_->tracer != nullptr) {
-      ctx_->trace_packet(trace::EventKind::Drop, packet,
-                         trace::DropReason::NoRoute);
-    }
+    drop_no_route(packet);
     return;
   }
-  route->ttl--;
-  route->hops++;
-  LinkHeader& link = link_of(packet);
-  link.src = ctx_->address;
-  link.dst = kUnassigned;  // resolved at transmit time
-  ctx_->stats.packets_forwarded++;
-  if (ctx_->tracer != nullptr) {
-    ctx_->trace_packet(trace::EventKind::Forward, packet);
-  }
-  const bool control = is_control_plane(packet);
-  if (ctx_->config.forward_jitter > Duration::zero()) {
-    const Duration delay = Duration::from_seconds(
-        ctx_->rng.uniform(0.0, ctx_->config.forward_jitter.seconds_d()));
-    track_jitter(ctx_->schedule_local(
-        delay, [this, control, p = std::move(packet)]() mutable {
-          if (ctx_->running) link_->enqueue(std::move(p), control);
-        }));
-  } else {
-    link_->enqueue(std::move(packet), control);
-  }
+  relay(std::move(packet), kUnassigned, ctx_->config.forward_jitter);
 }
 
 std::optional<Address> GatewayTreeStrategy::resolve_next_hop(

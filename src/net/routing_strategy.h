@@ -2,12 +2,18 @@
 //
 // The paper's prototype routes with a hop-count distance-vector protocol,
 // but related work varies exactly this axis (position/energy-aware metrics,
-// managed flooding). A strategy owns the routing *policy*: what to do with
-// a received routing beacon, how to dispatch a routed packet
-// (deliver/forward/flood), how to resolve the next hop at transmit time and
-// whether an origination is currently routable. Everything mechanical —
-// queues, CAD/backoff, duty cycle, sessions — lives in the shared layers
-// and is reused unchanged across strategies.
+// managed flooding). A strategy implements the routing *policy*: what to do
+// with a received routing beacon, whether a packet it would forward has a
+// route, which control packets it originates, how to resolve the next hop
+// at transmit time and whether an origination is currently routable.
+//
+// The relay mechanics every policy shares are inherited, not copied: the
+// TTL-expired and no-route drops, the relay step (ttl - 1, hops + 1, link
+// rewrite, Forward count and trace), the jittered or immediate enqueue
+// behind it and the single-hop broadcast-datagram delivery are protected
+// helpers here; duplicate suppression is support::DuplicateFilter. The
+// queues, CAD/backoff, duty cycle and sessions live in the shared layers
+// and are reused unchanged across strategies.
 #pragma once
 
 #include <algorithm>
@@ -78,16 +84,32 @@ class RoutingStrategy {
   virtual std::optional<Address> resolve_next_hop(const RouteHeader& route) = 0;
 
  protected:
-  /// Registers a fire-and-forget delay timer (rebroadcast/forward jitter)
-  /// so the destructor can cancel it — an untracked closure would fire
-  /// into a destroyed strategy. Fired handles are pruned here, keeping the
-  /// list at the pending-jitter count.
-  void track_jitter(sim::TimerId id) {
-    std::erase_if(jitter_timers_, [this](sim::TimerId t) {
-      return !ctx_->sim.is_pending(t);
-    });
-    jitter_timers_.push_back(id);
+  /// Flood relays (flooding, tree-beacon waves) always defer: a configured
+  /// rebroadcast jitter below 100 us still draws from [0, 100 us), so the
+  /// relays of one wave never fire in the same instant.
+  static Duration flood_jitter(Duration configured) {
+    return std::max(configured, Duration::microseconds(100));
   }
+
+  /// Drops `packet` if its TTL expires on this hop, counted in dropped_ttl
+  /// and traced as TtlExpired; true when dropped.
+  bool drop_if_ttl_expired(const Packet& packet);
+  /// Drops a packet the policy found no route for, counted in
+  /// dropped_no_route and traced as NoRoute.
+  void drop_no_route(const Packet& packet);
+  /// Relays a received routed packet one hop on: ttl - 1, hops + 1, link
+  /// source rewritten to us and link destination to `link_dst` (kBroadcast
+  /// for floods, kUnassigned for resolution at transmit time), counted in
+  /// packets_forwarded and traced as Forward, then enqueue_jittered.
+  void relay(Packet packet, Address link_dst, Duration max_jitter);
+  /// Enqueues `packet` after a uniform random delay in [0, max_jitter), or
+  /// at once when max_jitter is not positive. The delay is drawn only when
+  /// it is used.
+  void enqueue_jittered(Packet packet, Duration max_jitter);
+  /// Under unicast routing a packet routed to kBroadcast is a single-hop
+  /// broadcast datagram: a data packet is delivered, nothing is forwarded.
+  /// True when `packet` was one (it is consumed).
+  bool deliver_if_broadcast(Packet& packet);
 
   LayerContext* ctx_ = nullptr;
   RoutingTable* table_ = nullptr;
@@ -95,6 +117,16 @@ class RoutingStrategy {
   DeliverFn deliver_;
 
  private:
+  /// Registers a fire-and-forget delay timer so the destructor can cancel
+  /// it — an untracked closure would fire into a destroyed strategy. Fired
+  /// handles are pruned here, keeping the list at the pending-jitter count.
+  void track_jitter(sim::TimerId id) {
+    std::erase_if(jitter_timers_, [this](sim::TimerId t) {
+      return !ctx_->sim.is_pending(t);
+    });
+    jitter_timers_.push_back(id);
+  }
+
   std::vector<sim::TimerId> jitter_timers_;
 };
 
