@@ -90,17 +90,4 @@ double decode_probability(double snr, SpreadingFactor sf) {
   return 1.0 / (1.0 + std::exp(-kSlopePerDb * margin));
 }
 
-double sample_fading_db(Rng& rng, double sigma_db) {
-  LM_REQUIRE(sigma_db >= 0.0);
-  if (sigma_db == 0.0) return 0.0;
-  return rng.normal(0.0, sigma_db);
-}
-
-bool decode_success(Rng& rng, double rssi_dbm, const Modulation& mod,
-                    double noise_figure_db) {
-  if (rssi_dbm < sensitivity_dbm(mod.sf, mod.bw)) return false;
-  const double snr = snr_db(rssi_dbm, mod.bw, noise_figure_db);
-  return rng.bernoulli(decode_probability(snr, mod.sf));
-}
-
 }  // namespace lm::phy

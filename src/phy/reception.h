@@ -15,7 +15,6 @@
 #pragma once
 
 #include "phy/lora_params.h"
-#include "support/rng.h"
 
 namespace lm::phy {
 
@@ -51,13 +50,5 @@ double min_sensitivity_dbm();
 /// measured LoRa PER-vs-SNR curves: ~0.5 at the floor, > 0.99 at +2 dB,
 /// < 0.01 at -2 dB margin.
 double decode_probability(double snr_db, SpreadingFactor sf);
-
-/// Samples per-packet fast fading (dB) to add to the mean RSSI. Rayleigh-like
-/// amplitude fading expressed in dB: zero-median, sigma_db spread.
-double sample_fading_db(Rng& rng, double sigma_db);
-
-/// Convenience: full interference-free reception decision.
-bool decode_success(Rng& rng, double rssi_dbm, const Modulation& mod,
-                    double noise_figure_db = 6.0);
 
 }  // namespace lm::phy

@@ -254,7 +254,6 @@ void Channel::begin_tx(VirtualRadio& radio, std::span<const std::uint8_t> frame)
   t.frame.assign(frame.begin(), frame.end());
   t.ended = false;
   t.ghost = false;  // the record may be a recycled ghost
-  t.fading_db.clear();
   if (airtime > longest_airtime_) longest_airtime_ = airtime;
   stats_.frames_transmitted++;
   if (tracer_ != nullptr) {
@@ -317,7 +316,6 @@ void Channel::inject_ghost(const TxSnapshot& snapshot) {
   t.frame.assign(snapshot.frame.begin(), snapshot.frame.end());
   t.ended = false;
   t.ghost = true;
-  t.fading_db.clear();
   const Duration airtime = t.end - t.start;
   if (airtime > longest_airtime_) longest_airtime_ = airtime;
   // A foreign transmitter may out-power every local radio; fold it into the
@@ -493,21 +491,11 @@ double Channel::propagation_loss_db(const Transmission& t,
   return link_loss_db(t.tx_pos, t.tx_id, rx);
 }
 
-double Channel::rssi_with_fading(Transmission& t, const VirtualRadio& rx,
-                                 double loss_db) {
-  double fading = 0.0;
-  if (config_.fading_sigma_db > 0.0) {
-    auto it = t.fading_db.find(rx.id());
-    if (it == t.fading_db.end()) {
-      it = t.fading_db
-               .try_emplace(rx.id(), derived_normal_db(kFadingTag, t.seq, rx.id(),
-                                                       config_.fading_sigma_db))
-               .first;
-    }
-    fading = it->second;
-  }
+double Channel::rssi_with_fading(const Transmission& t, const VirtualRadio& rx,
+                                 double loss_db) const {
   return t.tx_power_dbm + t.antenna_gain_db + rx.config().antenna_gain_db -
-         loss_db + fading;
+         loss_db +
+         derived_normal_db(kFadingTag, t.seq, rx.id(), config_.fading_sigma_db);
 }
 
 void Channel::trace_reception(const Transmission& t, const VirtualRadio& rx,

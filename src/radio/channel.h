@@ -238,13 +238,6 @@ class Channel {
     TimePoint end;
     bool ended = false;  // left the air; kept around for overlap checks
     bool ghost = false;  // foreign-region replay (see inject_ghost)
-    // Per-receiver fading, derived once per (frame, receiver) pair so that
-    // repeated queries (signal vs interference roles) agree. Flat and
-    // pool-backed: record reuse keeps its capacity, so the per-frame path
-    // stops allocating once the pool is warm.
-    support::FlatMap<RadioId, double, std::less<RadioId>,
-                     support::PoolAllocator<std::pair<RadioId, double>>>
-        fading_db;
   };
 
   // One receiver of a transmitter's frames and the link's propagation loss
@@ -279,8 +272,10 @@ class Channel {
   /// Decides one reception opportunity; `loss_db` is the link's
   /// propagation loss.
   void evaluate_reception(Transmission& t, VirtualRadio& rx, double loss_db);
-  double rssi_with_fading(Transmission& t, const VirtualRadio& rx,
-                          double loss_db);
+  /// Mean RSSI plus the frame's fading at `rx`: a draw derived from
+  /// (frame seq, receiver), so the signal and interferer roles agree.
+  double rssi_with_fading(const Transmission& t, const VirtualRadio& rx,
+                          double loss_db) const;
   double link_shadowing_db(RadioId a, RadioId b) const;
   /// Path loss + static shadowing from `tx_pos` to `rx`, computed directly.
   double link_loss_db(const phy::Position& tx_pos, RadioId tx_id,

@@ -7,8 +7,6 @@
 #include "phy/lora_params.h"
 #include "phy/path_loss.h"
 #include "phy/reception.h"
-#include "support/rng.h"
-#include "support/stats.h"
 
 namespace lm::phy {
 namespace {
@@ -156,45 +154,6 @@ TEST(Reception, SirThresholdCrossSfIsRejection) {
   // Higher-SF signals reject harder (Croce et al. trend).
   EXPECT_LT(sir_threshold_db(SpreadingFactor::SF12, SpreadingFactor::SF7),
             sir_threshold_db(SpreadingFactor::SF8, SpreadingFactor::SF7));
-}
-
-TEST(Reception, FadingZeroSigmaIsDeterministic) {
-  Rng rng(1);
-  for (int i = 0; i < 10; ++i) EXPECT_DOUBLE_EQ(sample_fading_db(rng, 0.0), 0.0);
-}
-
-TEST(Reception, FadingSpreadMatchesSigma) {
-  Rng rng(2);
-  RunningStats stats;
-  for (int i = 0; i < 20000; ++i) stats.add(sample_fading_db(rng, 2.0));
-  EXPECT_NEAR(stats.mean(), 0.0, 0.05);
-  EXPECT_NEAR(stats.stddev(), 2.0, 0.05);
-}
-
-TEST(Reception, DecodeSuccessRespectsSensitivity) {
-  Rng rng(3);
-  Modulation m;  // SF7/125
-  // 40 dB above sensitivity: always decodes; 1 dB below: never.
-  int ok_strong = 0, ok_weak = 0;
-  for (int i = 0; i < 200; ++i) {
-    if (decode_success(rng, -83.0, m)) ++ok_strong;
-    if (decode_success(rng, -124.0, m)) ++ok_weak;
-  }
-  EXPECT_EQ(ok_strong, 200);
-  EXPECT_EQ(ok_weak, 0);
-}
-
-TEST(Reception, DecodeSuccessGrayZone) {
-  Rng rng(4);
-  Modulation m;
-  // At exactly sensitivity (-123 dBm), SNR is -5.97 dB — above the SF7 floor
-  // of -7.5 dB by ~1.5 dB, so most frames decode but not all.
-  int ok = 0;
-  for (int i = 0; i < 2000; ++i) {
-    if (decode_success(rng, -123.0, m)) ++ok;
-  }
-  EXPECT_GT(ok, 1500);
-  EXPECT_LT(ok, 2000);
 }
 
 }  // namespace
