@@ -102,6 +102,20 @@ ScaleResult run_field(std::size_t n, bool indexed) {
   return r;
 }
 
+// Repeats run_field until at least 100 ms of wall time has passed and
+// reports the mean wall time per run: one 100- or 300-node run lasts a few
+// ms, too short to time on a shared host. The counters come from the first
+// run (every run is identical).
+ScaleResult time_field(std::size_t n, bool indexed) {
+  constexpr double kMinWallS = 0.1;
+  ScaleResult first = run_field(n, indexed);
+  double total_s = first.wall_s;
+  int runs = 1;
+  for (; total_s < kMinWallS; ++runs) total_s += run_field(n, indexed).wall_s;
+  first.wall_s = total_s / runs;
+  return first;
+}
+
 // --- Chain field: serial N-scaling and PDES strong scaling -------------------
 //
 // One workload family — an N-node chain at campus spacing, hello +
@@ -231,12 +245,14 @@ int main(int argc, char** argv) {
                 "scales near-linearly (>= 5x over O(N^2) at 1000 nodes)");
   bench::Reporter reporter("bench_scale", argc, argv);
 
+  std::printf("wall s per run; each point repeats its run until 100 ms have "
+              "passed\n");
   std::printf("%8s %12s %12s %10s %12s %12s\n", "nodes", "indexed s",
               "brute s", "speedup", "delivered", "culled");
 
   const std::size_t sizes[] = {100, 300, 1000, 3000};
   for (const std::size_t n : sizes) {
-    const ScaleResult indexed = run_field(n, /*indexed=*/true);
+    const ScaleResult indexed = time_field(n, /*indexed=*/true);
     reporter.point(bench::format("n%zu.indexed", n), indexed.wall_s);
     reporter.metric(bench::format("n%zu.delivered", n),
                     static_cast<double>(indexed.delivered));
@@ -246,7 +262,7 @@ int main(int argc, char** argv) {
     const bool run_brute = n <= 1000;
     ScaleResult brute;
     if (run_brute) {
-      brute = run_field(n, /*indexed=*/false);
+      brute = time_field(n, /*indexed=*/false);
       reporter.point(bench::format("n%zu.brute", n), brute.wall_s);
       if (brute.delivered != indexed.delivered ||
           brute.transmitted != indexed.transmitted) {
@@ -261,12 +277,12 @@ int main(int argc, char** argv) {
       }
       const double speedup = brute.wall_s / std::max(indexed.wall_s, 1e-9);
       reporter.metric(bench::format("n%zu.speedup", n), speedup);
-      std::printf("%8zu %12.3f %12.3f %9.1fx %12llu %12llu\n", n,
+      std::printf("%8zu %12.4f %12.4f %9.1fx %12llu %12llu\n", n,
                   indexed.wall_s, brute.wall_s, speedup,
                   static_cast<unsigned long long>(indexed.delivered),
                   static_cast<unsigned long long>(indexed.culled));
     } else {
-      std::printf("%8zu %12.3f %12s %10s %12llu %12llu\n", n, indexed.wall_s,
+      std::printf("%8zu %12.4f %12s %10s %12llu %12llu\n", n, indexed.wall_s,
                   "-", "-", static_cast<unsigned long long>(indexed.delivered),
                   static_cast<unsigned long long>(indexed.culled));
     }

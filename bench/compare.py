@@ -18,6 +18,12 @@ Regression direction is inferred from the metric name:
                       e.g. `mesh.h4.loss10.p95_ms`; a pure function of the
                       seed, so beyond the threshold it is a behavior
                       change, and no wall-time floor applies)
+  *airtime_s,         any change fails (simulated times: airtime totals,
+  *airtime_per_pkt_s, airtime per packet, mean latency and mean
+  *latency_mean_s,    convergence time are pure functions of the seed,
+  *mean_convergence_s so a move in either direction is a behavior
+                      change; gated as wall times, the 0.1 s floor below
+                      would hide any move of a sub-0.1 s airtime)
   *wall_s, *_s        higher is worse (wall time)
   *.events, events,   any change fails (simulated event counts and the
   *.windows,          PDES engine's barrier windows, ghost-exchange posts
@@ -59,6 +65,10 @@ EPSILON_S = 0.1
 EPSILON_MAH = 0.01
 # Name suffixes of deterministic simulated counts, where any change fails.
 COUNT_SUFFIXES = ("events", "windows", "ghosts", "events_per_window")
+# Name suffixes of simulated (not wall) times: deterministic, so any change
+# fails, and the wall-time floor EPSILON_S does not apply.
+SIM_TIME_SUFFIXES = ("airtime_s", "airtime_per_pkt_s", "latency_mean_s",
+                     "mean_convergence_s")
 
 
 def load_dir(path):
@@ -87,15 +97,17 @@ def load_dir(path):
 
 def direction(metric):
     """Returns 'time' (higher worse), 'rate' (lower worse), 'latency'
-    (higher worse), 'pdr' (any drop is worse), 'count' (any change is
-    worse), 'energy' (higher worse) or None."""
+    (higher worse), 'pdr' (any drop is worse), 'count' or 'sim_time' (any
+    change is worse), 'energy' (higher worse) or None."""
     # Rates before times: sim_s_per_wall_s is a throughput despite its
     # trailing _s. Any other "_per_" is a ratio, not a rate:
-    # airtime_per_pkt_s is a time per packet, where higher is worse.
+    # airtime_per_pkt_s is a simulated time per packet.
     if "per_s" in metric or "per_sec" in metric or "per_wall" in metric:
         return "rate"
     if metric.endswith("_ms"):
         return "latency"
+    if metric.endswith(SIM_TIME_SUFFIXES):
+        return "sim_time"
     if metric.endswith("wall_s") or metric.endswith("_s"):
         return "time"
     if any(metric == s or metric.endswith("." + s) for s in COUNT_SUFFIXES):
@@ -153,7 +165,7 @@ def main(argv):
                       and abs(delta) > EPSILON_S) or
                      (kind == "rate" and rel < -threshold) or
                      (kind == "latency" and rel > threshold) or
-                     (kind == "count" and delta != 0) or
+                     (kind in ("count", "sim_time") and delta != 0) or
                      (kind == "pdr" and delta < 0) or
                      (kind == "energy" and rel > threshold
                       and abs(delta) > EPSILON_MAH))
@@ -176,6 +188,8 @@ def main(argv):
                 tag = "ENERGY-REGRESSION (charge drawn grew)"
             elif kind == "count" and worse:
                 tag = "COUNT-CHANGED (deterministic count moved)"
+            elif kind == "sim_time" and worse:
+                tag = "SIM-TIME-CHANGED (deterministic simulated time moved)"
             print(f"  {metric:<44} {b:>12.4g} -> {c:>12.4g} "
                   f"({rel:+8.1%}) {tag}")
             if worse:
@@ -184,7 +198,7 @@ def main(argv):
     print()
     if regressions:
         print(f"{len(regressions)} regression(s) (threshold {threshold:.0%}; "
-              "deterministic counts and PDR have none):")
+              "deterministic counts, simulated times and PDR have none):")
         for bench, metric, rel in regressions:
             print(f"  {bench}.{metric}: {rel:+.1%}")
         return 1

@@ -15,7 +15,12 @@ against edited copies, each of which must exit 1:
   * pr19 bench_scale, every *.windows count raised by 1, every *.ghosts
     count lowered by 1 and every *.events_per_window scaled by 1.01 (the
     PDES engine's barrier windows and ghost-exchange posts are
-    deterministic too, so a move in either direction is a regression).
+    deterministic too, so a move in either direction is a regression);
+  * simulated times, each moved by less than a wall-time gate would see
+    (under 15 % and under 0.1 s): pr14 bench_strategies, every *.airtime_s
+    scaled by 1.001 and every *.latency_mean_s by 0.99; pr15
+    bench_multihop, every *.airtime_per_pkt_s raised by 1 ms; pr14
+    bench_convergence, every *.mean_convergence_s raised by 50 ms.
 Run by ctest as compare_py_selftest, or directly:
 
     python3 bench/compare_test.py
@@ -31,6 +36,9 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 MULTIHOP = os.path.join(HERE, "trajectory", "pr15", "BENCH_bench_multihop.json")
 SCALE = os.path.join(HERE, "trajectory", "pr18", "BENCH_bench_scale.json")
 SCALE_PR19 = os.path.join(HERE, "trajectory", "pr19", "BENCH_bench_scale.json")
+STRATEGIES = os.path.join(HERE, "trajectory", "pr14", "BENCH_bench_strategies.json")
+CONVERGENCE = os.path.join(HERE, "trajectory", "pr14",
+                           "BENCH_bench_convergence.json")
 
 
 def is_events(metric):
@@ -54,6 +62,14 @@ EDITS = [
     (SCALE_PR19, "*.ghosts -1", ends_with("ghosts"), lambda v: v - 1),
     (SCALE_PR19, "*.events_per_window x1.01", ends_with("events_per_window"),
      lambda v: v * 1.01),
+    (STRATEGIES, "*.airtime_s x1.001", ends_with("airtime_s"),
+     lambda v: v * 1.001),
+    (MULTIHOP, "*.airtime_per_pkt_s +1 ms", ends_with("airtime_per_pkt_s"),
+     lambda v: v + 0.001),
+    (STRATEGIES, "*.latency_mean_s x0.99", ends_with("latency_mean_s"),
+     lambda v: v * 0.99),
+    (CONVERGENCE, "*.mean_convergence_s +50 ms", ends_with("mean_convergence_s"),
+     lambda v: v + 0.05),
 ]
 
 

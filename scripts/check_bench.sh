@@ -13,7 +13,8 @@
 # absolute deltas, and its output says which metrics are informational —
 # so treat a failure here as "re-run and confirm", not as an instant
 # verdict. compare.py fails on any change of the deterministic counts
-# `*.events`, `*.windows`, `*.ghosts` and `*.events_per_window`, and on any
+# `*.events`, `*.windows`, `*.ghosts` and `*.events_per_window` and of the
+# simulated times (airtime, mean latency, mean convergence), and on any
 # `*.pdr` drop. Other deterministic counters (e.g. `delivery.receptions`,
 # `n1000.delivered`) must not move either, but compare.py does not gate
 # them yet: check them by hand with `bench/compare.py --all`.

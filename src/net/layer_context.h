@@ -114,6 +114,8 @@ struct NodeStats {
     return *this;
   }
 };
+// 35 fields, each summed in operator+=: a new one must be added there too.
+static_assert(sizeof(NodeStats) == 35 * 8);
 
 /// Cache-line aligned, and laid out so that everything a beacon reception
 /// reads or writes here sits in two adjacent lines (receive_hot_lines()):

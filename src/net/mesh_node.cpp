@@ -9,6 +9,10 @@
 
 namespace lm::net {
 
+// No hot-line assert sees the node's size: one more 64-byte line costs the
+// 4,900-node city field 0.3 MB of peak RSS. Grow it only on purpose.
+static_assert(sizeof(MeshNode) <= 1664);
+
 namespace {
 
 // Contract checks run before any layer construction (the link layer's dwell

@@ -15,8 +15,38 @@ constexpr double kResidualEpsilonMah = 1e-9;
 
 constexpr double hours_of(Duration d) { return d.seconds_d() / 3600.0; }
 
-constexpr std::size_t state_index(RadioState s) {
-  return static_cast<std::size_t>(s);
+constexpr std::uint32_t state_index(RadioState s) {
+  return static_cast<std::uint32_t>(s);
+}
+
+constexpr RadioState kStates[] = {RadioState::Sleep, RadioState::Standby,
+                                  RadioState::Rx, RadioState::Tx, RadioState::Cad};
+
+/// Simulated time the radio has spent in any state.
+Duration lifetime(const VirtualRadio& radio) {
+  Duration total = Duration::zero();
+  for (RadioState state : kStates) total += radio.time_in_state(state);
+  return total;
+}
+
+/// Position of `t` within the harvesting period, in [0, period) µs.
+std::int64_t harvest_phase_us(const HarvestingProfile& h, TimePoint t) {
+  const std::int64_t period = h.period.us();
+  const std::int64_t pos = ((t - TimePoint::origin()) - h.phase).us() % period;
+  return pos < 0 ? pos + period : pos;
+}
+
+/// Panel current (mA) flowing at `t`.
+double harvest_ma_at(const HarvestingProfile& h, TimePoint t) {
+  if (!h.enabled()) return 0.0;
+  return harvest_phase_us(h, t) < h.on_time.us() ? h.charge_ma : 0.0;
+}
+
+/// True-time distance from `t` to the next harvest on/off edge.
+Duration until_harvest_edge(const HarvestingProfile& h, TimePoint t) {
+  const std::int64_t pos = harvest_phase_us(h, t);
+  const std::int64_t next = pos < h.on_time.us() ? h.on_time.us() : h.period.us();
+  return Duration::microseconds(next - pos);
 }
 
 }  // namespace
@@ -32,24 +62,21 @@ double EnergyProfile::current_for(RadioState state) const {
   LM_ASSERT(false);
 }
 
+double charge_consumed_mah(const VirtualRadio& radio, RadioState state,
+                           const EnergyProfile& profile) {
+  return profile.current_for(state) * hours_of(radio.time_in_state(state));
+}
+
 double charge_consumed_mah(const VirtualRadio& radio, const EnergyProfile& profile) {
   double mah = 0.0;
-  for (RadioState state : {RadioState::Sleep, RadioState::Standby, RadioState::Rx,
-                           RadioState::Tx, RadioState::Cad}) {
-    const double hours = radio.time_in_state(state).seconds_d() / 3600.0;
-    mah += profile.current_for(state) * hours;
-  }
+  for (RadioState state : kStates) mah += charge_consumed_mah(radio, state, profile);
   return mah;
 }
 
 double average_current_ma(const VirtualRadio& radio, const EnergyProfile& profile) {
-  Duration total = Duration::zero();
-  for (RadioState state : {RadioState::Sleep, RadioState::Standby, RadioState::Rx,
-                           RadioState::Tx, RadioState::Cad}) {
-    total += radio.time_in_state(state);
-  }
+  const Duration total = lifetime(radio);
   if (total.is_zero()) return 0.0;
-  return charge_consumed_mah(radio, profile) / (total.seconds_d() / 3600.0);
+  return charge_consumed_mah(radio, profile) / hours_of(total);
 }
 
 double battery_life_days(double average_ma, double capacity_mah) {
@@ -60,11 +87,14 @@ double battery_life_days(double average_ma, double capacity_mah) {
 
 // --- EnergyModel -------------------------------------------------------------
 
+// The config, the brownout callback and nine words: nothing the radio knows.
+static_assert(sizeof(EnergyModel) ==
+              sizeof(EnergyConfig) + sizeof(EnergyModel::BrownoutCallback) + 9 * 8);
+
 EnergyModel::EnergyModel(sim::Simulator& sim, const EnergyConfig& config,
                          std::uint16_t node)
-    : sim_(sim), config_(config), node_(node) {
-  residual_mah_ = config_.battery.initial();
-}
+    : sim_(sim), config_(config), node_(node),
+      residual_mah_(config.battery.initial()) {}
 
 EnergyModel::~EnergyModel() {
   if (depletion_timer_ != 0) sim_.cancel(depletion_timer_);
@@ -73,113 +103,100 @@ EnergyModel::~EnergyModel() {
 
 void EnergyModel::attach(VirtualRadio& radio) {
   LM_REQUIRE(radio_ == nullptr);  // one radio per model
+  LM_REQUIRE(lifetime(radio).is_zero());  // its clock is the whole ledger
   radio_ = &radio;
   radio.attach_energy(this);
-  state_ = radio.state();
-  attached_at_ = sim_.now();
-  last_transition_ = attached_at_;
-  settled_at_ = attached_at_;
-  arm_depletion_timer();
+  settled_at_ = sim_.now();
+  arm_depletion_timer(radio.state());
 }
 
-void EnergyModel::on_state_change(RadioState from, RadioState to) {
-  LM_ASSERT(from == state_);
-  const TimePoint now = sim_.now();
-  settle(now);
-  const Duration in_state = now - last_transition_;
-  trace_state_change(from, in_state);
-  state_ = to;
-  last_transition_ = now;
-  arm_depletion_timer();
+void EnergyModel::detach_radio() {
+  if (depletion_timer_ != 0) sim_.cancel(depletion_timer_);
+  depletion_timer_ = 0;
+  radio_ = nullptr;
+}
+
+void EnergyModel::on_state_change(RadioState from, RadioState to,
+                                  Duration in_state) {
+  settle(sim_.now(), from);
+  if (tracer_ != nullptr && tracer_->on()) {
+    trace::TraceEvent e;
+    e.t_us = sim_.now().us();
+    e.kind = trace::EventKind::EnergyState;
+    e.node = node_;
+    e.bytes = state_index(from);
+    e.aux_us = in_state.us();
+    e.value = config_.battery.finite() ? residual_mah_
+                                       : charge_consumed_mah(*radio_, config_.profile);
+    tracer_->emit(e);
+  }
+  arm_depletion_timer(to);
+}
+
+const VirtualRadio& EnergyModel::settled_radio() const {
+  LM_REQUIRE(radio_ != nullptr);
+  settle(sim_.now(), radio_->state());
+  return *radio_;
 }
 
 double EnergyModel::residual_mah() const {
-  settle(sim_.now());
+  settled_radio();
   return config_.battery.finite() ? residual_mah_ : 0.0;
 }
 
 double EnergyModel::soc() const {
   if (!config_.battery.finite()) return 1.0;
-  settle(sim_.now());
+  settled_radio();
   return residual_mah_ / config_.battery.capacity_mah;
 }
 
 double EnergyModel::consumed_mah() const {
-  settle(sim_.now());
-  return consumed_total_mah_;
+  return charge_consumed_mah(settled_radio(), config_.profile);
 }
 
 double EnergyModel::consumed_mah(RadioState state) const {
-  settle(sim_.now());
-  return consumed_by_state_mah_[state_index(state)];
+  return charge_consumed_mah(settled_radio(), state, config_.profile);
 }
 
 double EnergyModel::harvested_mah() const {
-  settle(sim_.now());
+  settled_radio();
   return harvested_banked_mah_;
 }
 
 double EnergyModel::average_current_ma() const {
-  settle(sim_.now());
-  const Duration elapsed = settled_at_ - attached_at_;
-  if (elapsed.is_zero()) return 0.0;
-  return consumed_total_mah_ / hours_of(elapsed);
+  return radio::average_current_ma(settled_radio(), config_.profile);
 }
 
-double EnergyModel::harvest_ma_at(TimePoint t) const {
+void EnergyModel::settle(TimePoint now, RadioState state) const {
+  if (!config_.battery.finite() || depleted_) return;
   const HarvestingProfile& h = config_.harvesting;
-  if (!h.enabled()) return 0.0;
-  const std::int64_t period = h.period.us();
-  std::int64_t pos = ((t - TimePoint::origin()) - h.phase).us() % period;
-  if (pos < 0) pos += period;
-  return pos < h.on_time.us() ? h.charge_ma : 0.0;
-}
-
-Duration EnergyModel::until_harvest_edge(TimePoint t) const {
-  const HarvestingProfile& h = config_.harvesting;
-  const std::int64_t period = h.period.us();
-  std::int64_t pos = ((t - TimePoint::origin()) - h.phase).us() % period;
-  if (pos < 0) pos += period;
-  const std::int64_t next =
-      pos < h.on_time.us() ? h.on_time.us() : period;
-  return Duration::microseconds(next - pos);
-}
-
-void EnergyModel::settle(TimePoint now) const {
-  const bool harvesting = config_.harvesting.enabled();
-  const double draw = config_.profile.current_for(state_);
+  const double draw = config_.profile.current_for(state);
   while (settled_at_ < now) {
     TimePoint seg_end = now;
-    if (harvesting) {
-      const TimePoint edge = settled_at_ + until_harvest_edge(settled_at_);
+    if (h.enabled()) {
+      const TimePoint edge = settled_at_ + until_harvest_edge(h, settled_at_);
       if (edge < seg_end) seg_end = edge;
     }
     const double hours = hours_of(seg_end - settled_at_);
-    consumed_total_mah_ += draw * hours;
-    consumed_by_state_mah_[state_index(state_)] += draw * hours;
-    if (config_.battery.finite() && !depleted_) {
-      const double before = residual_mah_;
-      double next = before + (harvest_ma_at(settled_at_) - draw) * hours;
-      if (next > config_.battery.capacity_mah) next = config_.battery.capacity_mah;
-      if (next < 0.0) next = 0.0;
-      residual_mah_ = next;
-      // Banked harvest = what actually raised the ledger: the capacity
-      // clamp discards panel surplus, and conservation (invariant 6) holds
-      // as residual_delta == banked - consumed segment by segment.
-      harvested_banked_mah_ += (next - before) + draw * hours;
-    }
+    const double before = residual_mah_;
+    double next = before + (harvest_ma_at(h, settled_at_) - draw) * hours;
+    if (next > config_.battery.capacity_mah) next = config_.battery.capacity_mah;
+    if (next < 0.0) next = 0.0;
+    residual_mah_ = next;
+    // Banked harvest = what actually raised the ledger: the capacity
+    // clamp discards panel surplus, and conservation (invariant 6) holds
+    // as residual_delta == banked - consumed segment by segment.
+    harvested_banked_mah_ += (next - before) + draw * hours;
     settled_at_ = seg_end;
   }
 }
 
-void EnergyModel::arm_depletion_timer() {
-  if (depletion_timer_ != 0) {
-    sim_.cancel(depletion_timer_);
-    depletion_timer_ = 0;
-  }
+void EnergyModel::arm_depletion_timer(RadioState state) {
+  if (depletion_timer_ != 0) sim_.cancel(depletion_timer_);
+  depletion_timer_ = 0;
   if (!config_.battery.finite() || depleted_) return;
-  const bool harvesting = config_.harvesting.enabled();
-  const double draw = config_.profile.current_for(state_);
+  const HarvestingProfile& h = config_.harvesting;
+  const double draw = config_.profile.current_for(state);
   const double capacity = config_.battery.capacity_mah;
   TimePoint t = settled_at_;
   double charge = residual_mah_;
@@ -189,8 +206,8 @@ void EnergyModel::arm_depletion_timer() {
   // re-evaluation timer at the horizon instead of a depletion event.
   for (int i = 0; i < 64; ++i) {
     const Duration seg =
-        harvesting ? until_harvest_edge(t) : Duration::hours(24 * 365);
-    const double net = harvest_ma_at(t) - draw;
+        h.enabled() ? until_harvest_edge(h, t) : Duration::hours(24 * 365);
+    const double net = harvest_ma_at(h, t) - draw;
     if (net < 0.0) {
       // Compare in double microseconds: charge / draw can exceed the
       // Duration range for near-sleep currents.
@@ -218,9 +235,10 @@ void EnergyModel::arm_depletion_timer() {
 void EnergyModel::on_depletion_check() {
   depletion_timer_ = 0;
   const TimePoint now = sim_.now();
-  settle(now);
+  const RadioState state = radio_->state();
+  settle(now, state);
   if (residual_mah_ > kResidualEpsilonMah) {
-    arm_depletion_timer();
+    arm_depletion_timer(state);
     return;
   }
   residual_mah_ = 0.0;
@@ -231,23 +249,11 @@ void EnergyModel::on_depletion_check() {
     e.t_us = now.us();
     e.kind = trace::EventKind::Brownout;
     e.node = node_;
-    e.bytes = static_cast<std::uint32_t>(state_index(state_));
+    e.bytes = state_index(state);
     e.value = 0.0;
     tracer_->emit(e);
   }
   if (brownout_) brownout_();
-}
-
-void EnergyModel::trace_state_change(RadioState from, Duration in_state) {
-  if (tracer_ == nullptr || !tracer_->on()) return;
-  trace::TraceEvent e;
-  e.t_us = settled_at_.us();
-  e.kind = trace::EventKind::EnergyState;
-  e.node = node_;
-  e.bytes = static_cast<std::uint32_t>(state_index(from));
-  e.aux_us = in_state.us();
-  e.value = config_.battery.finite() ? residual_mah_ : consumed_total_mah_;
-  tracer_->emit(e);
 }
 
 }  // namespace lm::radio

@@ -2,20 +2,18 @@
 //
 // LoRaMesher's target devices are battery-powered, and the protocol keeps
 // the radio in continuous receive between transmissions — unlike LoRaWAN
-// class A, a mesh router must always listen. Two layers of modeling:
+// class A, a mesh router must always listen.
 //
-//  * EnergyProfile + the free helpers below: the post-hoc accounting that
-//    turns a radio's per-state time totals into charge and projected
-//    battery life (E10). Current draws follow the SX1276 datasheet
-//    (band 1, RFO/PA_BOOST at +13 dBm, LnaBoost off).
-//  * EnergyModel: a *live* per-node battery. VirtualRadio reports every
-//    power-state transition as it happens; the model integrates the draw
-//    (and an optional day/night harvesting profile) into a running state
-//    of charge, emits EnergyState trace events, and — when a finite
-//    battery hits zero — fires a brownout callback that the testbed wires
-//    into the existing node-failure machinery (NodeDown). Residual charge
-//    is exposed to the routing layer (LayerContext::energy) so strategies
-//    can penalize low-battery relays.
+// One ledger: VirtualRadio::time_in_state is the only integrator of radio
+// time, and every charge is profile.current_for(s) × time_in_state(s),
+// computed in charge_consumed_mah alone (SX1276 draws: band 1, PA_BOOST at
+// +13 dBm, LnaBoost off). EnergyModel is a live per-node battery on top of
+// that clock; it keeps only what the clock cannot give: a finite battery's
+// residual charge, the banked day/night harvest, the depletion timer and a
+// brownout callback the testbed wires into node failure (NodeDown). It
+// traces every power-state transition, and residual charge reaches the
+// routing layer (LayerContext::energy) so strategies can penalize
+// low-battery relays.
 #pragma once
 
 #include <cstdint>
@@ -43,6 +41,11 @@ struct EnergyProfile {
 
   double current_for(RadioState state) const;
 };
+
+/// Charge `radio` has drawn in `state` since construction, in mAh: the one
+/// place a charge is computed.
+double charge_consumed_mah(const VirtualRadio& radio, RadioState state,
+                           const EnergyProfile& profile = EnergyProfile::sx1276());
 
 /// Charge consumed by `radio` since construction, in mAh.
 double charge_consumed_mah(const VirtualRadio& radio,
@@ -95,14 +98,14 @@ struct EnergyConfig {
   HarvestingProfile harvesting;
 };
 
-/// Live per-node battery, updated on every radio power-state transition.
+/// Live per-node battery over one radio's per-state clock.
 ///
-/// The model is lazy: it stores the charge as of the last settlement and
-/// integrates the (piecewise-constant) net current forward on demand —
-/// state changes, introspection and the depletion timer all settle first.
-/// All arithmetic depends only on this node's own transition instants, so
-/// a PDES decomposition that reproduces the event trace byte-identically
-/// reproduces the energy ledger too.
+/// Consumption is read from the radio's clock, never stored. A finite
+/// battery's residual is lazy: stored as of the last settlement and
+/// integrated forward on demand — state changes, introspection and the
+/// depletion timer all settle first. All arithmetic depends only on this
+/// node's own transition instants, so a PDES decomposition that reproduces
+/// the event trace byte-identically reproduces the energy ledger too.
 class EnergyModel {
  public:
   using BrownoutCallback = std::function<void()>;
@@ -114,15 +117,14 @@ class EnergyModel {
   EnergyModel(const EnergyModel&) = delete;
   EnergyModel& operator=(const EnergyModel&) = delete;
 
-  /// Starts metering `radio` from its current state at the current instant.
-  /// The radio reports every subsequent transition via on_state_change.
+  /// Starts metering `radio`, which must not have spent simulated time yet:
+  /// its clock from construction on is the model's whole ledger.
   void attach(VirtualRadio& radio);
 
-  /// Called by VirtualRadio on every power-state transition (and by the
-  /// destructor chain to detach). Settles the ledger at the old state's
-  /// draw, emits an EnergyState trace event, and re-arms the depletion
-  /// timer for the new state.
-  void on_state_change(RadioState from, RadioState to);
+  /// Called by VirtualRadio on every power-state transition, after `from`
+  /// lasted `in_state`. Settles at the old state's draw, emits an
+  /// EnergyState trace event, and re-arms the depletion timer.
+  void on_state_change(RadioState from, RadioState to, Duration in_state);
 
   /// Fires once, the first time a finite battery reaches 0 mAh. The
   /// callback runs inside the simulation event that detected depletion —
@@ -132,10 +134,11 @@ class EnergyModel {
   }
   /// Attaches the flight recorder (EnergyState / Brownout events).
   void set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
-  /// Called by a VirtualRadio being destroyed before its model.
-  void detach_radio() { radio_ = nullptr; }
+  /// Called by a VirtualRadio destroyed before its model: cancels the
+  /// depletion timer; the model refuses reads from then on.
+  void detach_radio();
 
-  // --- Introspection (all settle to the current instant) ---------------------
+  // --- Introspection (requires an attached radio; settles to now) -----------
   /// Remaining charge in mAh; 0 for an infinite battery.
   double residual_mah() const;
   /// State of charge in [0, 1]; an infinite battery reads 1.0.
@@ -156,35 +159,27 @@ class EnergyModel {
   std::uint16_t node() const { return node_; }
 
  private:
-  /// Net charging current (mA) at `t` while drawing `draw_ma`.
-  double harvest_ma_at(TimePoint t) const;
-  /// True-time distance from `t` to the next harvest on/off edge.
-  Duration until_harvest_edge(TimePoint t) const;
-  /// Integrates the ledger forward to `now` at the current state's draw.
-  void settle(TimePoint now) const;
-  void arm_depletion_timer();
+  /// The attached radio, with the ledger settled to now.
+  const VirtualRadio& settled_radio() const;
+  /// Integrates a finite, live battery forward to `now` at `state`'s draw.
+  void settle(TimePoint now, RadioState state) const;
+  void arm_depletion_timer(RadioState state);
   void on_depletion_check();
-  void trace_state_change(RadioState from, Duration in_state);
 
   sim::Simulator& sim_;
   const EnergyConfig config_;
   const std::uint16_t node_;
-  VirtualRadio* radio_ = nullptr;
-  RadioState state_ = RadioState::Standby;
   bool depleted_ = false;
+  VirtualRadio* radio_ = nullptr;
   TimePoint depleted_at_;
   sim::TimerId depletion_timer_ = 0;
   BrownoutCallback brownout_;
   trace::Tracer* tracer_ = nullptr;
-  TimePoint attached_at_;      // metering start
-  TimePoint last_transition_;  // when state_ was entered
 
-  // Lazy ledger (settled as of settled_at_). Mutable: const introspection
-  // settles on demand.
+  // A finite battery's lazy ledger, settled as of settled_at_ (mutable:
+  // const introspection settles on demand).
   mutable TimePoint settled_at_;
   mutable double residual_mah_ = 0.0;
-  mutable double consumed_total_mah_ = 0.0;
-  mutable double consumed_by_state_mah_[5] = {};
   mutable double harvested_banked_mah_ = 0.0;
 };
 

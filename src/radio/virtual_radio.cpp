@@ -22,12 +22,12 @@ const char* to_string(RadioState s) {
 
 VirtualRadio::VirtualRadio(sim::Simulator& sim, Channel& channel, RadioId id,
                            phy::Position position, RadioConfig config)
-    : id_(id),
+    : state_entered_(sim.now()),
+      id_(id),
       config_(config),
       position_(position),
       sim_(sim),
-      channel_(channel),
-      state_entered_(sim.now()) {
+      channel_(channel) {
   // A member edit must not push receive-hot state out of the first line,
   // nor split the configuration fields a reception reads over two.
 #pragma GCC diagnostic push
@@ -35,7 +35,7 @@ VirtualRadio::VirtualRadio(sim::Simulator& sim, Channel& channel, RadioId id,
   constexpr std::size_t kLine = 64;
   static_assert(alignof(VirtualRadio) == kLine);
   static_assert(offsetof(VirtualRadio, listener_) + sizeof(listener_) <= kLine);
-  static_assert(offsetof(VirtualRadio, rx_since_) + sizeof(rx_since_) <= kLine);
+  static_assert(offsetof(VirtualRadio, state_entered_) + sizeof(state_entered_) <= kLine);
   static_assert(offsetof(VirtualRadio, id_) + sizeof(id_) <= kLine);
   static_assert(offsetof(VirtualRadio, state_) + sizeof(state_) <= kLine);
   static_assert(offsetof(VirtualRadio, channel_ordinal_) +
@@ -46,6 +46,8 @@ VirtualRadio::VirtualRadio(sim::Simulator& sim, Channel& channel, RadioId id,
   static_assert(offsetof(VirtualRadio, config_) / kLine ==
                 (offsetof(VirtualRadio, config_) + offsetof(RadioConfig, antenna_gain_db) +
                  sizeof(RadioConfig::antenna_gain_db) - 1) / kLine);
+  // Four lines (the last has 40 bytes free): a line more is one per node.
+  static_assert(sizeof(VirtualRadio) == 4 * kLine);
 #pragma GCC diagnostic pop
   channel_.register_radio(*this);
 }
@@ -57,11 +59,13 @@ VirtualRadio::~VirtualRadio() {
 
 void VirtualRadio::enter(RadioState next) {
   if (state_ == next) return;
-  state_time_[static_cast<std::size_t>(state_)] += sim_.now() - state_entered_;
-  state_entered_ = sim_.now();
-  if (next == RadioState::Rx) rx_since_ = sim_.now();
-  if (energy_ != nullptr) energy_->on_state_change(state_, next);
+  const TimePoint now = sim_.now();
+  const RadioState from = state_;
+  const Duration stretch = now - state_entered_;
+  state_time_[static_cast<std::size_t>(from)] += stretch;
+  state_entered_ = now;
   state_ = next;
+  if (energy_ != nullptr) energy_->on_state_change(from, next, stretch);
 }
 
 Duration VirtualRadio::time_in_state(RadioState state) const {
@@ -93,7 +97,6 @@ bool VirtualRadio::transmit(std::span<const std::uint8_t> frame) {
     return false;
   }
   enter(RadioState::Tx);
-  tx_started_ = sim_.now();
   stats_.tx_frames++;
   stats_.tx_bytes += frame.size();
   channel_.begin_tx(*this, frame);
@@ -111,7 +114,7 @@ bool VirtualRadio::start_cad() {
   // at any point during the ~1.5 symbols is detected. Evaluate at window
   // end so frames starting mid-window are caught too.
   const TimePoint window_start = sim_.now();
-  cad_timer_ = sim_.schedule_after(
+  sim_.schedule_after(
       phy::cad_time(config_.modulation), [this, window_start] {
         LM_ASSERT(state_ == RadioState::Cad);
         const bool busy = channel_.carrier_sensed_during(*this, window_start);
@@ -141,7 +144,7 @@ void VirtualRadio::set_position(phy::Position p) {
 }
 
 bool VirtualRadio::listening_since(TimePoint t) const {
-  return state_ == RadioState::Rx && rx_since_ <= t;
+  return state_ == RadioState::Rx && state_entered_ <= t;
 }
 
 void VirtualRadio::deliver(std::span<const std::uint8_t> frame,
@@ -154,7 +157,6 @@ void VirtualRadio::deliver(std::span<const std::uint8_t> frame,
 
 void VirtualRadio::finish_tx() {
   LM_ASSERT(state_ == RadioState::Tx);
-  stats_.tx_airtime += sim_.now() - tx_started_;
   enter(RadioState::Standby);
   if (listener_ != nullptr) listener_->on_tx_done();
 }

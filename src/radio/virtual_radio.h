@@ -38,7 +38,6 @@ struct RadioStats {
   std::uint64_t rx_bytes = 0;
   std::uint64_t tx_frames = 0;
   std::uint64_t tx_bytes = 0;
-  Duration tx_airtime;          // total time spent in Tx
   std::uint64_t cad_runs = 0;
   std::uint64_t cad_busy = 0;   // CAD runs that reported an active channel
 };
@@ -94,12 +93,13 @@ class alignas(64) VirtualRadio final : public Radio {
   void set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
 
   /// Cumulative time spent in `state` since construction, including the
-  /// currently running stretch. Drives the energy model (radio/energy.h).
+  /// currently running stretch; time_in_state(Tx) is the airtime. The one
+  /// clock every charge is derived from (radio/energy.h).
   Duration time_in_state(RadioState state) const;
 
   /// Hooks a live battery model (radio/energy.h) into every power-state
-  /// transition. Null detaches. The model must outlive the radio or detach
-  /// itself (EnergyModel's destructor does).
+  /// transition. Null detaches. A model destroyed first detaches itself;
+  /// a radio destroyed first tells its model (EnergyModel::detach_radio).
   void attach_energy(EnergyModel* energy) { energy_ = energy; }
 
   // -- Channel-facing internals (not for protocol code) -----------------------
@@ -142,23 +142,20 @@ class alignas(64) VirtualRadio final : public Radio {
   // after the vtable pointer, what Channel::evaluate_reception and
   // deliver() write, and the state they test.
   RadioListener* listener_ = nullptr;
-  TimePoint rx_since_;         // valid while state_ == Rx
+  TimePoint state_entered_;    // when state_ last changed
   const RadioId id_;
   RadioState state_ = RadioState::Standby;
   std::uint32_t channel_ordinal_ = 0;
   RadioStats stats_;           // rx_frames and rx_bytes end the hot line
-  // The rest of stats_ fills the second line's head; the configuration
-  // fields a reception reads end it, and position_ opens the third.
+  // The rest of stats_ fills the second line's head, the configuration
+  // ends it, and position_ opens the third.
   RadioConfig config_;
   phy::Position position_;
   sim::Simulator& sim_;
   Channel& channel_;
-  TimePoint tx_started_;      // valid while state_ == Tx
-  sim::TimerId cad_timer_ = 0;
   EnergyModel* energy_ = nullptr;
   trace::Tracer* tracer_ = nullptr;
-  TimePoint state_entered_;   // when state_ last changed
-  Duration state_time_[5];    // accumulated per RadioState (indexed by value)
+  Duration state_time_[5];    // closed stretches per RadioState (by value)
 };
 
 }  // namespace lm::radio

@@ -64,7 +64,7 @@ void BackgroundTraffic::schedule_uplink(std::size_t device) {
 
 Duration BackgroundTraffic::airtime_injected() const {
   Duration total = Duration::zero();
-  for (const auto& d : devices_) total += d->stats().tx_airtime;
+  for (const auto& d : devices_) total += d->time_in_state(radio::RadioState::Tx);
   return total;
 }
 

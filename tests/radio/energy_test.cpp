@@ -49,7 +49,6 @@ TEST_F(EnergyTest, TxTimeMatchesAirtime) {
   sim_.run_for(Duration::seconds(2));
   EXPECT_EQ(r.time_in_state(RadioState::Tx),
             phy::time_on_air(r.modulation(), 20));
-  EXPECT_EQ(r.time_in_state(RadioState::Tx), r.stats().tx_airtime);
 }
 
 TEST_F(EnergyTest, CadTimeAccrues) {
@@ -130,14 +129,85 @@ TEST_F(EnergyTest, LiveModelMatchesPostHocAccounting) {
   r.transmit(std::vector<std::uint8_t>(20, 1));
   sim_.run_for(Duration::minutes(1));
 
-  EXPECT_NEAR(model.consumed_mah(), charge_consumed_mah(r), 1e-9);
-  EXPECT_NEAR(model.average_current_ma(), average_current_ma(r), 1e-9);
+  // One ledger: the model reads the radio's per-state clock.
+  EXPECT_EQ(model.consumed_mah(), charge_consumed_mah(r));
+  EXPECT_EQ(model.average_current_ma(), average_current_ma(r));
   EXPECT_NEAR(model.consumed_mah(RadioState::Tx),
               EnergyProfile::sx1276().tx_ma *
                   r.time_in_state(RadioState::Tx).seconds_d() / 3600.0,
               1e-9);
   EXPECT_DOUBLE_EQ(model.soc(), 1.0);  // infinite battery pins at full
   EXPECT_FALSE(model.depleted());
+}
+
+TEST_F(EnergyTest, ConsumptionDoesNotDependOnWhenTheModelIsRead) {
+  // Two radios run the same script; one model is read every simulated
+  // second, the other only at the end. Reads must not split the ledger.
+  VirtualRadio polled_radio(sim_, channel_, 1, {0, 0}, {});
+  VirtualRadio idle_radio(sim_, channel_, 2, {0, 5000}, {});
+  EnergyConfig cfg;  // infinite battery, as campus and strategy_matrix run it
+  cfg.enabled = true;
+  EnergyModel polled(sim_, cfg, 1);
+  EnergyModel idle(sim_, cfg, 2);
+  polled.attach(polled_radio);
+  idle.attach(idle_radio);
+
+  // Every 7.3 s: listen, then transmit after 5.1 s, then a CAD 1.7 s later.
+  for (int cycle = 0; cycle < 500; ++cycle) {
+    const Duration at = Duration::milliseconds(7300) * cycle;
+    for (VirtualRadio* r : {&polled_radio, &idle_radio}) {
+      sim_.schedule_after(at, [r] { r->start_receive(); });
+      sim_.schedule_after(at + Duration::milliseconds(5100), [r] {
+        r->transmit(std::vector<std::uint8_t>(20, 1));
+      });
+      sim_.schedule_after(at + Duration::milliseconds(6800),
+                          [r] { r->start_cad(); });
+    }
+  }
+  for (int second = 0; second < 3700; ++second) {
+    sim_.run_for(Duration::seconds(1));
+    (void)polled.consumed_mah();
+  }
+  EXPECT_GT(polled.consumed_mah(), 0.0);
+  EXPECT_EQ(polled.consumed_mah(), idle.consumed_mah());
+  for (RadioState state : {RadioState::Sleep, RadioState::Standby,
+                           RadioState::Rx, RadioState::Tx, RadioState::Cad}) {
+    EXPECT_EQ(polled.consumed_mah(state), idle.consumed_mah(state));
+  }
+}
+
+TEST_F(EnergyTest, AttachRequiresARadioThatHasSpentNoTime) {
+  VirtualRadio r(sim_, channel_, 1, {0, 0}, {});
+  r.start_receive();  // transitions at the attach instant are fine
+  EnergyConfig cfg;
+  cfg.enabled = true;
+  EnergyModel fresh(sim_, cfg, 1);
+  EXPECT_NO_THROW(fresh.attach(r));
+
+  VirtualRadio late(sim_, channel_, 2, {0, 0}, {});
+  EnergyModel model(sim_, cfg, 2);
+  sim_.run_for(Duration::seconds(1));
+  EXPECT_THROW(model.attach(late), ContractViolation);
+}
+
+TEST_F(EnergyTest, RadioDestroyedFirstCancelsDepletionAndRefusesReads) {
+  EnergyConfig cfg;
+  cfg.enabled = true;
+  cfg.battery.capacity_mah = EnergyProfile::sx1276().rx_ma * 2.0 / 3600.0;
+  EnergyModel model(sim_, cfg, 1);
+  int brownouts = 0;
+  model.set_brownout([&] { ++brownouts; });
+  {
+    VirtualRadio r(sim_, channel_, 1, {0, 0}, {});
+    model.attach(r);
+    r.start_receive();  // arms depletion 2 s out
+    sim_.run_for(Duration::seconds(1));
+  }
+  sim_.run_for(Duration::minutes(1));
+  EXPECT_EQ(brownouts, 0);
+  EXPECT_FALSE(model.depleted());
+  EXPECT_THROW((void)model.consumed_mah(), ContractViolation);
+  EXPECT_THROW((void)model.soc(), ContractViolation);
 }
 
 TEST_F(EnergyTest, ConservationHoldsUnderHarvestingAndClamp) {

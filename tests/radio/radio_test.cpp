@@ -91,7 +91,7 @@ TEST_F(RadioTest, TxDoneFiresAndAirtimeAccumulates) {
   EXPECT_EQ(tx.tx_done, 1);
   EXPECT_EQ(a.stats().tx_frames, 1u);
   EXPECT_EQ(a.stats().tx_bytes, 20u);
-  EXPECT_EQ(a.stats().tx_airtime, phy::time_on_air(a.modulation(), 20));
+  EXPECT_EQ(a.time_in_state(RadioState::Tx), phy::time_on_air(a.modulation(), 20));
 }
 
 TEST_F(RadioTest, NotListeningMissesFrame) {
