@@ -15,6 +15,11 @@
 # and peak_rss_mb of both sides and the change/base speed ratio; then each
 # side's median and quartiles, the median of each metric's per-pair ratio
 # and how many pairs the change won on speed (ties count for neither).
+# Last it says whether the speed claim rule is met for sim_s_per_wall_s:
+# the change won at least nine tenths of the pairs, and the change's median
+# exceeds the base's median by more than the base's own interquartile
+# spread (q3 - q1). The verdict is printed only; it does not set the exit
+# code.
 # With --cpu=N every timed run of both sides is pinned to CPU N with
 # `taskset -c N` (the untimed build runs are not); the default leaves them
 # unpinned. The header line names the pinning.
@@ -42,7 +47,7 @@ for arg in "$@"; do
     --seed=*) seed="${arg#*=}" ;;
     --scratch=*) scratch="${arg#*=}" ;;
     --cpu=*) cpu="${arg#*=}" ;;
-    *) sed -n '2,32p' "$0" >&2; exit 2 ;;
+    *) sed -n '2,37p' "$0" >&2; exit 2 ;;
   esac
 done
 if [ -z "$base" ]; then
@@ -178,6 +183,13 @@ for k, better in (("sim_s_per_wall_s", "higher"), ("setup_s", "lower"),
 speed = [value(p["change"], "sim_s_per_wall_s") > value(p["base"], "sim_s_per_wall_s")
          for p in pairs]
 print(f"sim_s_per_wall_s: change won {sum(speed)} of {len(pairs)} pairs")
+base_q1, base_median, base_q3 = quartiles([value(p["base"], "sim_s_per_wall_s")
+                                           for p in pairs])
+gap = statistics.median(value(p["change"], "sim_s_per_wall_s") for p in pairs) - base_median
+met = 10 * sum(speed) >= 9 * len(pairs) and gap > base_q3 - base_q1
+print(f"sim_s_per_wall_s claim rule {'MET' if met else 'NOT MET'}: "
+      f"won {sum(speed)}/{len(pairs)} (needs >= 9/10), median gap {gap:+.4g} "
+      f"vs base interquartile spread {base_q3 - base_q1:.4g} (needs gap > spread)")
 for n, k in differs:
     print(f"SIMULATED METRIC DIFFERS: pair {n} {k}", file=sys.stderr)
 sys.exit(1 if differs else 0)

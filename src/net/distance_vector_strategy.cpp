@@ -1,5 +1,7 @@
 #include "net/distance_vector_strategy.h"
 
+#include <algorithm>
+
 namespace lm::net {
 
 DistanceVectorStrategy::~DistanceVectorStrategy() {
@@ -68,19 +70,36 @@ void DistanceVectorStrategy::schedule_next_beacon(bool first) {
 
 void DistanceVectorStrategy::send_beacon() {
   if (!ctx_->running) return;
+  const std::uint8_t penalty = advertised_penalty();
+  if (beacon_.content_id == 0 || beacon_.generation != table_->generation() ||
+      beacon_.penalty != penalty) {
+    build_beacon(penalty);
+  }
   RoutingPacket p;
   p.link = LinkHeader{kBroadcast, ctx_->address, PacketType::Routing};
-  p.entries = table_->advertisement();
-  decorate_advertisement(p.entries);
-  // Dwell rule: trim the advertisement (farthest destinations first — the
-  // list is sorted by address, so re-trim via encoded size from the back).
-  while (!p.entries.empty() &&
-         kLinkHeaderSize + 1 + 4 * p.entries.size() > link_->max_frame_bytes()) {
-    p.entries.pop_back();
-  }
+  p.entries = beacon_.entries;
+  p.content_id = beacon_.content_id;
   ctx_->stats.beacons_sent++;
   link_->enqueue(Packet{std::move(p)}, /*control=*/true);
   schedule_next_beacon(/*first=*/false);
+}
+
+void DistanceVectorStrategy::build_beacon(std::uint8_t penalty) {
+  // Dwell rule: advertise only what one capped frame carries.
+  beacon_.entries =
+      table_->advertisement(routing_entries_within(link_->max_frame_bytes()));
+  if (penalty != 0) {
+    for (RoutingEntry& entry : beacon_.entries) {
+      if (entry.address == ctx_->address) continue;  // stay directly reachable
+      // Saturate just below infinity: a nearly-dead relay is a last resort,
+      // not a black hole (the receiving merge adds its own +1).
+      entry.metric = static_cast<std::uint8_t>(
+          std::min(entry.metric + penalty, kInfiniteMetric - 1));
+    }
+  }
+  beacon_.generation = table_->generation();
+  beacon_.penalty = penalty;
+  beacon_.content_id = draw_content_id();
 }
 
 }  // namespace lm::net

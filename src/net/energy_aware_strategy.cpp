@@ -6,26 +6,12 @@
 
 namespace lm::net {
 
-std::uint8_t EnergyAwareStrategy::penalty() const {
+std::uint8_t EnergyAwareStrategy::advertised_penalty() const {
   if (ctx_->energy == nullptr) return 0;  // unmetered node: plain DV
   const double soc = ctx_->energy->soc();  // 1.0 for infinite batteries
   const double raw = std::round(max_penalty_ * (1.0 - soc));
   if (raw <= 0.0) return 0;
   return static_cast<std::uint8_t>(raw);
-}
-
-void EnergyAwareStrategy::decorate_advertisement(
-    support::PooledVector<RoutingEntry>& entries) {
-  const std::uint8_t add = penalty();
-  if (add == 0) return;
-  for (RoutingEntry& entry : entries) {
-    if (entry.address == ctx_->address) continue;  // stay directly reachable
-    const unsigned inflated = static_cast<unsigned>(entry.metric) + add;
-    // Saturate just below infinity: a nearly-dead relay is a last resort,
-    // not a black hole (the receiving merge adds its own +1).
-    entry.metric = static_cast<std::uint8_t>(
-        inflated < kInfiniteMetric ? inflated : kInfiniteMetric - 1);
-  }
 }
 
 }  // namespace lm::net

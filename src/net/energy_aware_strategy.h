@@ -27,13 +27,9 @@ class EnergyAwareStrategy final : public DistanceVectorStrategy {
 
   const char* name() const override { return "energy-aware"; }
 
- protected:
-  void decorate_advertisement(
-      support::PooledVector<RoutingEntry>& entries) override;
+  std::uint8_t advertised_penalty() const override;
 
  private:
-  std::uint8_t penalty() const;
-
   const std::uint8_t max_penalty_;
 };
 

@@ -9,6 +9,7 @@
 
 #include "phy/airtime.h"
 #include "support/assert.h"
+#include "support/byte_codec.h"
 #include "support/log.h"
 
 namespace lm::net {
@@ -22,15 +23,12 @@ constexpr std::size_t kSnrReserve = 8;
 
 // Content ids are drawn from one process-wide counter, so an id names a
 // single entry list on every thread, PDES worker and ParallelRunner job.
-// Should the counter ever pass 32 bits, frames get id 0 (unknown) rather
-// than a reused id.
 std::atomic<std::uint64_t> next_content_id{1};
 
-std::uint32_t draw_content_id() {
-  const std::uint64_t id = next_content_id.fetch_add(1, std::memory_order_relaxed);
-  return id <= std::numeric_limits<std::uint32_t>::max()
-             ? static_cast<std::uint32_t>(id)
-             : 0;
+// The link header `frame` starts with.
+LinkHeader link_header_of(std::span<const std::uint8_t> frame) {
+  ByteReader r(frame);
+  return {r.u16(), r.u16(), static_cast<PacketType>(r.u8())};
 }
 
 struct DecodeMemo {
@@ -68,6 +66,13 @@ std::uint32_t intern(DecodeMemo& memo, const RoutingPacket& beacon) {
 }
 
 }  // namespace
+
+std::uint32_t draw_content_id() {
+  const std::uint64_t id = next_content_id.fetch_add(1, std::memory_order_relaxed);
+  return id <= std::numeric_limits<std::uint32_t>::max()
+             ? static_cast<std::uint32_t>(id)
+             : 0;
+}
 
 const Packet* decode_shared(std::span<const std::uint8_t> frame) {
   DecodeMemo& memo = decode_memo();
@@ -349,7 +354,16 @@ void LinkLayer::transmit_now() {
     }
     link.dst = *next;
   }
-  encode_into(packet, tx_frame_);  // reused pooled buffer: no allocation
+  // A beacon repeats while its entries do, and equal non-zero ids mean
+  // equal entries: the frame of its last send is still its encoding unless
+  // another frame was encoded since.
+  const auto* beacon = std::get_if<RoutingPacket>(&packet);
+  const std::uint32_t beacon_id = beacon != nullptr ? beacon->content_id : 0;
+  if (beacon_id == 0 || beacon_id != tx_frame_beacon_ ||
+      link_header_of(tx_frame_) != link) {
+    encode_into(packet, tx_frame_);  // reused pooled buffer: no allocation
+    tx_frame_beacon_ = beacon_id;
+  }
   // pump() cached the airtime before admitting the packet (encoded_size ==
   // the encoded frame size by codec contract); recompute only if somehow
   // unset.

@@ -39,10 +39,17 @@ namespace lm::net {
 /// call on this thread; a caller that keeps or edits the packet copies it
 /// first. A freshly decoded Routing frame is interned per link.src: it keeps
 /// the sender's previous content id while its entries are unchanged and
-/// otherwise draws a new one from a process-wide counter, so ids are never
-/// reused and equal ids mean equal entries on every thread.
-/// RoutingTable::apply_beacon keys its repeat memo on that id.
+/// otherwise draws a new one with draw_content_id(). Senders draw their
+/// own beacons' ids from the same counter, so ids are never reused and
+/// equal ids mean equal entries on every thread. RoutingTable::apply_beacon
+/// keys its repeat memo on the receive-side id.
 const Packet* decode_shared(std::span<const std::uint8_t> frame);
+
+/// A beacon content id never handed out before, from one process-wide
+/// counter shared by every thread, PDES worker and ParallelRunner job, and
+/// by senders and receivers alike. 0 (unknown) once the counter has passed
+/// 32 bits, rather than a reused id.
+std::uint32_t draw_content_id();
 
 class LinkLayer final : public radio::RadioListener {
  public:
@@ -157,6 +164,9 @@ class LinkLayer final : public radio::RadioListener {
   sim::TimerId pipeline_timer_ = 0;  // duty-wait or backoff wakeup
   sim::TimerId rx_cycle_timer_ = 0;  // duty-cycled listening toggles
   bool rx_window_open_ = true;       // whether the schedule says "listen"
+  // Content id of the beacon tx_frame_ holds the encoding of; 0 when it
+  // holds anything else. A repeat of that beacon is sent without encoding.
+  std::uint32_t tx_frame_beacon_ = 0;
   std::size_t max_frame_bytes_ = 255;  // dwell-capped frame size
 
   FrameBuffer tx_frame_;  // reused encode buffer: one pooled block per node

@@ -102,18 +102,25 @@ struct RoutingEntry {
   friend bool operator==(const RoutingEntry&, const RoutingEntry&) = default;
 };
 
-/// Entries one routing beacon can carry (4 B each).
-constexpr std::size_t kMaxRoutingEntries = (255 - kLinkHeaderSize - 1) / 4;  // 62
+/// Entries a routing beacon of at most `frame_bytes` bytes can carry: a
+/// link header, a count byte and 4 B per entry.
+constexpr std::size_t routing_entries_within(std::size_t frame_bytes) {
+  return (frame_bytes - kLinkHeaderSize - 1) / 4;
+}
+/// Entries one full-size routing beacon can carry.
+constexpr std::size_t kMaxRoutingEntries = routing_entries_within(255);  // 62
 
 // --- Packet bodies ----------------------------------------------------------
 
 struct RoutingPacket {
   LinkHeader link;  // link.dst == kBroadcast
   support::PooledVector<RoutingEntry> entries;
-  /// Not on the wire: the receive path's name for this exact entry list
-  /// (net/link_layer.h decode_shared). Two packets with one non-zero id
-  /// carry identical entries; 0 means unknown. encode, decode and == ignore
-  /// it.
+  /// Not on the wire: a name for this exact entry list. The sender draws
+  /// one per distinct beacon it builds (DistanceVectorStrategy), the
+  /// receive path one per distinct list it interns (net/link_layer.h
+  /// decode_shared), both from one process-wide counter, so two packets
+  /// with one non-zero id carry identical entries; 0 means unknown.
+  /// encode, decode and == ignore it.
   std::uint32_t content_id = 0;
 
   friend bool operator==(const RoutingPacket& a, const RoutingPacket& b) {

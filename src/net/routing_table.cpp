@@ -156,7 +156,7 @@ bool RoutingTable::apply_beacon(Address neighbor,
     }
   }
   if (changed) {
-    disarm_memos();
+    note_change();
   } else if (marking && strictly_ascending(entries)) {  // crafted frames never arm
     memo->armed = true;
   }
@@ -185,9 +185,10 @@ std::span<std::uint64_t> RoutingTable::clear_marks(const BeaconMemo& memo) {
   return bits;
 }
 
-void RoutingTable::disarm_memos() {
+void RoutingTable::note_change() {
   LM_ASSERT(!owed_);
   for (BeaconMemo& memo : memos_) memo.armed = false;
+  ++generation_;
 }
 
 void RoutingTable::write_owed() const {
@@ -217,13 +218,13 @@ bool RoutingTable::upsert(Address destination, Address via,
   flush();
   const auto cur = lower_bound(destination);
   if (cur == entries_.end() || cur->destination != destination) {
-    disarm_memos();
+    note_change();
     notify(*entries_.insert(cur, {destination, via, metric, role, deadline}));
     return true;
   }
   const bool new_pairing = cur->via != via;
   const bool changed = new_pairing || cur->metric != metric || cur->role != role;
-  if (changed) disarm_memos();
+  if (changed) note_change();
   cur->via = via;
   cur->metric = metric;
   cur->role = role;
@@ -236,7 +237,7 @@ bool RoutingTable::invalidate(Address destination) {
   const auto at = lower_bound(destination);
   if (at == entries_.end() || at->destination != destination) return false;
   flush();
-  disarm_memos();
+  note_change();
   entries_.erase(at);
   return true;
 }
@@ -269,7 +270,7 @@ std::size_t RoutingTable::expire(TimePoint now) {
     cascade = std::erase_if(entries_, [](auto& e) { return e.metric == 0; });
   }
   if (removed != 0) {
-    disarm_memos();
+    note_change();
     std::erase_if(memos_,
                   [this](const BeaconMemo& m) { return find(m.neighbor) == nullptr; });
   }
@@ -317,27 +318,38 @@ std::optional<RouteEntry> RoutingTable::nearest_with_role(Role role_mask) const 
   return best;
 }
 
-support::PooledVector<RoutingEntry> RoutingTable::advertisement() const {
+support::PooledVector<RoutingEntry> RoutingTable::advertisement(
+    std::size_t max_entries) const {
+  LM_REQUIRE(max_entries >= 1 && max_entries <= kMaxRoutingEntries);
   // The metric-0 self entry always makes the cut; the other slots go to the
   // lowest (metric, address) entries. A metric histogram finds the cut-off
   // metric; ties at the cut-off go to the lowest addresses, i.e. to the
-  // first ones the address-ordered walk meets.
-  std::size_t room = kMaxRoutingEntries - 1;
+  // first ones the address-ordered walk meets. Stored metrics lie in
+  // [1, max_metric_], so only bins 0 to max_metric_ are zeroed, and the
+  // cut-off search ends by max_metric_ because they sum to more than `room`.
+  std::size_t room = max_entries - 1;
   std::size_t cutoff = 256;  // above every metric: no truncation
   if (entries_.size() > room) {
-    std::array<std::size_t, 256> histogram{};
+    std::array<std::uint32_t, 256> histogram;
+    std::fill_n(histogram.begin(), max_metric_ + 1, 0);
     for (const RouteEntry& e : entries_) ++histogram[e.metric];
     for (cutoff = 0; histogram[cutoff] < room; ++cutoff) room -= histogram[cutoff];
   }
   support::PooledVector<RoutingEntry> adv;
-  adv.reserve(std::min(entries_.size() + 1, kMaxRoutingEntries));
+  adv.reserve(std::min(entries_.size() + 1, max_entries));
+  // The self entry goes in where the walk passes its address.
+  const RoutingEntry own{self_, 0, own_role_};  // carries our role
+  bool own_placed = false;
   for (const RouteEntry& e : entries_) {
     if (e.metric > cutoff || (e.metric == cutoff && room == 0)) continue;
     if (e.metric == cutoff) --room;
+    if (!own_placed && e.destination > self_) {
+      adv.push_back(own);
+      own_placed = true;
+    }
     adv.push_back(RoutingEntry{e.destination, e.metric, e.role});
   }
-  adv.insert(std::ranges::lower_bound(adv, self_, {}, &RoutingEntry::address),
-             RoutingEntry{self_, 0, own_role_});  // carries our role
+  if (!own_placed) adv.push_back(own);
   return adv;
 }
 
@@ -395,7 +407,7 @@ bool RoutingTable::restore(std::span<const std::uint8_t> snapshot, TimePoint now
       restored.end()) {
     return false;  // one destination listed twice: corrupt
   }
-  disarm_memos();
+  note_change();
   entries_ = std::move(restored);
   for (const RouteEntry& e : entries_) {
     next_expiry_ = std::min(next_expiry_, e.expires_at);

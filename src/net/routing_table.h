@@ -20,7 +20,9 @@
 // merge marks each entry whose hold timer it refreshes, and if it changed
 // nothing the memo is armed. The same id from that neighbour then only
 // records the deadline the marked entries are owed. Any insert, erase or
-// change of via, metric or role disarms every memo. Owed deadlines are
+// change of via, metric or role disarms every memo and bumps generation(),
+// which the sender's beacon cache keys on (DESIGN.md, "Beacon send path").
+// Owed deadlines are
 // written out before any structural change, touch(), an expire() sweep and
 // any read of a deadline (route_to(), entries(), serialize(),
 // routes_with_role()). Results, observer calls, deadlines and next_expiry()
@@ -129,11 +131,19 @@ class RoutingTable {
 
   /// Entries to advertise in the next beacon: a metric-0 self entry (which
   /// carries this node's role) plus (destination, metric, role) tuples, all
-  /// in address order, truncated to what one frame can carry (the
-  /// lowest-(metric, address) — nearest — destinations win when truncating,
-  /// keeping the most reliable information flowing). Pool-backed so the
-  /// periodic beacon path recycles its storage.
-  support::PooledVector<RoutingEntry> advertisement() const;
+  /// in address order, at most `max_entries` of them (1 to
+  /// kMaxRoutingEntries; a dwell-capped frame carries fewer). When
+  /// truncating, the self entry is always kept and the other slots go to
+  /// the lowest-(metric, address) — nearest — destinations, keeping the
+  /// most reliable information flowing. Pool-backed so the periodic beacon
+  /// path recycles its storage.
+  support::PooledVector<RoutingEntry> advertisement(
+      std::size_t max_entries = kMaxRoutingEntries) const;
+
+  /// Bumped by every insert, erase and change of via, metric or role: the
+  /// events that can change advertisement(). Deadline writes (touch(),
+  /// refreshes, owed deadlines) and memo hits leave it alone.
+  std::uint64_t generation() const { return generation_; }
 
   /// Every stored route, sorted by destination.
   const std::vector<RouteEntry>& entries() const {
@@ -221,7 +231,9 @@ class RoutingTable {
   static bool strictly_ascending(std::span<const RoutingEntry> entries);
   BeaconMemo& memo_of(Address neighbor);  // appends one if none
   std::span<std::uint64_t> clear_marks(const BeaconMemo& memo);
-  void disarm_memos();
+  // Every insert, erase or change of via, metric or role calls this: it
+  // disarms every memo and bumps generation_.
+  void note_change();
 
   // Receive-hot head, through the memo list's begin and end pointers
   // (kReceiveHotBytes, pinned in routing_table.cpp): what a beacon
@@ -247,6 +259,8 @@ class RoutingTable {
   // owed deadlines first.
   mutable std::vector<RouteEntry> entries_;
   std::vector<std::uint64_t> memo_bits_;
+  // Outside the receive-hot head: only changes and the beacon send read it.
+  std::uint64_t generation_ = 0;
 };
 
 }  // namespace lm::net

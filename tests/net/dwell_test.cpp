@@ -3,6 +3,9 @@
 // MTUs shrink, reliable transfers use smaller fragments, and beacons trim.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "net/mesh_node.h"
 #include "phy/airtime.h"
 #include "phy/path_loss.h"
@@ -128,6 +131,67 @@ TEST(DwellTime, BeaconsTrimToTheCap) {
   }
   // ...and carries as many entries as fit (not the whole 60+).
   EXPECT_TRUE(saw_big_table_beacon);
+}
+
+TEST(DwellTime, CappedNodeWithTheHighestAddressStillAdvertisesItsRole) {
+  // The cap keeps the nearest (metric, address) destinations and always the
+  // node's own metric-0 entry, which carries its role, even when that
+  // entry's address sorts after every other one.
+  auto c = dwell_config(phy::SpreadingFactor::SF9, kFccDwell, 7);
+  MeshScenario s(c);
+  radio::RadioConfig radio_cfg;
+  radio_cfg.modulation.sf = phy::SpreadingFactor::SF9;
+  constexpr Address kHigh = 0x7FF0;
+  radio::VirtualRadio radio(s.simulator(), s.channel(), 1, {0.0, 0.0}, radio_cfg);
+  MeshConfig mesh = c.mesh;
+  mesh.role = roles::kGateway;
+  MeshNode node(s.simulator(), radio, kHigh, mesh, 11);
+  testbed::Sniffer sniffer(s.simulator(), s.channel(), 99, {200.0, 0.0},
+                           radio_cfg);
+  node.start();
+  s.run_for(Duration::seconds(5));
+
+  // A rogue teaches the node 60 routes, all at lower addresses: every
+  // twentieth one near, the rest far.
+  constexpr Address kRogue = 0x0666;
+  radio::VirtualRadio rogue(s.simulator(), s.channel(), 66, {100.0, 0.0},
+                            radio_cfg);
+  RoutingPacket big;
+  big.link = LinkHeader{kBroadcast, kRogue, PacketType::Routing};
+  for (int i = 0; i < 60; ++i) {
+    big.entries.push_back({static_cast<Address>(0x2000 + i),
+                           static_cast<std::uint8_t>(i % 20 == 0 ? 1 : 5)});
+  }
+  rogue.transmit(encode(Packet{big}));
+  s.run_for(Duration::minutes(3));
+
+  // As many entries as one capped frame carries: the node itself, the
+  // rogue, the three near routes, then the lowest far addresses.
+  const std::size_t cap = routing_entries_within(
+      node.max_datagram_payload() + kLinkHeaderSize + kRouteHeaderSize);
+  ASSERT_GT(cap, 5u);  // some far routes make the cut, some do not
+  ASSERT_LT(cap, 60u);
+  std::vector<RoutingEntry> expected = {
+      {kRogue, 1}, {0x2000, 2}, {0x2014, 2}, {0x2028, 2}};
+  for (Address a = 0x2001; expected.size() < cap - 1; ++a) {
+    if ((a - 0x2000) % 20 != 0) expected.push_back({a, 6});
+  }
+  expected.push_back({kHigh, 0, roles::kGateway});
+  std::ranges::sort(expected, {}, &RoutingEntry::address);
+
+  std::size_t big_beacons = 0;
+  for (const auto& capture : sniffer.captures()) {
+    if (!capture.packet) continue;
+    const auto* routing = std::get_if<RoutingPacket>(&*capture.packet);
+    if (routing == nullptr || routing->link.src != kHigh) continue;
+    if (routing->entries.size() <= 1) continue;  // before the rogue spoke
+    ++big_beacons;
+    EXPECT_EQ(std::vector<RoutingEntry>(routing->entries.begin(),
+                                        routing->entries.end()),
+              expected);
+  }
+  EXPECT_GT(big_beacons, 0u);
+  node.stop();
 }
 
 TEST(DwellTime, InfeasibleCapIsRejectedAtConstruction) {

@@ -2,7 +2,8 @@
 //
 // ReferenceTable is the straightforward distance-vector table: an
 // insertion-ordered vector, a std::map index rebuilt after every removal,
-// and an advertisement built by sort → truncate → sort; every beacon runs
+// and an advertisement built by sort → truncate → sort (at any cap, as a
+// dwell-capped frame asks for); every beacon runs
 // the full merge. RoutingTable keeps one address-sorted vector, merges
 // beacons with a cursor, cuts the advertisement with a metric histogram,
 // skips idle expiry sweeps and answers a repeated beacon from its memo with
@@ -205,7 +206,8 @@ class ReferenceTable {
     return std::ranges::min(entries_, {}, &RouteEntry::expires_at).expires_at;
   }
 
-  std::vector<RoutingEntry> advertisement() const {
+  std::vector<RoutingEntry> advertisement(
+      std::size_t max_entries = kMaxRoutingEntries) const {
     std::vector<RoutingEntry> adv;
     adv.push_back(RoutingEntry{self_, 0, roles::kNone});
     for (const RouteEntry& e : entries_) {
@@ -215,7 +217,7 @@ class ReferenceTable {
       if (a.metric != b.metric) return a.metric < b.metric;
       return a.address < b.address;
     });
-    if (adv.size() > kMaxRoutingEntries) adv.resize(kMaxRoutingEntries);
+    if (adv.size() > max_entries) adv.resize(max_entries);
     std::sort(adv.begin(), adv.end(), [](const RoutingEntry& a, const RoutingEntry& b) {
       return a.address < b.address;
     });
@@ -347,6 +349,7 @@ std::string describe(const std::vector<RouteEntry>& seq) {
 // How often a history reached the paths worth differencing.
 struct Coverage {
   int truncated = 0;    // advertisements cut to one frame
+  int capped = 0;       // ... cut to a smaller cap
   int expired = 0;      // sweeps that removed something
   int cascaded = 0;     // ... more than their lapsed entries alone
   int withdrawals = 0;  // beacons that shrank the table
@@ -355,6 +358,7 @@ struct Coverage {
 void run_history(std::uint64_t seed, std::uint8_t max_metric, int steps,
                  Coverage& seen) {
   History h{Rng(seed), max_metric};
+  Rng caps(seed ^ 0xCA9);  // its own stream: the histories stay as they were
   RoutingTable table(kSelf, kTimeout, max_metric);
   ReferenceTable ref(kSelf, kTimeout, max_metric);
   std::vector<RouteEntry> notified;
@@ -406,6 +410,12 @@ void run_history(std::uint64_t seed, std::uint8_t max_metric, int steps,
     ASSERT_FALSE(table.route_to(kSelf).has_value());
     const auto adv = table.advertisement();
     ASSERT_EQ(std::vector<RoutingEntry>(adv.begin(), adv.end()), ref.advertisement());
+    const std::size_t cap = 1 + caps.index(kMaxRoutingEntries);
+    if (ref.size() + 1 > cap) seen.capped++;
+    const auto capped = table.advertisement(cap);
+    ASSERT_EQ(std::vector<RoutingEntry>(capped.begin(), capped.end()),
+              ref.advertisement(cap))
+        << "cap " << cap;
     ASSERT_EQ(notified, ref.notified) << "table: " << describe(notified)
                                       << "\nreference: " << describe(ref.notified);
   }
@@ -413,6 +423,7 @@ void run_history(std::uint64_t seed, std::uint8_t max_metric, int steps,
 
 void expect_covered(const Coverage& seen) {
   EXPECT_GT(seen.truncated, 0);
+  EXPECT_GT(seen.capped, 0);
   EXPECT_GT(seen.expired, 0);
   EXPECT_GT(seen.cascaded, 0);
   EXPECT_GT(seen.withdrawals, 0);

@@ -647,5 +647,86 @@ TEST(RoutingTableIndex, LookupMatchesLinearScanThroughChurn) {
   EXPECT_EQ(rebooted.next_hop(0x0130), kB);
 }
 
+
+// generation() moves exactly when advertisement() can: on every insert,
+// erase and change of via, metric or role, and on nothing else.
+namespace {
+// Runs `step` and reports whether it bumped the generation (by exactly one
+// when it did).
+template <class Step>
+bool bumps(RoutingTable& t, Step step) {
+  const std::uint64_t before = t.generation();
+  step();
+  EXPECT_LE(t.generation(), before + 1);
+  return t.generation() != before;
+}
+}  // namespace
+
+TEST(RoutingTableGeneration, EveryMutationPathBumpsIt) {
+  RoutingTable t(kSelf, kTimeout);
+  EXPECT_EQ(t.generation(), 0u);
+  // apply_beacon: a new neighbour and routes, a metric change, a role
+  // change, a next-hop switch and a withdrawal.
+  EXPECT_TRUE(bumps(t, [&] { t.apply_beacon(kA, {{kC, 3}}, at(0)); }));
+  EXPECT_TRUE(bumps(t, [&] { t.apply_beacon(kA, {{kC, 4}}, at(1)); }));
+  EXPECT_TRUE(bumps(t, [&] {
+    t.apply_beacon(kA, {{kC, 4, roles::kGateway}}, at(2));
+  }));
+  EXPECT_TRUE(bumps(t, [&] { t.apply_beacon(kB, {{kC, 1}}, at(3)); }));
+  EXPECT_EQ(t.route_to(kC)->via, kB);
+  EXPECT_TRUE(bumps(t, [&] {
+    t.apply_beacon(kB, {{kC, static_cast<std::uint8_t>(kInfiniteMetric)}},
+                   at(4));
+  }));
+  EXPECT_FALSE(t.has_route(kC));
+  // The sender of a direct route heard at a worse metric before.
+  EXPECT_TRUE(bumps(t, [&] { t.upsert(0x0020, kA, 3, roles::kNone, at(5)); }));
+  EXPECT_TRUE(bumps(t, [&] { t.apply_beacon(0x0020, {}, at(6)); }));
+  // upsert: insert, and each of via, metric and role.
+  EXPECT_TRUE(bumps(t, [&] { t.upsert(kC, kA, 2, roles::kNone, at(7)); }));
+  EXPECT_TRUE(bumps(t, [&] { t.upsert(kC, kB, 2, roles::kNone, at(8)); }));
+  EXPECT_TRUE(bumps(t, [&] { t.upsert(kC, kB, 3, roles::kNone, at(9)); }));
+  EXPECT_TRUE(bumps(t, [&] { t.upsert(kC, kB, 3, roles::kSink, at(10)); }));
+  // invalidate.
+  EXPECT_TRUE(bumps(t, [&] { EXPECT_TRUE(t.invalidate(kC)); }));
+  // restore into an empty table.
+  t.upsert(kC, 0x0020, 2, roles::kNone, at(20));
+  const auto snapshot = t.serialize(at(20));
+  RoutingTable rebooted(kSelf, kTimeout);
+  EXPECT_TRUE(bumps(rebooted, [&] {
+    EXPECT_TRUE(rebooted.restore(snapshot, at(21)));
+  }));
+  // expire: kA, kB and 0x0020 lapse, and kC, still fresh, cascades out
+  // through its lapsed next hop.
+  EXPECT_TRUE(bumps(t, [&] { EXPECT_EQ(t.expire(at(19) + kTimeout), 4u); }));
+  EXPECT_EQ(t.size(), 0u);
+}
+
+TEST(RoutingTableGeneration, DeadlinesAndMemoHitsLeaveItAlone) {
+  RoutingTable t(kSelf, kTimeout);
+  const std::vector<RoutingEntry> beacon = {{kA, 0}, {kC, 1}};
+  t.apply_beacon(kA, beacon, at(0), /*content_id=*/7);
+  // A refresh that changes nothing, then the repeat that arms the memo.
+  EXPECT_FALSE(bumps(t, [&] { t.apply_beacon(kA, beacon, at(1), 7); }));
+  // Memo hits: only owed deadlines.
+  EXPECT_FALSE(bumps(t, [&] { t.apply_beacon(kA, beacon, at(2), 7); }));
+  EXPECT_EQ(t.repeated_beacons(), 1u);
+  // Writing the owed deadlines out (any deadline read) and touch().
+  EXPECT_FALSE(bumps(t, [&] { EXPECT_TRUE(t.route_to(kC).has_value()); }));
+  EXPECT_FALSE(bumps(t, [&] { EXPECT_TRUE(t.touch(kC, at(3))); }));
+  // An upsert that only refreshes the hold timer, refusals and no-ops.
+  EXPECT_FALSE(bumps(t, [&] {
+    EXPECT_FALSE(t.upsert(kC, kA, 2, roles::kNone, at(4)));
+  }));
+  EXPECT_FALSE(bumps(t, [&] { EXPECT_FALSE(t.invalidate(kB)); }));
+  EXPECT_FALSE(bumps(t, [&] { EXPECT_FALSE(t.touch(kB, at(5))); }));
+  EXPECT_FALSE(bumps(t, [&] { EXPECT_EQ(t.expire(at(6)), 0u); }));
+  EXPECT_FALSE(bumps(t, [&] { (void)t.advertisement(); }));
+  EXPECT_FALSE(bumps(t, [&] { (void)t.serialize(at(7)); }));
+  // A worse offer from a neighbour that is not the next hop changes nothing.
+  EXPECT_TRUE(bumps(t, [&] { t.apply_beacon(kB, {}, at(8)); }));
+  EXPECT_FALSE(bumps(t, [&] { t.apply_beacon(kB, {{kC, 5}}, at(9)); }));
+}
+
 }  // namespace
 }  // namespace lm::net

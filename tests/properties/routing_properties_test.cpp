@@ -2,7 +2,10 @@
 // ANY sequence of beacons and expirations, swept over random histories.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "net/routing_table.h"
 #include "support/rng.h"
@@ -76,6 +79,7 @@ TEST_P(RoutingProperty, InvariantsSurviveRandomBeaconHistories) {
 
 TEST_P(RoutingProperty, AdvertisementIsWellFormed) {
   Rng rng(GetParam() ^ 0xAD);
+  Rng caps(GetParam() ^ 0xCA9);  // its own stream: the history is unchanged
   RoutingTable t(kSelf, Duration::minutes(10), kInfiniteMetric, roles::kSink);
   TimePoint now;
   for (int step = 0; step < 200; ++step) {
@@ -106,6 +110,23 @@ TEST_P(RoutingProperty, AdvertisementIsWellFormed) {
       }
     }
     ASSERT_TRUE(has_self);
+
+    // Under any cap (a dwell-capped frame), the self entry plus the nearest
+    // (metric, address) destinations, still in address order.
+    const std::size_t cap = 1 + caps.index(kMaxRoutingEntries);
+    const auto capped = t.advertisement(cap);
+    std::vector<RoutingEntry> nearest;
+    for (const RouteEntry& e : t.entries()) {
+      nearest.push_back({e.destination, e.metric, e.role});
+    }
+    std::ranges::sort(nearest, {}, [](const RoutingEntry& e) {
+      return std::pair{e.metric, e.address};
+    });
+    nearest.resize(std::min(nearest.size(), cap - 1));
+    nearest.push_back({kSelf, 0, roles::kSink});
+    std::ranges::sort(nearest, {}, &RoutingEntry::address);
+    ASSERT_EQ(std::vector<RoutingEntry>(capped.begin(), capped.end()), nearest)
+        << "cap " << cap;
   }
 }
 

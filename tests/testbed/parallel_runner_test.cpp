@@ -7,16 +7,19 @@
 
 #include <cstdint>
 #include <latch>
+#include <map>
 #include <set>
 #include <utility>
 #include <vector>
 
 #include "metrics/packet_tracker.h"
+#include "net/distance_vector_strategy.h"
 #include "net/link_layer.h"
 #include "phy/path_loss.h"
 #include "testbed/scenario.h"
 #include "testbed/topology.h"
 #include "testbed/traffic.h"
+#include "trace/trace_sink.h"
 
 namespace lm::testbed {
 namespace {
@@ -149,6 +152,68 @@ TEST(ParallelRunner, WorkersInterningOneSenderNeverShareAnId) {
     distinct.insert(first);
   }
   EXPECT_EQ(distinct.size(), ids.size());
+}
+
+
+// Senders draw their beacons' ids from that counter too. Two workers each
+// run a field whose senders build beacons while its receivers intern
+// them: no id may turn up in two jobs, and within a job an id always names
+// one entry list.
+TEST(ParallelRunner, WorkersBuildingBeaconsNeverShareAnId) {
+  struct Built {
+    std::uint32_t id;
+    std::vector<net::RoutingEntry> entries;
+  };
+  // Declared before the scenario it reads, so it outlives its events.
+  class BeaconLog final : public trace::TraceSink {
+   public:
+    void record(const trace::TraceEvent& e) override {
+      if (e.kind != trace::EventKind::Enqueue ||
+          e.packet_type != static_cast<std::uint8_t>(net::PacketType::Routing)) {
+        return;
+      }
+      const net::MeshNode& node =
+          s->node(*s->index_of(static_cast<net::Address>(e.node)));
+      const auto& dv =
+          dynamic_cast<const net::DistanceVectorStrategy&>(node.routing_strategy());
+      const auto adv = node.routing_table().advertisement();
+      built.push_back({dv.beacon_content_id(), {adv.begin(), adv.end()}});
+    }
+    MeshScenario* s = nullptr;
+    std::vector<Built> built;
+  };
+
+  std::latch both_running(2);  // jobs 0 and 1 run on two workers at once
+  ParallelRunner runner(2);
+  const auto logs = runner.map<std::vector<Built>>(6, [&](std::size_t i) {
+    if (i < 2) both_running.arrive_and_wait();
+    BeaconLog log;
+    trace::Tracer tracer;
+    tracer.attach(&log);
+    MeshScenario s(small_config(40 + i));
+    s.add_nodes(grid(2, 3, 350.0));
+    log.s = &s;
+    s.attach_tracer(tracer);
+    s.start_all();
+    s.run_for(Duration::minutes(30));
+    return std::move(log.built);
+  });
+
+  std::map<std::uint32_t, std::pair<std::size_t, std::vector<net::RoutingEntry>>>
+      owner;  // id -> (job, entries)
+  std::size_t repeats = 0;
+  for (std::size_t job = 0; job < logs.size(); ++job) {
+    EXPECT_GT(logs[job].size(), 50u);
+    for (const Built& b : logs[job]) {
+      ASSERT_NE(b.id, 0u);
+      const auto [it, fresh] = owner.try_emplace(b.id, job, b.entries);
+      if (fresh) continue;
+      ++repeats;
+      EXPECT_EQ(it->second.first, job) << "id " << b.id << " in two jobs";
+      EXPECT_EQ(it->second.second, b.entries) << "id " << b.id;
+    }
+  }
+  EXPECT_GT(repeats, owner.size());  // converged senders keep their ids
 }
 
 }  // namespace
