@@ -51,7 +51,7 @@ BENCHMARK(BM_TimeOnAir);
 
 void BM_EncodeDataPacket(benchmark::State& state) {
   net::DataPacket p;
-  p.link = net::LinkHeader{0x0002, 0x0001, net::PacketType::Data};
+  p.link = net::LinkHeader{0x0002, 0x0001};
   p.route.final_dst = 0x0005;
   p.route.origin = 0x0001;
   p.route.ttl = 16;
@@ -65,7 +65,7 @@ BENCHMARK(BM_EncodeDataPacket)->Arg(16)->Arg(242);
 
 void BM_DecodeDataPacket(benchmark::State& state) {
   net::DataPacket p;
-  p.link = net::LinkHeader{0x0002, 0x0001, net::PacketType::Data};
+  p.link = net::LinkHeader{0x0002, 0x0001};
   p.payload.assign(static_cast<std::size_t>(state.range(0)), 0xAB);
   const auto frame = net::encode(net::Packet{p});
   for (auto _ : state) {
@@ -119,7 +119,7 @@ BENCHMARK(BM_SimulatorEventChurn);
 
 void BM_EncodeRoutingBeacon(benchmark::State& state) {
   net::RoutingPacket p;
-  p.link = net::LinkHeader{net::kBroadcast, 0x0001, net::PacketType::Routing};
+  p.link = net::LinkHeader{net::kBroadcast, 0x0001};
   for (int i = 0; i < state.range(0); ++i) {
     p.entries.push_back({static_cast<net::Address>(i + 2),
                          static_cast<std::uint8_t>(i % 15 + 1)});

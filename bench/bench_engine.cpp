@@ -127,7 +127,7 @@ struct AllocResult {
 // up long before it is visible in wall-clock numbers.
 AllocResult alloc_pressure(std::uint64_t packets) {
   net::DataPacket p;
-  p.link = net::LinkHeader{0x0002, 0x0001, net::PacketType::Data};
+  p.link = net::LinkHeader{0x0002, 0x0001};
   p.route.final_dst = 0x0005;
   p.route.origin = 0x0001;
   p.payload.assign(32, 0xAB);

@@ -119,6 +119,19 @@ if [ -n "$clock_hits" ]; then
   echo "$clock_hits" >&2
 fi
 
+# --- Frame bytes --------------------------------------------------------------
+# The wire format is stated once, in the wire table of net/packet.h, and
+# net/packet.cpp is the only net file that reads or writes frame bytes: a
+# second parser (say, of the link header) would be a second statement of
+# the format. routing_table.cpp is exempt: its flash snapshot is not a frame.
+codec_hits=$(grep -Hn -E '\b(ByteReader|ByteWriter|SpanWriter)\b' \
+                  src/net/*.h src/net/*.cpp 2>/dev/null |
+             grep -v -E '^src/net/(packet|routing_table)\.cpp:' || true)
+if [ -n "$codec_hits" ]; then
+  violation "only src/net/packet.cpp may read or write frame bytes"
+  echo "$codec_hits" >&2
+fi
+
 if [ "$fail" -ne 0 ]; then
   echo "layering: FAILED" >&2
   exit 1

@@ -46,7 +46,7 @@ void AodvStrategy::send_rreq(Address dst) {
   it->second.attempts++;
   own_seq_++;
   RouteRequestPacket p;
-  p.link = LinkHeader{kBroadcast, ctx_->address, PacketType::RouteRequest};
+  p.link = LinkHeader{kBroadcast, ctx_->address};
   p.route.final_dst = dst;
   p.route.origin = ctx_->address;
   p.route.ttl = ctx_->config.max_ttl;
@@ -165,7 +165,7 @@ void AodvStrategy::on_rreq(RouteRequestPacket packet) {
     }
     own_seq_++;
     RouteReplyPacket reply;
-    reply.link = LinkHeader{kUnassigned, ctx_->address, PacketType::RouteReply};
+    reply.link = LinkHeader{kUnassigned, ctx_->address};
     reply.route.final_dst = route.origin;
     reply.route.origin = ctx_->address;
     reply.route.ttl = ctx_->config.max_ttl;
@@ -224,7 +224,7 @@ void AodvStrategy::send_rerr(Address unreachable) {
     it->second = seq;
   }
   RouteErrorPacket p;
-  p.link = LinkHeader{kBroadcast, ctx_->address, PacketType::RouteError};
+  p.link = LinkHeader{kBroadcast, ctx_->address};
   p.route.final_dst = kBroadcast;
   p.route.origin = ctx_->address;
   p.route.ttl = 1;  // single hop; dependents re-broadcast their own RERR

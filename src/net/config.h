@@ -37,8 +37,6 @@ struct MeshConfig {
   bool require_link_quality = false;
   /// Minimum smoothed margin (dB above the SF's demodulation floor).
   double min_snr_margin_db = 3.0;
-  /// EWMA weight of each new SNR sample.
-  double snr_ewma_alpha = 0.25;
 
   // --- Channel access --------------------------------------------------------
   /// Listen-before-talk via CAD. Disabled = ALOHA (E9 ablation).
@@ -61,7 +59,7 @@ struct MeshConfig {
   /// Per-transmission airtime cap (US915-style dwell rule; FCC 15.247
   /// allows 400 ms). Zero disables. Frames that would exceed it are
   /// rejected at submission, never silently truncated; reliable transfers
-  /// shrink their fragments to fit.
+  /// shrink their fragments to fit (fragment_payload_within, net/packet.h).
   Duration max_dwell_time = Duration::zero();
 
   // --- Receiver duty-cycling (the paper's future-work lever) ------------------
@@ -94,21 +92,10 @@ struct MeshConfig {
   /// Pause between successive fragments (lets relays drain and shares the
   /// channel); the duty-cycle limiter adds more when needed.
   Duration fragment_spacing = Duration::milliseconds(100);
-  /// Payload bytes per fragment (<= kMaxFragmentPayload). Shrunk
-  /// automatically when max_dwell_time caps the frame size.
-  std::size_t max_fragment_payload = 239;
 
   // --- Acked datagrams ("NEED_ACK") ------------------------------------------
-  /// Retransmissions of an acked datagram before reporting failure.
-  int acked_max_retries = 3;
   /// Wait for the end-to-end ACK before each retransmission.
   Duration acked_retry_timeout = Duration::seconds(10);
-
-  /// Concurrent reliable-transfer receive sessions. Each session holds
-  /// fragment buffers and timers, so an attacker (or a bug) spraying SYNCs
-  /// with fresh (origin, seq) pairs must hit a wall instead of exhausting
-  /// a 520 KB-RAM microcontroller.
-  std::size_t max_rx_sessions = 8;
 
   /// Route-table housekeeping period (expiry sweep).
   Duration maintenance_interval = Duration::seconds(10);

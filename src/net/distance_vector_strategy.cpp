@@ -76,7 +76,7 @@ void DistanceVectorStrategy::send_beacon() {
     build_beacon(penalty);
   }
   RoutingPacket p;
-  p.link = LinkHeader{kBroadcast, ctx_->address, PacketType::Routing};
+  p.link = LinkHeader{kBroadcast, ctx_->address};
   p.entries = beacon_.entries;
   p.content_id = beacon_.content_id;
   ctx_->stats.beacons_sent++;

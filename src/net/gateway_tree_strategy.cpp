@@ -73,7 +73,7 @@ void GatewayTreeStrategy::send_root_beacon() {
   if (!ctx_->running) return;
   round_++;
   TreeBeaconPacket p;
-  p.link = LinkHeader{kBroadcast, ctx_->address, PacketType::TreeBeacon};
+  p.link = LinkHeader{kBroadcast, ctx_->address};
   p.route.final_dst = kBroadcast;
   p.route.origin = ctx_->address;
   p.route.ttl = ctx_->config.max_ttl;
@@ -171,7 +171,7 @@ void GatewayTreeStrategy::elect_and_rebroadcast() {
   // Relay the wave with our own depth so deeper nodes can join.
   if (ctx_->config.max_ttl > depth_ + 1 && depth_ < 255) {
     TreeBeaconPacket wave;
-    wave.link = LinkHeader{kBroadcast, ctx_->address, PacketType::TreeBeacon};
+    wave.link = LinkHeader{kBroadcast, ctx_->address};
     wave.route.final_dst = kBroadcast;
     wave.route.origin = *root_;
     wave.route.ttl = static_cast<std::uint8_t>(ctx_->config.max_ttl - depth_);
@@ -205,7 +205,7 @@ void GatewayTreeStrategy::send_report() {
   if (!ctx_->running) return;
   if (parent_.has_value() && root_.has_value()) {
     TreeReportPacket p;
-    p.link = LinkHeader{kUnassigned, ctx_->address, PacketType::TreeReport};
+    p.link = LinkHeader{kUnassigned, ctx_->address};
     p.route.final_dst = *root_;
     p.route.origin = ctx_->address;
     p.route.ttl = ctx_->config.max_ttl;

@@ -34,7 +34,6 @@ static_assert(LM_HOT(tracer) && LM_HOT(clock) && LM_HOT(address) &&
               LM_HOT(running));
 static_assert(LM_HOT_IN(config, MeshConfig, require_link_quality));
 static_assert(LM_HOT_IN(config, MeshConfig, min_snr_margin_db));
-static_assert(LM_HOT_IN(config, MeshConfig, snr_ewma_alpha));
 
 #undef LM_HOT
 #undef LM_HOT_IN
@@ -62,7 +61,7 @@ void LayerContext::trace_packet(trace::EventKind kind, const Packet& packet,
   e.kind = kind;
   e.reason = reason;
   const LinkHeader& link = link_of(packet);
-  e.packet_type = static_cast<std::uint8_t>(link.type);
+  e.packet_type = static_cast<std::uint8_t>(type_of(packet));
   e.via = link.dst;
   if (const RouteHeader* route = route_of(packet)) {
     e.origin = route->origin;

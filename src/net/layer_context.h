@@ -120,8 +120,8 @@ static_assert(sizeof(NodeStats) == 35 * 8);
 /// Cache-line aligned, and laid out so that everything a beacon reception
 /// reads or writes here sits in two adjacent lines (receive_hot_lines()):
 /// the receive counters that end `stats`, the fields up to `running`, and
-/// the head of `config` (snr_ewma_alpha, require_link_quality,
-/// min_snr_margin_db). layer_context.cpp pins this with static_asserts.
+/// the head of `config` (require_link_quality, min_snr_margin_db).
+/// layer_context.cpp pins this with static_asserts.
 struct alignas(64) LayerContext {
   LayerContext(sim::Simulator& loop, Address self, MeshConfig node_config,
                Rng stream);
@@ -137,8 +137,7 @@ struct alignas(64) LayerContext {
   sim::NodeClock clock{};
   const Address address;
   bool running = false;
-  /// Owned copy: the link layer shrinks max_fragment_payload to the dwell
-  /// cap at construction, and every layer reads the same adjusted values.
+  /// Owned copy, read by every layer.
   MeshConfig config;
   /// The node's single randomness stream (jitter, backoff, retry fuzz,
   /// session seeds). All layers draw from here, in event order.

@@ -9,7 +9,6 @@
 
 #include "phy/airtime.h"
 #include "support/assert.h"
-#include "support/byte_codec.h"
 #include "support/log.h"
 
 namespace lm::net {
@@ -20,16 +19,12 @@ constexpr const char* kTag = "mesh";
 // Neighbours whose SNR entries fit the table's first block: the eight
 // grid neighbours of a dense field.
 constexpr std::size_t kSnrReserve = 8;
+// EWMA weight of each new SNR sample.
+constexpr double kSnrEwmaAlpha = 0.25;
 
 // Content ids are drawn from one process-wide counter, so an id names a
 // single entry list on every thread, PDES worker and ParallelRunner job.
 std::atomic<std::uint64_t> next_content_id{1};
-
-// The link header `frame` starts with.
-LinkHeader link_header_of(std::span<const std::uint8_t> frame) {
-  ByteReader r(frame);
-  return {r.u16(), r.u16(), static_cast<PacketType>(r.u8())};
-}
 
 struct DecodeMemo {
   // The cached packet holds pooled blocks; touching the pool first makes
@@ -104,8 +99,8 @@ LinkLayer::LinkLayer(LayerContext& ctx, radio::Radio& radio,
                     sizeof(Callbacks::on_packet) <= 2 * kLine);
 #pragma GCC diagnostic pop
   neighbor_snr_margin_.reserve(kSnrReserve);
-  // US915-style dwell rule: cap the frame size so every transmission fits,
-  // and shrink reliable-transfer fragments to match.
+  // US915-style dwell rule: cap the frame size so every transmission fits
+  // (reliable transfers size their fragments from it).
   max_frame_bytes_ = phy::kMaxPhyPayload;
   if (ctx_.config.max_dwell_time > Duration::zero()) {
     std::size_t fit = 0;
@@ -120,10 +115,6 @@ LinkLayer::LinkLayer(LayerContext& ctx, radio::Radio& radio,
     LM_REQUIRE(fit >= kLinkHeaderSize + kRouteHeaderSize + 4 &&
                "max_dwell_time leaves no usable frame at this modulation");
     max_frame_bytes_ = fit;
-    const std::size_t fragment_fit =
-        max_frame_bytes_ - kLinkHeaderSize - kRouteHeaderSize - 3;
-    ctx_.config.max_fragment_payload =
-        std::min(ctx_.config.max_fragment_payload, fragment_fit);
   }
   radio_.set_listener(this);
 }
@@ -360,7 +351,7 @@ void LinkLayer::transmit_now() {
   const auto* beacon = std::get_if<RoutingPacket>(&packet);
   const std::uint32_t beacon_id = beacon != nullptr ? beacon->content_id : 0;
   if (beacon_id == 0 || beacon_id != tx_frame_beacon_ ||
-      link_header_of(tx_frame_) != link) {
+      decode_link(tx_frame_) != link) {
     encode_into(packet, tx_frame_);  // reused pooled buffer: no allocation
     tx_frame_beacon_ = beacon_id;
   }
@@ -455,7 +446,7 @@ void LinkLayer::on_frame_received(std::span<const std::uint8_t> frame,
         set_receive_hint(hint);
       }
     } else {
-      it->second += ctx_.config.snr_ewma_alpha * (margin - it->second);
+      it->second += kSnrEwmaAlpha * (margin - it->second);
     }
   }
   if (link.dst != ctx_.address && link.dst != kBroadcast) {

@@ -73,8 +73,8 @@ class LinkLayer final : public radio::RadioListener {
     support::FunctionRef<void(const Packet&)> on_dropped;
   };
 
-  /// Installs itself as the radio's listener; applies the max_dwell_time
-  /// frame cap to ctx.config.max_fragment_payload.
+  /// Installs itself as the radio's listener; derives the max_dwell_time
+  /// frame cap (max_frame_bytes).
   LinkLayer(LayerContext& ctx, radio::Radio& radio, Callbacks callbacks);
   ~LinkLayer() override;
 

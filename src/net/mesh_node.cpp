@@ -22,8 +22,6 @@ MeshConfig validated(const MeshConfig& config, Address address) {
   LM_REQUIRE(config.hello_interval > Duration::zero());
   LM_REQUIRE(config.maintenance_interval > Duration::zero());
   LM_REQUIRE(config.route_timeout_intervals >= 2);
-  LM_REQUIRE(config.max_fragment_payload >= 1 &&
-             config.max_fragment_payload <= kMaxFragmentPayload);
   LM_REQUIRE(config.rx_duty > 0.0 && config.rx_duty <= 1.0);
   LM_REQUIRE(config.rx_cycle_period > Duration::zero());
   return config;

@@ -58,7 +58,7 @@ bool NetworkLayer::send_datagram(Address destination,
     return refuse(trace::DropReason::NoRoute);
   }
   DataPacket p;
-  p.link = LinkHeader{kUnassigned, ctx_.address, PacketType::Data};
+  p.link = LinkHeader{kUnassigned, ctx_.address};
   p.route = make_route(destination);
   p.payload.assign(payload.begin(), payload.end());
   Packet packet{std::move(p)};
@@ -87,7 +87,7 @@ bool NetworkLayer::send_broadcast(std::vector<std::uint8_t> payload,
     return refuse(trace::DropReason::PayloadTooLarge);
   }
   DataPacket p;
-  p.link = LinkHeader{kBroadcast, ctx_.address, PacketType::Data};
+  p.link = LinkHeader{kBroadcast, ctx_.address};
   p.route.final_dst = kBroadcast;
   p.route.origin = ctx_.address;
   p.route.ttl = 1;  // single hop by design

@@ -1,41 +1,12 @@
 #include "net/packet.h"
 
+#include <array>
 #include <cstdio>
 
 #include "support/assert.h"
 #include "support/byte_codec.h"
 
 namespace lm::net {
-
-namespace {
-
-template <class Writer>
-void put_link(Writer& w, const LinkHeader& h) {
-  w.u16(h.dst);
-  w.u16(h.src);
-  w.u8(static_cast<std::uint8_t>(h.type));
-}
-
-template <class Writer>
-void put_route(Writer& w, const RouteHeader& h) {
-  w.u16(h.final_dst);
-  w.u16(h.origin);
-  w.u8(h.ttl);
-  w.u8(h.hops);
-  w.u16(h.packet_id);
-}
-
-RouteHeader get_route(ByteReader& r) {
-  RouteHeader h;
-  h.final_dst = r.u16();
-  h.origin = r.u16();
-  h.ttl = r.u8();
-  h.hops = r.u8();
-  h.packet_id = r.u16();
-  return h;
-}
-
-}  // namespace
 
 std::string role_to_string(Role role) {
   if (role == roles::kNone) return "-";
@@ -57,106 +28,123 @@ std::string to_string(Address a) {
   return buf;
 }
 
-const char* to_string(PacketType t) {
-  switch (t) {
-    case PacketType::Routing: return "ROUTING";
-    case PacketType::Data: return "DATA";
-    case PacketType::Sync: return "SYNC";
-    case PacketType::SyncAck: return "SYNC_ACK";
-    case PacketType::Fragment: return "FRAGMENT";
-    case PacketType::Lost: return "LOST";
-    case PacketType::Done: return "DONE";
-    case PacketType::Poll: return "POLL";
-    case PacketType::AckedData: return "ACKED_DATA";
-    case PacketType::Ack: return "ACK";
-    case PacketType::RouteRequest: return "RREQ";
-    case PacketType::RouteReply: return "RREP";
-    case PacketType::RouteError: return "RERR";
-    case PacketType::TreeBeacon: return "TREE_BEACON";
-    case PacketType::TreeReport: return "TREE_REPORT";
+namespace {
+
+// The field codec: one branch per field kind of the wire table
+// (packet.h), walked by encode, decode and encoded_size alike.
+
+template <class T>
+constexpr bool kIsList = false;
+template <class T>
+constexpr bool kIsList<support::PooledVector<T>> = true;  // PayloadBytes is matched first
+
+// A writer that only counts: encoded_size runs the encoder over it.
+struct SizeCounter {
+  std::size_t n = 0;
+  constexpr void u8(std::uint8_t) { n += 1; }
+  constexpr void u16(std::uint16_t) { n += 2; }
+  constexpr void u32(std::uint32_t) { n += 4; }
+  constexpr void bytes(std::span<const std::uint8_t> b) { n += b.size(); }
+  constexpr std::size_t size() const { return n; }
+};
+
+template <class Writer, class F>
+constexpr void put(Writer& w, const F& f) {
+  if constexpr (std::is_same_v<F, std::uint8_t>) {
+    w.u8(f);
+  } else if constexpr (std::is_same_v<F, std::uint16_t>) {
+    w.u16(f);
+  } else if constexpr (std::is_same_v<F, std::uint32_t>) {
+    w.u32(f);
+  } else if constexpr (std::is_same_v<F, PayloadBytes>) {
+    w.bytes(f);
+  } else if constexpr (kIsList<F>) {
+    w.u8(static_cast<std::uint8_t>(f.size()));
+    for (const auto& e : f) put(w, e);
+  } else {
+    std::apply([&](auto... m) { (put(w, f.*m), ...); }, kFields<F>);
   }
-  return "UNKNOWN";
 }
 
-namespace {
+// Wire bytes of one list element (every element type is fixed-size).
+template <class T>
+constexpr std::size_t kElementSize = [] {
+  SizeCounter c;
+  put(c, T{});
+  return c.size();
+}();
+
+template <class F>
+void get(ByteReader& r, F& f) {
+  if constexpr (std::is_same_v<F, std::uint8_t>) {
+    f = r.u8();
+  } else if constexpr (std::is_same_v<F, std::uint16_t>) {
+    f = r.u16();
+  } else if constexpr (std::is_same_v<F, std::uint32_t>) {
+    f = r.u32();
+  } else if constexpr (std::is_same_v<F, PayloadBytes>) {
+    const auto rest = r.view_rest();
+    f.assign(rest.begin(), rest.end());
+  } else if constexpr (kIsList<F>) {
+    // Claiming the elements' bytes first lets one allocation hold the whole
+    // list, and a count the frame cannot back poisons the reader before
+    // anything is allocated.
+    const std::size_t n = r.u8();
+    ByteReader items(r.view(n * kElementSize<typename F::value_type>));
+    if (!r.ok()) return;
+    f.resize(n);
+    for (auto& e : f) get(items, e);
+  } else {
+    std::apply([&](auto... m) { (get(r, f.*m), ...); }, kFields<F>);
+  }
+}
 
 template <class Writer>
 void encode_to(Writer& w, const Packet& packet) {
   std::visit(
       [&w](const auto& p) {
-        using T = std::decay_t<decltype(p)>;
-        put_link(w, p.link);
-        if constexpr (std::is_same_v<T, RoutingPacket>) {
-          LM_REQUIRE(p.entries.size() <= kMaxRoutingEntries);
-          w.u8(static_cast<std::uint8_t>(p.entries.size()));
-          for (const RoutingEntry& e : p.entries) {
-            w.u16(e.address);
-            w.u8(e.metric);
-            w.u8(e.role);
-          }
-        } else if constexpr (std::is_same_v<T, DataPacket>) {
-          LM_REQUIRE(p.payload.size() <= kMaxDataPayload);
-          put_route(w, p.route);
-          w.bytes(p.payload);
-        } else if constexpr (std::is_same_v<T, SyncPacket>) {
-          put_route(w, p.route);
-          w.u8(p.seq);
-          w.u16(p.fragment_count);
-          w.u32(p.total_bytes);
-        } else if constexpr (std::is_same_v<T, SyncAckPacket> ||
-                             std::is_same_v<T, DonePacket> ||
-                             std::is_same_v<T, PollPacket>) {
-          put_route(w, p.route);
-          w.u8(p.seq);
-        } else if constexpr (std::is_same_v<T, FragmentPacket>) {
-          LM_REQUIRE(p.payload.size() <= kMaxFragmentPayload);
-          put_route(w, p.route);
-          w.u8(p.seq);
-          w.u16(p.index);
-          w.bytes(p.payload);
-        } else if constexpr (std::is_same_v<T, LostPacket>) {
-          LM_REQUIRE(p.missing.size() <= kMaxLostIndices);
-          put_route(w, p.route);
-          w.u8(p.seq);
-          w.u8(static_cast<std::uint8_t>(p.missing.size()));
-          for (std::uint16_t idx : p.missing) w.u16(idx);
-        } else if constexpr (std::is_same_v<T, AckedDataPacket>) {
-          LM_REQUIRE(p.payload.size() <= kMaxDataPayload);
-          put_route(w, p.route);
-          w.bytes(p.payload);
-        } else if constexpr (std::is_same_v<T, AckPacket>) {
-          put_route(w, p.route);
-          w.u16(p.acked_id);
-        } else if constexpr (std::is_same_v<T, RouteRequestPacket>) {
-          put_route(w, p.route);
-          w.u16(p.origin_seq);
-          w.u16(p.dst_seq);
-          w.u8(p.dst_seq_known);
-        } else if constexpr (std::is_same_v<T, RouteReplyPacket>) {
-          put_route(w, p.route);
-          w.u16(p.dst_seq);
-        } else if constexpr (std::is_same_v<T, RouteErrorPacket>) {
-          put_route(w, p.route);
-          w.u16(p.unreachable);
-          w.u16(p.seq);
-        } else if constexpr (std::is_same_v<T, TreeBeaconPacket>) {
-          put_route(w, p.route);
-        } else if constexpr (std::is_same_v<T, TreeReportPacket>) {
-          put_route(w, p.route);
-          w.u16(p.parent);
-        } else {
-          static_assert(!sizeof(T*), "unhandled packet type");
-        }
+        put(w, p.link);
+        w.u8(static_cast<std::uint8_t>(kLayout<std::decay_t<decltype(p)>>.type));
+        put(w, p);
       },
       packet);
-  LM_ASSERT(w.size() <= 255);
 }
 
+template <std::size_t I>
+std::optional<Packet> decode_as(const LinkHeader& link, ByteReader& r) {
+  std::optional<Packet> out(std::in_place, std::in_place_index<I>);
+  auto& p = std::get<I>(*out);
+  p.link = link;
+  get(r, p);
+  if (!r.exhausted()) out.reset();
+  return out;  // one named return: NRVO builds it in the caller's slot
+}
+
+template <std::size_t... I>
+constexpr auto per_alternative(std::index_sequence<I...>) {
+  struct Row {
+    const char* name;
+    Plane plane;
+    std::optional<Packet> (*decode)(const LinkHeader&, ByteReader&);
+  };
+  return std::array{Row{kLayout<std::variant_alternative_t<I, Packet>>.name,
+                        kLayout<std::variant_alternative_t<I, Packet>>.plane, &decode_as<I>}...};
+}
+
+// Indexed by type byte - 1.
+constexpr auto kRows = per_alternative(std::make_index_sequence<std::variant_size_v<Packet>>{});
+
 }  // namespace
+
+const char* to_string(PacketType t) {
+  const std::size_t i = static_cast<std::size_t>(t) - 1;
+  return i < kRows.size() ? kRows[i].name : "UNKNOWN";
+}
 
 std::size_t encode_into(const Packet& packet, std::span<std::uint8_t> out) {
   SpanWriter w(out);
   encode_to(w, packet);
+  LM_REQUIRE(w.size() <= 255);
   return w.size();
 }
 
@@ -176,158 +164,18 @@ std::vector<std::uint8_t> encode(const Packet& packet) {
 std::optional<Packet> decode(std::span<const std::uint8_t> frame) {
   ByteReader r(frame);
   LinkHeader link;
-  link.dst = r.u16();
-  link.src = r.u16();
-  const std::uint8_t raw_type = r.u8();
-  if (!r.ok()) return std::nullopt;
-  if (raw_type < static_cast<std::uint8_t>(PacketType::Routing) ||
-      raw_type > static_cast<std::uint8_t>(PacketType::TreeReport)) {
-    return std::nullopt;
-  }
-  link.type = static_cast<PacketType>(raw_type);
+  get(r, link);
+  const std::size_t index = std::size_t{r.u8()} - 1;  // wraps for type byte 0
+  if (!r.ok() || index >= kRows.size()) return std::nullopt;
+  return kRows[index].decode(link, r);
+}
 
-  switch (link.type) {
-    case PacketType::Routing: {
-      RoutingPacket p;
-      p.link = link;
-      const std::uint8_t n = r.u8();
-      // Exactly n 4-byte entries must follow. Checking that first lets one
-      // reservation hold the whole list, and a crafted count that the frame
-      // cannot back allocates nothing.
-      if (!r.ok() || r.remaining() != 4 * std::size_t{n}) return std::nullopt;
-      p.entries.reserve(n);
-      for (std::uint8_t i = 0; i < n; ++i) {
-        RoutingEntry e;
-        e.address = r.u16();
-        e.metric = r.u8();
-        e.role = r.u8();
-        p.entries.push_back(e);
-      }
-      if (!r.exhausted()) return std::nullopt;
-      return Packet{std::move(p)};
-    }
-    case PacketType::Data: {
-      DataPacket p;
-      p.link = link;
-      p.route = get_route(r);
-      if (!r.ok()) return std::nullopt;
-      { const auto rest = r.view_rest(); p.payload.assign(rest.begin(), rest.end()); }
-      return Packet{std::move(p)};
-    }
-    case PacketType::Sync: {
-      SyncPacket p;
-      p.link = link;
-      p.route = get_route(r);
-      p.seq = r.u8();
-      p.fragment_count = r.u16();
-      p.total_bytes = r.u32();
-      if (!r.exhausted()) return std::nullopt;
-      return Packet{p};
-    }
-    case PacketType::SyncAck: {
-      SyncAckPacket p;
-      p.link = link;
-      p.route = get_route(r);
-      p.seq = r.u8();
-      if (!r.exhausted()) return std::nullopt;
-      return Packet{p};
-    }
-    case PacketType::Fragment: {
-      FragmentPacket p;
-      p.link = link;
-      p.route = get_route(r);
-      p.seq = r.u8();
-      p.index = r.u16();
-      if (!r.ok()) return std::nullopt;
-      { const auto rest = r.view_rest(); p.payload.assign(rest.begin(), rest.end()); }
-      return Packet{std::move(p)};
-    }
-    case PacketType::Lost: {
-      LostPacket p;
-      p.link = link;
-      p.route = get_route(r);
-      p.seq = r.u8();
-      const std::uint8_t n = r.u8();
-      for (std::uint8_t i = 0; i < n; ++i) p.missing.push_back(r.u16());
-      if (!r.exhausted()) return std::nullopt;
-      return Packet{std::move(p)};
-    }
-    case PacketType::Done: {
-      DonePacket p;
-      p.link = link;
-      p.route = get_route(r);
-      p.seq = r.u8();
-      if (!r.exhausted()) return std::nullopt;
-      return Packet{p};
-    }
-    case PacketType::Poll: {
-      PollPacket p;
-      p.link = link;
-      p.route = get_route(r);
-      p.seq = r.u8();
-      if (!r.exhausted()) return std::nullopt;
-      return Packet{p};
-    }
-    case PacketType::AckedData: {
-      AckedDataPacket p;
-      p.link = link;
-      p.route = get_route(r);
-      if (!r.ok()) return std::nullopt;
-      { const auto rest = r.view_rest(); p.payload.assign(rest.begin(), rest.end()); }
-      return Packet{std::move(p)};
-    }
-    case PacketType::Ack: {
-      AckPacket p;
-      p.link = link;
-      p.route = get_route(r);
-      p.acked_id = r.u16();
-      if (!r.exhausted()) return std::nullopt;
-      return Packet{p};
-    }
-    case PacketType::RouteRequest: {
-      RouteRequestPacket p;
-      p.link = link;
-      p.route = get_route(r);
-      p.origin_seq = r.u16();
-      p.dst_seq = r.u16();
-      p.dst_seq_known = r.u8();
-      if (!r.exhausted()) return std::nullopt;
-      return Packet{p};
-    }
-    case PacketType::RouteReply: {
-      RouteReplyPacket p;
-      p.link = link;
-      p.route = get_route(r);
-      p.dst_seq = r.u16();
-      if (!r.exhausted()) return std::nullopt;
-      return Packet{p};
-    }
-    case PacketType::RouteError: {
-      RouteErrorPacket p;
-      p.link = link;
-      p.route = get_route(r);
-      p.unreachable = r.u16();
-      p.seq = r.u16();
-      if (!r.exhausted()) return std::nullopt;
-      return Packet{p};
-    }
-    case PacketType::TreeBeacon: {
-      TreeBeaconPacket p;
-      p.link = link;
-      p.route = get_route(r);
-      if (!r.exhausted()) return std::nullopt;
-      return Packet{p};
-    }
-    case PacketType::TreeReport: {
-      TreeReportPacket p;
-      p.link = link;
-      p.route = get_route(r);
-      p.parent = r.u16();
-      if (!r.exhausted()) return std::nullopt;
-      return Packet{p};
-    }
-  }
-  return std::nullopt;
+std::optional<LinkHeader> decode_link(std::span<const std::uint8_t> frame) {
+  ByteReader r(frame);
+  LinkHeader link;
+  get(r, link);
+  if (!r.ok()) return std::nullopt;
+  return link;
 }
 
 const LinkHeader& link_of(const Packet& packet) {
@@ -356,61 +204,30 @@ RouteHeader* route_of(Packet& packet) {
 }
 
 std::size_t encoded_size(const Packet& packet) {
-  return std::visit(
-      [](const auto& p) -> std::size_t {
-        using T = std::decay_t<decltype(p)>;
-        if constexpr (std::is_same_v<T, RoutingPacket>) {
-          return kLinkHeaderSize + 1 + 4 * p.entries.size();
-        } else if constexpr (std::is_same_v<T, DataPacket>) {
-          return kLinkHeaderSize + kRouteHeaderSize + p.payload.size();
-        } else if constexpr (std::is_same_v<T, SyncPacket>) {
-          return kLinkHeaderSize + kRouteHeaderSize + 7;
-        } else if constexpr (std::is_same_v<T, FragmentPacket>) {
-          return kLinkHeaderSize + kRouteHeaderSize + 3 + p.payload.size();
-        } else if constexpr (std::is_same_v<T, LostPacket>) {
-          return kLinkHeaderSize + kRouteHeaderSize + 2 + 2 * p.missing.size();
-        } else if constexpr (std::is_same_v<T, AckedDataPacket>) {
-          return kLinkHeaderSize + kRouteHeaderSize + p.payload.size();
-        } else if constexpr (std::is_same_v<T, AckPacket>) {
-          return kLinkHeaderSize + kRouteHeaderSize + 2;
-        } else if constexpr (std::is_same_v<T, RouteRequestPacket>) {
-          return kLinkHeaderSize + kRouteHeaderSize + 5;
-        } else if constexpr (std::is_same_v<T, RouteReplyPacket> ||
-                             std::is_same_v<T, TreeReportPacket>) {
-          return kLinkHeaderSize + kRouteHeaderSize + 2;
-        } else if constexpr (std::is_same_v<T, RouteErrorPacket>) {
-          return kLinkHeaderSize + kRouteHeaderSize + 4;
-        } else if constexpr (std::is_same_v<T, TreeBeaconPacket>) {
-          return kLinkHeaderSize + kRouteHeaderSize;
-        } else {
-          // SyncAck / Done / Poll carry route header + seq.
-          return kLinkHeaderSize + kRouteHeaderSize + 1;
-        }
-      },
-      packet);
+  SizeCounter c;
+  encode_to(c, packet);
+  return c.size();
 }
 
 std::string describe(const Packet& packet) {
   const LinkHeader& l = link_of(packet);
   const RouteHeader* r = route_of(packet);
+  const char* type = to_string(type_of(packet));
   char buf[160];
   if (r != nullptr) {
     std::snprintf(buf, sizeof buf, "%s %s->%s (end-to-end %s->%s ttl=%u id=%u) %zuB",
-                  to_string(l.type), to_string(l.src).c_str(),
-                  to_string(l.dst).c_str(), to_string(r->origin).c_str(),
-                  to_string(r->final_dst).c_str(), r->ttl, r->packet_id,
-                  encoded_size(packet));
+                  type, to_string(l.src).c_str(), to_string(l.dst).c_str(),
+                  to_string(r->origin).c_str(), to_string(r->final_dst).c_str(), r->ttl,
+                  r->packet_id, encoded_size(packet));
   } else {
-    std::snprintf(buf, sizeof buf, "%s %s->broadcast %zuB", to_string(l.type),
+    std::snprintf(buf, sizeof buf, "%s %s->broadcast %zuB", type,
                   to_string(l.src).c_str(), encoded_size(packet));
   }
   return buf;
 }
 
 bool is_control_plane(const Packet& packet) {
-  const PacketType t = link_of(packet).type;
-  return t != PacketType::Data && t != PacketType::Fragment &&
-         t != PacketType::AckedData;
+  return kRows[packet.index()].plane == Plane::Control;
 }
 
 }  // namespace lm::net

@@ -1,16 +1,18 @@
 // The LoRaMesher over-the-air packet family.
 //
-// Every frame starts with a 5-byte link header addressing the next hop.
-// Unicast packets additionally carry an 8-byte route header addressing the
-// final destination, so intermediate nodes can forward without touching the
-// payload. The reliable large-payload machinery (paper: "XL packets") adds
-// small control packets: SYNC announces a transfer, SYNC_ACK accepts it,
-// FRAGMENT carries one piece, LOST requests retransmissions, DONE confirms
-// completion and POLL asks the receiver for its status.
+// Every frame starts with a 5-byte link header addressing the next hop and
+// naming the packet type. Unicast packets additionally carry an 8-byte route
+// header addressing the final destination, so intermediate nodes can forward
+// without touching the payload. The reliable large-payload machinery (paper:
+// "XL packets") adds small control packets: SYNC announces a transfer,
+// SYNC_ACK accepts it, FRAGMENT carries one piece, LOST requests
+// retransmissions, DONE confirms completion and POLL asks the receiver for
+// its status.
 //
 // Wire layout (little-endian):
-//   LinkHeader:  link_dst:u16  link_src:u16  type:u8
-//   RouteHeader: final_dst:u16 origin:u16 ttl:u8 hops:u8 packet_id:u16
+//   link header:  link_dst:u16  link_src:u16  type:u8
+//   RouteHeader:  final_dst:u16 origin:u16 ttl:u8 hops:u8 packet_id:u16
+// then each type's fields as listed in the wire table (kLayout) below.
 //
 // Frame size is capped by the SX127x 255-byte FIFO; kMaxDataPayload /
 // kMaxFragmentPayload expose the resulting application MTUs.
@@ -20,6 +22,8 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -61,11 +65,12 @@ const char* to_string(PacketType t);
 /// Addresses the next hop on the air. The default dst is kUnassigned
 /// ("route me"): MeshNode resolves it to the next hop at transmit time.
 /// Broadcast must be requested explicitly — a defaulted header that leaks
-/// to the air as broadcast makes every neighbor forward the packet.
+/// to the air as broadcast makes every neighbor forward the packet. The
+/// type byte that follows it on the air comes from the packet's kind
+/// (type_of).
 struct LinkHeader {
   Address dst = kUnassigned;  // next hop, kBroadcast, or kUnassigned
   Address src = kUnassigned;  // transmitting node
-  PacketType type = PacketType::Data;
 
   friend bool operator==(const LinkHeader&, const LinkHeader&) = default;
 };
@@ -81,14 +86,17 @@ struct RouteHeader {
   friend bool operator==(const RouteHeader&, const RouteHeader&) = default;
 };
 
-constexpr std::size_t kLinkHeaderSize = 5;
+constexpr std::size_t kLinkHeaderSize = 5;  // dst, src and the type byte
 constexpr std::size_t kRouteHeaderSize = 8;
 
 /// Application MTU of an unreliable datagram.
 constexpr std::size_t kMaxDataPayload = 255 - kLinkHeaderSize - kRouteHeaderSize;  // 242
-/// Payload capacity of one reliable-transfer fragment (3 bytes of
-/// seq/index overhead).
-constexpr std::size_t kMaxFragmentPayload = kMaxDataPayload - 3;  // 239
+/// Payload bytes one reliable-transfer fragment of at most `frame_bytes`
+/// bytes can carry: both headers, then seq:u8 index:u16.
+constexpr std::size_t fragment_payload_within(std::size_t frame_bytes) {
+  return frame_bytes - kLinkHeaderSize - kRouteHeaderSize - 3;
+}
+constexpr std::size_t kMaxFragmentPayload = fragment_payload_within(255);  // 239
 /// Fragment indices one LOST packet can carry.
 constexpr std::size_t kMaxLostIndices = (kMaxDataPayload - 2) / 2;  // 120
 
@@ -273,13 +281,126 @@ using Packet =
                  RouteReplyPacket, RouteErrorPacket, TreeBeaconPacket,
                  TreeReportPacket>;
 
+// --- Wire table -------------------------------------------------------------
+//
+// The one statement of the wire format. A frame is the link header's
+// fields, the type byte, then the fields of its packet type's row, in
+// order. encode, decode and encoded_size (net/packet.cpp) all walk these
+// lists, and a field's C++ type picks how it goes on the air:
+//   std::uint8_t / uint16_t / uint32_t  little-endian integer
+//   LinkHeader, RouteHeader, RoutingEntry  their kFields, in order
+//   PooledVector<T>                     u8 count, then the elements
+//   PayloadBytes                        the rest of the frame
+// decode accepts a frame only when it holds exactly its row's fields.
+
+enum class Plane : bool { Data, Control };
+
+/// One packet type's row.
+template <class... Fields>
+struct PacketLayout {
+  PacketType type;   // the type byte: the Packet alternative's index + 1
+  const char* name;  // in traces and logs
+  Plane plane;       // queue priority: control jumps the data queue
+  std::tuple<Fields...> fields;  // member pointers, in wire order
+};
+
+template <class... Fields>
+constexpr PacketLayout<Fields...> layout(PacketType type, const char* name, Plane plane,
+                                         Fields... fields) {
+  return {type, name, plane, {fields...}};
+}
+
+template <class P>
+inline constexpr auto kLayout = nullptr;  // not a packet
+template <>
+inline constexpr auto kLayout<RoutingPacket> =
+    layout(PacketType::Routing, "ROUTING", Plane::Control, &RoutingPacket::entries);
+template <>
+inline constexpr auto kLayout<DataPacket> =
+    layout(PacketType::Data, "DATA", Plane::Data, &DataPacket::route, &DataPacket::payload);
+template <>
+inline constexpr auto kLayout<SyncPacket> =
+    layout(PacketType::Sync, "SYNC", Plane::Control, &SyncPacket::route, &SyncPacket::seq,
+           &SyncPacket::fragment_count, &SyncPacket::total_bytes);
+template <>
+inline constexpr auto kLayout<SyncAckPacket> = layout(
+    PacketType::SyncAck, "SYNC_ACK", Plane::Control, &SyncAckPacket::route, &SyncAckPacket::seq);
+template <>
+inline constexpr auto kLayout<FragmentPacket> =
+    layout(PacketType::Fragment, "FRAGMENT", Plane::Data, &FragmentPacket::route,
+           &FragmentPacket::seq, &FragmentPacket::index, &FragmentPacket::payload);
+template <>
+inline constexpr auto kLayout<LostPacket> =
+    layout(PacketType::Lost, "LOST", Plane::Control, &LostPacket::route, &LostPacket::seq,
+           &LostPacket::missing);
+template <>
+inline constexpr auto kLayout<DonePacket> =
+    layout(PacketType::Done, "DONE", Plane::Control, &DonePacket::route, &DonePacket::seq);
+template <>
+inline constexpr auto kLayout<PollPacket> =
+    layout(PacketType::Poll, "POLL", Plane::Control, &PollPacket::route, &PollPacket::seq);
+template <>
+inline constexpr auto kLayout<AckedDataPacket> =
+    layout(PacketType::AckedData, "ACKED_DATA", Plane::Data, &AckedDataPacket::route,
+           &AckedDataPacket::payload);
+template <>
+inline constexpr auto kLayout<AckPacket> =
+    layout(PacketType::Ack, "ACK", Plane::Control, &AckPacket::route, &AckPacket::acked_id);
+template <>
+inline constexpr auto kLayout<RouteRequestPacket> =
+    layout(PacketType::RouteRequest, "RREQ", Plane::Control, &RouteRequestPacket::route,
+           &RouteRequestPacket::origin_seq, &RouteRequestPacket::dst_seq,
+           &RouteRequestPacket::dst_seq_known);
+template <>
+inline constexpr auto kLayout<RouteReplyPacket> =
+    layout(PacketType::RouteReply, "RREP", Plane::Control, &RouteReplyPacket::route,
+           &RouteReplyPacket::dst_seq);
+template <>
+inline constexpr auto kLayout<RouteErrorPacket> =
+    layout(PacketType::RouteError, "RERR", Plane::Control, &RouteErrorPacket::route,
+           &RouteErrorPacket::unreachable, &RouteErrorPacket::seq);
+template <>
+inline constexpr auto kLayout<TreeBeaconPacket> =
+    layout(PacketType::TreeBeacon, "TREE_BEACON", Plane::Control, &TreeBeaconPacket::route);
+template <>
+inline constexpr auto kLayout<TreeReportPacket> =
+    layout(PacketType::TreeReport, "TREE_REPORT", Plane::Control, &TreeReportPacket::route,
+           &TreeReportPacket::parent);
+
+/// The members a struct puts on the air, in wire order: a packet's row, or
+/// the list of a struct nested in frames.
+template <class S>
+inline constexpr auto kFields = kLayout<S>.fields;
+template <>
+inline constexpr auto kFields<LinkHeader> = std::tuple{&LinkHeader::dst, &LinkHeader::src};
+template <>
+inline constexpr auto kFields<RouteHeader> =
+    std::tuple{&RouteHeader::final_dst, &RouteHeader::origin, &RouteHeader::ttl,
+               &RouteHeader::hops, &RouteHeader::packet_id};
+template <>
+inline constexpr auto kFields<RoutingEntry> =
+    std::tuple{&RoutingEntry::address, &RoutingEntry::metric, &RoutingEntry::role};
+
+// decode finds a type byte's alternative at index type - 1.
+template <std::size_t... I>
+constexpr bool type_is_index_plus_one(std::index_sequence<I...>) {
+  return ((kLayout<std::variant_alternative_t<I, Packet>>.type ==
+           static_cast<PacketType>(I + 1)) && ...);
+}
+static_assert(type_is_index_plus_one(std::make_index_sequence<std::variant_size_v<Packet>>{}));
+
+/// A packet's type, taken from its alternative.
+constexpr PacketType type_of(const Packet& packet) {
+  return static_cast<PacketType>(packet.index() + 1);
+}
+
 // --- Codec ------------------------------------------------------------------
 
 /// Serializes any packet into the caller's buffer, which must hold at least
 /// encoded_size(packet) bytes; returns the frame length. This is the
 /// hot-path codec — the link layer reuses one pooled buffer per node, so
 /// steady-state transmission allocates nothing. Throws ContractViolation
-/// when a field exceeds its wire capacity (caller bug).
+/// when the frame would exceed 255 bytes (caller bug).
 std::size_t encode_into(const Packet& packet, std::span<std::uint8_t> out);
 
 /// Convenience wrapper: sizes `out` to the frame and encodes into it,
@@ -295,7 +416,10 @@ std::vector<std::uint8_t> encode(const Packet& packet);
 /// expected condition, never an exception.
 std::optional<Packet> decode(std::span<const std::uint8_t> frame);
 
-/// Link header of any packet without fully decoding it.
+/// The link header an on-air frame starts with; nullopt when it is shorter.
+std::optional<LinkHeader> decode_link(std::span<const std::uint8_t> frame);
+
+/// Link header of any packet.
 const LinkHeader& link_of(const Packet& packet);
 LinkHeader& link_of(Packet& packet);
 
@@ -309,8 +433,8 @@ std::size_t encoded_size(const Packet& packet);
 /// One-line human rendering for traces.
 std::string describe(const Packet& packet);
 
-/// Queue priority: everything except DATA / FRAGMENT / ACKED_DATA is
-/// control plane (beacons and ARQ control jump the data queue).
+/// Queue priority: the packet's row says Plane::Control (everything except
+/// DATA / FRAGMENT / ACKED_DATA: beacons and ARQ control jump the data queue).
 bool is_control_plane(const Packet& packet);
 
 }  // namespace lm::net

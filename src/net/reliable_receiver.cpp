@@ -50,7 +50,6 @@ ReliableReceiver::~ReliableReceiver() {
 
 void ReliableReceiver::send_sync_ack() {
   SyncAckPacket p;
-  p.link.type = PacketType::SyncAck;
   p.link.src = sink_.self_address();
   p.route = sink_.make_route(origin_);
   p.seq = seq_;
@@ -131,7 +130,6 @@ void ReliableReceiver::send_lost() {
     trace_session(trace::EventKind::LostRequest,
                   static_cast<std::uint32_t>(missing_indices(kMaxLostIndices).size()));
   }
-  p.link.type = PacketType::Lost;
   p.link.src = sink_.self_address();
   p.route = sink_.make_route(origin_);
   p.seq = seq_;
@@ -150,7 +148,6 @@ support::PooledVector<std::uint16_t> ReliableReceiver::missing_indices(
 
 void ReliableReceiver::send_done() {
   DonePacket p;
-  p.link.type = PacketType::Done;
   p.link.src = sink_.self_address();
   p.route = sink_.make_route(origin_);
   p.seq = seq_;

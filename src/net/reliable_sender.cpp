@@ -10,19 +10,20 @@ namespace lm::net {
 ReliableSender::ReliableSender(LayerContext& ctx, PacketSink& sink,
                                Address destination, std::uint8_t seq,
                                std::vector<std::uint8_t> payload,
-                               Completion completion, std::uint64_t seed)
+                               Completion completion, std::uint64_t seed,
+                               std::size_t fragment_capacity)
     : ctx_(&ctx),
       sink_(sink),
       destination_(destination),
       seq_(seq),
       payload_(std::move(payload)),
+      fragment_capacity_(fragment_capacity),
       completion_(std::move(completion)),
       rng_(seed),
       tracer_(ctx.tracer),
       trace_node_(ctx.address) {
   LM_REQUIRE(!payload_.empty());
   LM_REQUIRE(destination_ != kBroadcast && destination_ != kUnassigned);
-  fragment_capacity_ = ctx_->config.max_fragment_payload;
   LM_REQUIRE(fragment_capacity_ >= 1 && fragment_capacity_ <= kMaxFragmentPayload);
   const std::size_t count =
       (payload_.size() + fragment_capacity_ - 1) / fragment_capacity_;
@@ -71,7 +72,6 @@ void ReliableSender::send_sync() {
                    static_cast<std::uint32_t>(sync_attempts_));
   }
   SyncPacket p;
-  p.link.type = PacketType::Sync;
   p.link.src = sink_.self_address();
   p.route = sink_.make_route(destination_);
   p.seq = seq_;
@@ -108,7 +108,6 @@ void ReliableSender::on_sync_ack() {
 
 FragmentPacket ReliableSender::make_fragment(std::uint16_t index) {
   FragmentPacket p;
-  p.link.type = PacketType::Fragment;
   p.link.src = sink_.self_address();
   p.route = sink_.make_route(destination_);
   p.seq = seq_;
@@ -190,7 +189,6 @@ void ReliableSender::send_poll() {
                    static_cast<std::uint32_t>(poll_attempts_));
   }
   PollPacket p;
-  p.link.type = PacketType::Poll;
   p.link.src = sink_.self_address();
   p.route = sink_.make_route(destination_);
   p.seq = seq_;

@@ -34,7 +34,9 @@ class ReliableSender {
   using Completion = std::function<void(bool success)>;
 
   /// Starts immediately (sends the first SYNC through `sink`).
-  /// `payload` must be non-empty and at most kMaxFragmentPayload * 65535.
+  /// `payload` must be non-empty and at most `fragment_capacity` * 65535;
+  /// `fragment_capacity` is the payload one fragment carries (1 ..
+  /// kMaxFragmentPayload, smaller under a dwell cap).
   /// `seed` randomizes the fragment pacing: two hidden senders sharing a
   /// relay would otherwise phase-lock — both waiting for the relay's
   /// forward, then colliding at it, forever.
@@ -43,7 +45,8 @@ class ReliableSender {
   /// session reports SYNC retries, POLLs and the final outcome.
   ReliableSender(LayerContext& ctx, PacketSink& sink, Address destination,
                  std::uint8_t seq, std::vector<std::uint8_t> payload,
-                 Completion completion, std::uint64_t seed = 0);
+                 Completion completion, std::uint64_t seed = 0,
+                 std::size_t fragment_capacity = kMaxFragmentPayload);
   ~ReliableSender();
 
   ReliableSender(const ReliableSender&) = delete;
@@ -95,7 +98,7 @@ class ReliableSender {
   const Address destination_;
   const std::uint8_t seq_;
   const std::vector<std::uint8_t> payload_;
-  std::size_t fragment_capacity_ = kMaxFragmentPayload;
+  const std::size_t fragment_capacity_;
   std::uint16_t fragment_count_ = 0;
 
   State state_ = State::WaitSyncAck;

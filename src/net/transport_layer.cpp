@@ -6,6 +6,11 @@
 
 namespace lm::net {
 
+namespace {
+// Retransmissions of an acked datagram before reporting failure.
+constexpr int kAckedMaxRetries = 3;
+}  // namespace
+
 TransportLayer::TransportLayer(LayerContext& ctx, LinkLayer& link,
                                NetworkLayer& network, Delivery delivery)
     : ctx_(ctx), link_(link), network_(network), delivery_(std::move(delivery)) {}
@@ -67,7 +72,7 @@ bool TransportLayer::send_acked(Address destination,
     return refuse(trace::DropReason::NoRoute);
   }
   AckedDataPacket p;
-  p.link = LinkHeader{kUnassigned, ctx_.address, PacketType::AckedData};
+  p.link = LinkHeader{kUnassigned, ctx_.address};
   p.route = network_.make_route(destination);
   p.payload.assign(payload.begin(), payload.end());
   const std::uint16_t id = p.route.packet_id;
@@ -100,7 +105,7 @@ void TransportLayer::on_acked_timeout(std::uint16_t packet_id) {
   const auto it = pending_acks_.find(packet_id);
   if (it == pending_acks_.end()) return;
   it->second.timer = 0;
-  if (it->second.attempts > ctx_.config.acked_max_retries) {
+  if (it->second.attempts > kAckedMaxRetries) {
     finish_acked(packet_id, false);
     return;
   }
@@ -151,7 +156,7 @@ bool TransportLayer::send_reliable(Address destination,
     return refuse(trace::DropReason::InvalidDestination);
   }
   if (payload.empty() ||
-      payload.size() > ctx_.config.max_fragment_payload * 0xFFFFULL) {
+      payload.size() > fragment_payload_within(link_.max_frame_bytes()) * 0xFFFFULL) {
     return refuse(trace::DropReason::PayloadTooLarge);
   }
   if (!network_.has_route(destination)) {
@@ -195,7 +200,8 @@ bool TransportLayer::send_reliable(Address destination,
       SessionKey{destination, *seq},
       std::make_unique<ReliableSender>(ctx_, *this, destination, *seq,
                                        std::move(payload), std::move(completion),
-                                       ctx_.rng.next_u64()));
+                                       ctx_.rng.next_u64(),
+                                       fragment_payload_within(link_.max_frame_bytes())));
   return true;
 }
 
@@ -252,10 +258,10 @@ void TransportLayer::on_deliver(Packet packet) {
             return;
           }
           if (p.fragment_count == 0) return;  // malformed announcement
-          if (rx_sessions_.size() >= ctx_.config.max_rx_sessions) {
+          if (rx_sessions_.size() >= kMaxRxSessions) {
             gc_sessions();  // expired sessions may be holding slots
           }
-          if (rx_sessions_.size() >= ctx_.config.max_rx_sessions) {
+          if (rx_sessions_.size() >= kMaxRxSessions) {
             ctx_.stats.rx_sessions_rejected++;
             if (ctx_.tracer != nullptr) {
               ctx_.trace_packet(trace::EventKind::Drop, packet,
@@ -302,7 +308,7 @@ void TransportLayer::on_deliver(Packet packet) {
           // Acknowledge first — even duplicates, since a duplicate means
           // our previous ACK was lost somewhere on the way back.
           AckPacket ack;
-          ack.link = LinkHeader{kUnassigned, ctx_.address, PacketType::Ack};
+          ack.link = LinkHeader{kUnassigned, ctx_.address};
           ack.route = network_.make_route(p.route.origin);
           ack.acked_id = p.route.packet_id;
           ctx_.stats.acks_sent++;

@@ -50,6 +50,12 @@ class TransportLayer final : public PacketSink {
         reliable;
   };
 
+  /// Concurrent reliable-transfer receive sessions. Each session holds
+  /// fragment buffers and timers, so an attacker (or a bug) spraying SYNCs
+  /// with fresh (origin, seq) pairs must hit a wall instead of exhausting
+  /// a 520 KB-RAM microcontroller.
+  static constexpr std::size_t kMaxRxSessions = 8;
+
   TransportLayer(LayerContext& ctx, LinkLayer& link, NetworkLayer& network,
                  Delivery delivery);
   ~TransportLayer() override;

@@ -27,7 +27,7 @@ void Sniffer::on_frame_received(std::span<const std::uint8_t> frame,
 std::size_t Sniffer::count_of(net::PacketType type) const {
   std::size_t n = 0;
   for (const CapturedFrame& c : captures_) {
-    if (c.packet && net::link_of(*c.packet).type == type) ++n;
+    if (c.packet && net::type_of(*c.packet) == type) ++n;
   }
   return n;
 }

@@ -1,24 +1,6 @@
 #include "trace/trace_sink.h"
 
-#include "support/assert.h"
-
 namespace lm::trace {
-
-RingSink::RingSink(std::size_t capacity) : capacity_(capacity) {
-  LM_REQUIRE(capacity > 0);
-}
-
-void RingSink::record(const TraceEvent& event) {
-  if (ring_.size() == capacity_) {
-    ring_.pop_front();
-    ++dropped_;
-  }
-  ring_.push_back(event);
-}
-
-std::vector<TraceEvent> RingSink::snapshot() const {
-  return {ring_.begin(), ring_.end()};
-}
 
 JsonlSink::JsonlSink(const std::string& path) {
   file_ = std::fopen(path.c_str(), "w");

@@ -3,14 +3,11 @@
 // Instrumented classes hold a `Tracer*` (null by default — the untraced hot
 // path costs exactly one branch). A Tracer forwards to one TraceSink:
 //   * VectorSink  — unbounded in-memory capture, for tests and analysis;
-//   * RingSink    — bounded in-memory ring, drops the oldest (black box on
-//                   a memory budget);
 //   * JsonlSink   — one JSON object per line to a file, for offline tools.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -49,23 +46,6 @@ class VectorSink final : public TraceSink {
 
  private:
   std::vector<TraceEvent> events_;
-};
-
-/// Bounded ring: keeps the last `capacity` events, counts what it shed.
-class RingSink final : public TraceSink {
- public:
-  explicit RingSink(std::size_t capacity);
-  void record(const TraceEvent& event) override;
-  /// Oldest-to-newest snapshot of the retained window.
-  std::vector<TraceEvent> snapshot() const;
-  std::size_t size() const { return ring_.size(); }
-  std::size_t capacity() const { return capacity_; }
-  std::uint64_t dropped() const { return dropped_; }
-
- private:
-  std::size_t capacity_;
-  std::deque<TraceEvent> ring_;
-  std::uint64_t dropped_ = 0;
 };
 
 /// Streams events to a JSONL file as they happen. Failure to open leaves

@@ -66,7 +66,7 @@ std::vector<std::uint8_t> fresh_beacon(const net::MeshNode& node) {
   const std::size_t frame_bytes = node.max_datagram_payload() +
                                   net::kLinkHeaderSize + net::kRouteHeaderSize;
   net::RoutingPacket p;
-  p.link = {net::kBroadcast, node.address(), net::PacketType::Routing};
+  p.link = {net::kBroadcast, node.address()};
   p.entries = node.routing_table().advertisement(
       net::routing_entries_within(frame_bytes));
   const unsigned penalty = distance_vector(node)->advertised_penalty();
@@ -133,7 +133,7 @@ class OracleSink final : public trace::TraceSink {
     const auto packet = net::decode(frame);
     ASSERT_TRUE(packet.has_value());
     const net::LinkHeader& link = net::link_of(*packet);
-    ASSERT_EQ(static_cast<std::uint8_t>(link.type), tx.packet_type);
+    ASSERT_EQ(static_cast<std::uint8_t>(net::type_of(*packet)), tx.packet_type);
     ASSERT_EQ(link.src, tx.node);
     ASSERT_EQ(link.dst, tx.via);
     ASSERT_EQ(frame.size(), tx.bytes);
@@ -144,7 +144,7 @@ class OracleSink final : public trace::TraceSink {
       ASSERT_EQ(route->ttl, tx.ttl);
       ASSERT_EQ(route->hops, tx.hops);
     }
-    if (link.type != net::PacketType::Routing) {
+    if (net::type_of(*packet) != net::PacketType::Routing) {
       ++counts_.frames_checked;
       return;
     }

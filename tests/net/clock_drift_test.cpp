@@ -50,7 +50,7 @@ std::vector<double> beacon_gaps(double drift_ppb, std::uint64_t seed) {
   std::vector<double> gaps;
   double last = -1.0;
   for (const auto& cap : sniffer.captures()) {
-    if (!cap.packet || link_of(*cap.packet).type != PacketType::Routing) {
+    if (!cap.packet || type_of(*cap.packet) != PacketType::Routing) {
       continue;
     }
     const double t = cap.at.seconds_d();

@@ -13,14 +13,14 @@ namespace {
 
 std::vector<std::uint8_t> beacon_frame(Address src, std::vector<RoutingEntry> entries) {
   RoutingPacket beacon;
-  beacon.link = LinkHeader{kBroadcast, src, PacketType::Routing};
+  beacon.link = LinkHeader{kBroadcast, src};
   beacon.entries.assign(entries.begin(), entries.end());
   return encode(Packet{beacon});
 }
 
 std::vector<std::uint8_t> data_frame(Address src, std::uint8_t fill) {
   DataPacket data;
-  data.link = LinkHeader{0x0009, src, PacketType::Data};
+  data.link = LinkHeader{0x0009, src};
   data.route = RouteHeader{0x0009, src, 8, 0, 1};
   data.payload.assign(12, fill);
   return encode(Packet{data});

@@ -112,7 +112,7 @@ TEST(DwellTime, BeaconsTrimToTheCap) {
   radio::VirtualRadio rogue(s.simulator(), s.channel(), 66, {100.0, 0.0},
                             sniffer_cfg);
   RoutingPacket big;
-  big.link = LinkHeader{kBroadcast, 0x0666, PacketType::Routing};
+  big.link = LinkHeader{kBroadcast, 0x0666};
   for (int i = 0; i < 60; ++i) {
     big.entries.push_back({static_cast<Address>(0x2000 + i), 2});
   }
@@ -157,7 +157,7 @@ TEST(DwellTime, CappedNodeWithTheHighestAddressStillAdvertisesItsRole) {
   radio::VirtualRadio rogue(s.simulator(), s.channel(), 66, {100.0, 0.0},
                             radio_cfg);
   RoutingPacket big;
-  big.link = LinkHeader{kBroadcast, kRogue, PacketType::Routing};
+  big.link = LinkHeader{kBroadcast, kRogue};
   for (int i = 0; i < 60; ++i) {
     big.entries.push_back({static_cast<Address>(0x2000 + i),
                            static_cast<std::uint8_t>(i % 20 == 0 ? 1 : 5)});

@@ -123,7 +123,7 @@ TEST_F(MockRadioTest, BeaconsFlowThroughTheInterface) {
   const auto tx = decoded_tx();
   ASSERT_GE(tx.size(), 2u);
   for (const auto& p : tx) {
-    EXPECT_EQ(link_of(p).type, PacketType::Routing);
+    EXPECT_EQ(type_of(p), PacketType::Routing);
     EXPECT_EQ(link_of(p).src, 0x0001);
   }
   EXPECT_GT(radio_.cad_runs, 0);  // CSMA ran before each
@@ -131,7 +131,7 @@ TEST_F(MockRadioTest, BeaconsFlowThroughTheInterface) {
 
 TEST_F(MockRadioTest, InjectedBeaconBuildsRoutes) {
   RoutingPacket beacon;
-  beacon.link = LinkHeader{kBroadcast, 0x0002, PacketType::Routing};
+  beacon.link = LinkHeader{kBroadcast, 0x0002};
   beacon.entries = {{0x0002, 0, roles::kGateway}, {0x0003, 1, roles::kNone}};
   radio_.inject(Packet{beacon});
 
@@ -144,7 +144,7 @@ TEST_F(MockRadioTest, InjectedBeaconBuildsRoutes) {
 
 TEST_F(MockRadioTest, RepeatedBeaconIsAnsweredFromTheMemo) {
   RoutingPacket beacon;
-  beacon.link = LinkHeader{kBroadcast, 0x0002, PacketType::Routing};
+  beacon.link = LinkHeader{kBroadcast, 0x0002};
   beacon.entries = {{0x0002, 0}, {0x0003, 1}};
   const auto frame = encode(Packet{beacon});
   // First copy installs routes, the second changes nothing and arms the
@@ -165,7 +165,7 @@ TEST_F(MockRadioTest, RepeatedBeaconIsAnsweredFromTheMemo) {
 
 TEST_F(MockRadioTest, RepeatedBeaconTakesNoPoolBlock) {
   RoutingPacket beacon;
-  beacon.link = LinkHeader{kBroadcast, 0x0002, PacketType::Routing};
+  beacon.link = LinkHeader{kBroadcast, 0x0002};
   beacon.entries = {{0x0002, 0}, {0x0003, 1}, {0x0004, 2}};
   const auto frame = encode(Packet{beacon});
   for (int copy = 0; copy < 3; ++copy) radio_.inject_bytes(frame);  // warm-up
@@ -187,7 +187,7 @@ TEST_F(MockRadioTest, ReceiveHintFollowsTheGrowingMemoList) {
   for (int round = 0; round < 2; ++round) {
     for (Address n = 0x0010; n < 0x001C; ++n) {
       RoutingPacket beacon;
-      beacon.link = LinkHeader{kBroadcast, n, PacketType::Routing};
+      beacon.link = LinkHeader{kBroadcast, n};
       beacon.entries = {{n, 0}};
       radio_.inject(Packet{beacon});
     }
@@ -213,7 +213,7 @@ TEST(MockRadioShared, ForwardingEditsItsOwnCopyOfTheSharedDecode) {
   b.start();
 
   DataPacket data;
-  data.link = LinkHeader{kBroadcast, 0x0010, PacketType::Data};
+  data.link = LinkHeader{kBroadcast, 0x0010};
   data.route = RouteHeader{0x0099, 0x0010, 5, 1, 77};
   data.payload = {4, 5, 6};
   const auto frame = encode(Packet{data});
@@ -246,7 +246,7 @@ TEST(MockRadioShared, ForwardingEditsItsOwnCopyOfTheSharedDecode) {
 
 TEST_F(MockRadioTest, DatagramGoesOutAddressedToTheNextHop) {
   RoutingPacket beacon;
-  beacon.link = LinkHeader{kBroadcast, 0x0002, PacketType::Routing};
+  beacon.link = LinkHeader{kBroadcast, 0x0002};
   beacon.entries = {{0x0002, 0}, {0x0003, 1}};
   radio_.inject(Packet{beacon});
 
@@ -273,7 +273,7 @@ TEST_F(MockRadioTest, InboundDataForUsReachesTheHandler) {
         got = p;
       });
   DataPacket data;
-  data.link = LinkHeader{0x0001, 0x0002, PacketType::Data};
+  data.link = LinkHeader{0x0001, 0x0002};
   data.route.final_dst = 0x0001;
   data.route.origin = 0x0005;
   data.route.ttl = 3;
@@ -284,12 +284,12 @@ TEST_F(MockRadioTest, InboundDataForUsReachesTheHandler) {
 
 TEST_F(MockRadioTest, AckedDataDrawsAnAckThroughTheInterface) {
   RoutingPacket beacon;  // learn a route back to the origin
-  beacon.link = LinkHeader{kBroadcast, 0x0002, PacketType::Routing};
+  beacon.link = LinkHeader{kBroadcast, 0x0002};
   beacon.entries = {{0x0002, 0}, {0x0005, 1}};
   radio_.inject(Packet{beacon});
 
   AckedDataPacket data;
-  data.link = LinkHeader{0x0001, 0x0002, PacketType::AckedData};
+  data.link = LinkHeader{0x0001, 0x0002};
   data.route.final_dst = 0x0001;
   data.route.origin = 0x0005;
   data.route.ttl = 3;

@@ -74,7 +74,7 @@ TEST(ProtocolBehavior, ControlPacketsJumpTheDataQueue) {
     s.node(0).send_datagram(s.address_of(1), {static_cast<std::uint8_t>(i)});
   }
   PollPacket poll;
-  poll.link = LinkHeader{kUnassigned, s.address_of(0), PacketType::Poll};
+  poll.link = LinkHeader{kUnassigned, s.address_of(0)};
   poll.route.final_dst = s.address_of(1);
   poll.route.origin = s.address_of(0);
   poll.route.ttl = 4;
@@ -88,8 +88,8 @@ TEST(ProtocolBehavior, ControlPacketsJumpTheDataQueue) {
     const LinkHeader& link = link_of(*cap.packet);
     // Ignore periodic beacons; they ride the control queue on their own
     // schedule and are not part of the ordering under test.
-    if (link.src != s.address_of(0) || link.type == PacketType::Routing) continue;
-    order.push_back(link.type);
+    if (link.src != s.address_of(0) || type_of(*cap.packet) == PacketType::Routing) continue;
+    order.push_back(type_of(*cap.packet));
   }
   ASSERT_EQ(order.size(), 4u);
   EXPECT_EQ(order[0], PacketType::Data);  // already committed to the radio
@@ -113,7 +113,7 @@ TEST(ProtocolBehavior, BeaconIntervalJitterIsBounded) {
   double last = -1.0;
   for (const auto& cap : sniffer.captures()) {
     if (!cap.packet ||
-        link_of(*cap.packet).type != PacketType::Routing) {
+        type_of(*cap.packet) != PacketType::Routing) {
       continue;
     }
     const double t = cap.at.seconds_d();
@@ -142,7 +142,7 @@ TEST(ProtocolBehavior, ZeroJitterBeaconsArePeriodic) {
 
   double last = -1.0;
   for (const auto& cap : sniffer.captures()) {
-    if (!cap.packet || link_of(*cap.packet).type != PacketType::Routing) continue;
+    if (!cap.packet || type_of(*cap.packet) != PacketType::Routing) continue;
     const double t = cap.at.seconds_d();
     if (last >= 0.0) {
       EXPECT_NEAR(t - last, 20.0, 0.2);  // CSMA adds only milliseconds
@@ -234,7 +234,7 @@ TEST(ProtocolBehavior, SessionPacketsAreUnicastOnTheAir) {
   for (const auto& cap : sniffer.captures()) {
     if (!cap.packet) continue;
     const LinkHeader& link = link_of(*cap.packet);
-    if (link.type == PacketType::Routing) continue;  // legitimately broadcast
+    if (type_of(*cap.packet) == PacketType::Routing) continue;  // legitimately broadcast
     EXPECT_NE(link.dst, kBroadcast) << describe(*cap.packet);
     EXPECT_NE(link.dst, kUnassigned) << describe(*cap.packet);
   }

@@ -261,7 +261,7 @@ class ReliableReceiverTest : public ::testing::Test {
 
   SyncPacket sync(std::size_t total, std::uint8_t seq = 9) {
     SyncPacket p;
-    p.link = LinkHeader{kSelf, kPeer, PacketType::Sync};
+    p.link = LinkHeader{kSelf, kPeer};
     p.route.final_dst = kSelf;
     p.route.origin = kPeer;
     p.seq = seq;

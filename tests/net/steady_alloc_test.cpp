@@ -211,7 +211,7 @@ TEST(SteadyStateAllocation, RepeatedBeaconReceptionIsAllocationFree) {
   s.start_all();
 
   net::RoutingPacket beacon;
-  beacon.link = net::LinkHeader{net::kBroadcast, 0x0064, net::PacketType::Routing};
+  beacon.link = net::LinkHeader{net::kBroadcast, 0x0064};
   beacon.entries = {{0x0064, 0}, {0x0065, 1}, {0x0066, 2}};
   const std::vector<std::uint8_t> frame = net::encode(net::Packet{beacon});
   const auto replay = [&] {

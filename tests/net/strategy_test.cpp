@@ -245,7 +245,7 @@ TEST(Flooding, DedupWindowEvictsOldestEntry) {
   // node 0 relays every copy it has not seen.
   const auto flood = [&](std::uint16_t id) {
     net::DataPacket p;
-    p.link = net::LinkHeader{net::kBroadcast, 0x0BBB, net::PacketType::Data};
+    p.link = net::LinkHeader{net::kBroadcast, 0x0BBB};
     p.route.final_dst = 0x0BAD;
     p.route.origin = 0x0BBB;
     p.route.ttl = 5;
@@ -425,7 +425,7 @@ TEST(AodvStrategy, RelayWithoutRouteBroadcastsRouteError) {
   // the forward must fail loudly (RERR), not silently.
   Injector rogue(s, {-50.0, 0.0});
   net::DataPacket p;
-  p.link = net::LinkHeader{s.address_of(0), 0x0BBB, net::PacketType::Data};
+  p.link = net::LinkHeader{s.address_of(0), 0x0BBB};
   p.route.final_dst = 0x0BAD;
   p.route.origin = 0x0BBB;
   p.route.ttl = 5;
@@ -459,7 +459,7 @@ TEST(AodvStrategy, RouteErrorInvalidatesAndTriggersRediscovery) {
   Injector rogue(s, {-50.0, 0.0});
   net::RouteErrorPacket rerr;
   rerr.link =
-      net::LinkHeader{net::kBroadcast, s.address_of(1), net::PacketType::RouteError};
+      net::LinkHeader{net::kBroadcast, s.address_of(1)};
   rerr.route.final_dst = net::kBroadcast;
   rerr.route.origin = s.address_of(1);
   rerr.route.ttl = 1;
@@ -493,8 +493,7 @@ TEST(AodvStrategy, MalformedControlFramesAreDroppedNotFatal) {
 
   // A broadcast link source would trip upsert's via != kBroadcast check.
   net::RouteRequestPacket rreq;
-  rreq.link = net::LinkHeader{net::kBroadcast, net::kBroadcast,
-                              net::PacketType::RouteRequest};
+  rreq.link = net::LinkHeader{net::kBroadcast, net::kBroadcast};
   rreq.route.final_dst = s.address_of(0);
   rreq.route.origin = 0x0BBB;
   rreq.route.ttl = 5;
@@ -507,7 +506,7 @@ TEST(AodvStrategy, MalformedControlFramesAreDroppedNotFatal) {
   // 255 accumulated hops: the metric must saturate, not wrap to zero.
   net::RouteRequestPacket wrap;
   wrap.link =
-      net::LinkHeader{net::kBroadcast, 0x0BBB, net::PacketType::RouteRequest};
+      net::LinkHeader{net::kBroadcast, 0x0BBB};
   wrap.route.final_dst = 0x0DDD;
   wrap.route.origin = 0x0CCC;
   wrap.route.ttl = 5;
@@ -520,7 +519,7 @@ TEST(AodvStrategy, MalformedControlFramesAreDroppedNotFatal) {
   // A broadcast-origin reply would trip upsert's destination check.
   net::RouteReplyPacket rrep;
   rrep.link =
-      net::LinkHeader{s.address_of(0), 0x0BBB, net::PacketType::RouteReply};
+      net::LinkHeader{s.address_of(0), 0x0BBB};
   rrep.route.final_dst = s.address_of(0);
   rrep.route.origin = net::kBroadcast;
   rrep.route.ttl = 5;

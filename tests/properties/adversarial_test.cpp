@@ -47,8 +47,7 @@ TEST(Adversarial, SyncFloodHitsTheSessionCap) {
   // Spray SYNCs with fresh (origin, seq) pairs, addressed to node 0.
   for (int i = 0; i < 40; ++i) {
     SyncPacket p;
-    p.link = LinkHeader{s.address_of(0), static_cast<Address>(0x4000 + i),
-                        PacketType::Sync};
+    p.link = LinkHeader{s.address_of(0), static_cast<Address>(0x4000 + i)};
     p.route.final_dst = s.address_of(0);
     p.route.origin = static_cast<Address>(0x4000 + i);
     p.route.ttl = 4;
@@ -65,7 +64,7 @@ TEST(Adversarial, SyncFloodHitsTheSessionCap) {
   EXPECT_GT(st.rx_sessions_rejected, 0u);
   // The cap held: accepted sessions <= max; rejected + accepted ~= injected.
   EXPECT_LE(40u - st.rx_sessions_rejected,
-            s.node(0).config().max_rx_sessions + 2);
+            net::TransportLayer::kMaxRxSessions + 2);
 }
 
 TEST(Adversarial, SessionSlotsRecycleAfterExpiry) {
@@ -81,7 +80,7 @@ TEST(Adversarial, SessionSlotsRecycleAfterExpiry) {
     for (int i = 0; i < 10; ++i) {
       SyncPacket p;
       p.link = LinkHeader{s.address_of(0),
-                          static_cast<Address>(0x5000 + base + i), PacketType::Sync};
+                          static_cast<Address>(0x5000 + base + i)};
       p.route.final_dst = s.address_of(0);
       p.route.origin = static_cast<Address>(0x5000 + base + i);
       p.route.ttl = 4;
@@ -138,7 +137,7 @@ TEST(Adversarial, StaleControlPacketsAreIgnored) {
         }
       }
     }();
-    link_of(p) = LinkHeader{s.address_of(0), 0x6666, t};
+    link_of(p) = LinkHeader{s.address_of(0), 0x6666};
     route_of(p)->final_dst = s.address_of(0);
     route_of(p)->origin = 0x6666;
     route_of(p)->ttl = 4;
@@ -161,7 +160,7 @@ TEST(Adversarial, PoisonedRoutingAdvertisementsAreFiltered) {
 
   Rogue rogue(s, {200.0, 0.0});
   RoutingPacket p;
-  p.link = LinkHeader{kBroadcast, 0x6666, PacketType::Routing};
+  p.link = LinkHeader{kBroadcast, 0x6666};
   p.entries = {
       {kBroadcast, 1, roles::kNone},     // reserved address
       {kUnassigned, 1, roles::kNone},    // reserved address
@@ -194,7 +193,7 @@ TEST(Adversarial, BlackholeAttackSucceedsWithoutAuthentication) {
   // Rogue next to node 0 claims to be 1 hop from everything.
   Rogue rogue(s, {50.0, 50.0});
   RoutingPacket lure;
-  lure.link = LinkHeader{kBroadcast, 0x0666, PacketType::Routing};
+  lure.link = LinkHeader{kBroadcast, 0x0666};
   for (std::size_t i = 1; i < s.size(); ++i) {
     lure.entries.push_back({s.address_of(i), 1});
   }
@@ -239,7 +238,7 @@ TEST(Adversarial, TtlZeroAndMaxForwardingExtremes) {
   // TTL 0 and TTL 1 packets needing a forward: relay must drop both.
   for (std::uint8_t ttl : {std::uint8_t{0}, std::uint8_t{1}}) {
     DataPacket p;
-    p.link = LinkHeader{s.address_of(1), 0x6666, PacketType::Data};
+    p.link = LinkHeader{s.address_of(1), 0x6666};
     p.route.final_dst = s.address_of(2);
     p.route.origin = 0x6666;
     p.route.ttl = ttl;
@@ -252,7 +251,7 @@ TEST(Adversarial, TtlZeroAndMaxForwardingExtremes) {
 
   // TTL 255 is legal and must not wrap anything.
   DataPacket p;
-  p.link = LinkHeader{s.address_of(1), 0x6666, PacketType::Data};
+  p.link = LinkHeader{s.address_of(1), 0x6666};
   p.route.final_dst = s.address_of(2);
   p.route.origin = 0x6666;
   p.route.ttl = 255;

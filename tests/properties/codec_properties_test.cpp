@@ -41,7 +41,7 @@ Packet random_packet(Rng& rng) {
   switch (kind) {
     case 0: {
       RoutingPacket p;
-      p.link = {kBroadcast, random_address(rng), PacketType::Routing};
+      p.link = {kBroadcast, random_address(rng)};
       const auto n = rng.uniform_int(0, kMaxRoutingEntries);
       for (std::int64_t i = 0; i < n; ++i) {
         p.entries.push_back({random_address(rng),
@@ -52,7 +52,7 @@ Packet random_packet(Rng& rng) {
     }
     case 1: {
       DataPacket p;
-      p.link = {random_address(rng), random_address(rng), PacketType::Data};
+      p.link = {random_address(rng), random_address(rng)};
       p.route = random_route(rng);
       const auto payload = random_bytes(rng, kMaxDataPayload);
       p.payload.assign(payload.begin(), payload.end());
@@ -60,7 +60,7 @@ Packet random_packet(Rng& rng) {
     }
     case 2: {
       SyncPacket p;
-      p.link = {random_address(rng), random_address(rng), PacketType::Sync};
+      p.link = {random_address(rng), random_address(rng)};
       p.route = random_route(rng);
       p.seq = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
       p.fragment_count = static_cast<std::uint16_t>(rng.uniform_int(0, 0xFFFF));
@@ -69,14 +69,14 @@ Packet random_packet(Rng& rng) {
     }
     case 3: {
       SyncAckPacket p;
-      p.link = {random_address(rng), random_address(rng), PacketType::SyncAck};
+      p.link = {random_address(rng), random_address(rng)};
       p.route = random_route(rng);
       p.seq = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
       return Packet{p};
     }
     case 4: {
       FragmentPacket p;
-      p.link = {random_address(rng), random_address(rng), PacketType::Fragment};
+      p.link = {random_address(rng), random_address(rng)};
       p.route = random_route(rng);
       p.seq = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
       p.index = static_cast<std::uint16_t>(rng.uniform_int(0, 0xFFFF));
@@ -86,7 +86,7 @@ Packet random_packet(Rng& rng) {
     }
     case 5: {
       LostPacket p;
-      p.link = {random_address(rng), random_address(rng), PacketType::Lost};
+      p.link = {random_address(rng), random_address(rng)};
       p.route = random_route(rng);
       p.seq = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
       const auto n = rng.uniform_int(0, kMaxLostIndices);
@@ -97,21 +97,21 @@ Packet random_packet(Rng& rng) {
     }
     case 6: {
       DonePacket p;
-      p.link = {random_address(rng), random_address(rng), PacketType::Done};
+      p.link = {random_address(rng), random_address(rng)};
       p.route = random_route(rng);
       p.seq = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
       return Packet{p};
     }
     case 7: {
       PollPacket p;
-      p.link = {random_address(rng), random_address(rng), PacketType::Poll};
+      p.link = {random_address(rng), random_address(rng)};
       p.route = random_route(rng);
       p.seq = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
       return Packet{p};
     }
     case 8: {
       AckedDataPacket p;
-      p.link = {random_address(rng), random_address(rng), PacketType::AckedData};
+      p.link = {random_address(rng), random_address(rng)};
       p.route = random_route(rng);
       const auto payload = random_bytes(rng, kMaxDataPayload);
       p.payload.assign(payload.begin(), payload.end());
@@ -119,15 +119,14 @@ Packet random_packet(Rng& rng) {
     }
     case 9: {
       AckPacket p;
-      p.link = {random_address(rng), random_address(rng), PacketType::Ack};
+      p.link = {random_address(rng), random_address(rng)};
       p.route = random_route(rng);
       p.acked_id = static_cast<std::uint16_t>(rng.uniform_int(0, 0xFFFF));
       return Packet{p};
     }
     case 10: {
       RouteRequestPacket p;
-      p.link = {random_address(rng), random_address(rng),
-                PacketType::RouteRequest};
+      p.link = {random_address(rng), random_address(rng)};
       p.route = random_route(rng);
       p.origin_seq = static_cast<std::uint16_t>(rng.uniform_int(0, 0xFFFF));
       p.dst_seq = static_cast<std::uint16_t>(rng.uniform_int(0, 0xFFFF));
@@ -136,16 +135,14 @@ Packet random_packet(Rng& rng) {
     }
     case 11: {
       RouteReplyPacket p;
-      p.link = {random_address(rng), random_address(rng),
-                PacketType::RouteReply};
+      p.link = {random_address(rng), random_address(rng)};
       p.route = random_route(rng);
       p.dst_seq = static_cast<std::uint16_t>(rng.uniform_int(0, 0xFFFF));
       return Packet{p};
     }
     case 12: {
       RouteErrorPacket p;
-      p.link = {random_address(rng), random_address(rng),
-                PacketType::RouteError};
+      p.link = {random_address(rng), random_address(rng)};
       p.route = random_route(rng);
       p.unreachable = static_cast<std::uint16_t>(rng.uniform_int(0, 0xFFFF));
       p.seq = static_cast<std::uint16_t>(rng.uniform_int(0, 0xFFFF));
@@ -153,15 +150,13 @@ Packet random_packet(Rng& rng) {
     }
     case 13: {
       TreeBeaconPacket p;
-      p.link = {random_address(rng), random_address(rng),
-                PacketType::TreeBeacon};
+      p.link = {random_address(rng), random_address(rng)};
       p.route = random_route(rng);
       return Packet{p};
     }
     default: {
       TreeReportPacket p;
-      p.link = {random_address(rng), random_address(rng),
-                PacketType::TreeReport};
+      p.link = {random_address(rng), random_address(rng)};
       p.route = random_route(rng);
       p.parent = random_address(rng);
       return Packet{p};

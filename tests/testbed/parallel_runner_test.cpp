@@ -130,12 +130,12 @@ TEST(ParallelRunner, WorkersInterningOneSenderNeverShareAnId) {
       16, [&](std::size_t i) {
         if (i < 2) both_running.arrive_and_wait();
         net::RoutingPacket beacon;
-        beacon.link = {net::kBroadcast, kSender, net::PacketType::Routing};
+        beacon.link = {net::kBroadcast, kSender};
         beacon.entries = {{kSender, 0},
                           {static_cast<net::Address>(0x0100 + i), 1}};
         const auto frame = net::encode(net::Packet{beacon});
         net::DataPacket data;
-        data.link = {0x0007, 0x0008, net::PacketType::Data};
+        data.link = {0x0007, 0x0008};
         const auto other = net::encode(net::Packet{data});
         const auto id = [](const net::Packet* p) {
           EXPECT_NE(p, nullptr);

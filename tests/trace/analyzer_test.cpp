@@ -67,20 +67,6 @@ TEST(VectorSink, TakeMovesAndClearEmpties) {
   EXPECT_TRUE(sink.events().empty());
 }
 
-TEST(RingSink, KeepsNewestAndCountsShed) {
-  RingSink ring(3);
-  EXPECT_EQ(ring.capacity(), 3u);
-  for (std::int64_t t = 1; t <= 5; ++t) {
-    ring.record(make(EventKind::NodeUp, t, 1));
-  }
-  EXPECT_EQ(ring.size(), 3u);
-  EXPECT_EQ(ring.dropped(), 2u);
-  const auto window = ring.snapshot();
-  ASSERT_EQ(window.size(), 3u);
-  EXPECT_EQ(window[0].t_us, 3);  // oldest retained
-  EXPECT_EQ(window[2].t_us, 5);  // newest
-}
-
 TEST(JsonlSink, WritesOneLinePerEvent) {
   const std::string path = ::testing::TempDir() + "lm_trace_jsonl_test.jsonl";
   {
