@@ -132,6 +132,22 @@ if [ -n "$codec_hits" ]; then
   echo "$codec_hits" >&2
 fi
 
+# --- Flight-recorder seam -----------------------------------------------------
+# Every trace event src/net emits goes through LayerContext's trace helpers
+# (net/layer_context.h), which test the tracer inline: a call site that
+# null-tests `tracer` or builds a trace::TraceEvent is a second seam, and
+# its cost is no longer stated in one place. MeshNode::set_tracer, which
+# stores the pointer and installs the route observer only while traced, is
+# the one exception.
+trace_hits=$(grep -Hn -E '\btracer_?\s*[!=]=|[!=]=\s*[A-Za-z_.>-]*\btracer_?\b|\(!?\s*[A-Za-z_.>-]*\btracer_?\s*(\)|&&|\|\|)|\bTraceEvent\b' \
+                  src/net/*.h src/net/*.cpp 2>/dev/null |
+             grep -v -E '^src/net/layer_context\.(h|cpp):' |
+             grep -v -E '^src/net/mesh_node\.cpp:[0-9]+:  if \(tracer == nullptr\) \{$' || true)
+if [ -n "$trace_hits" ]; then
+  violation "only src/net/layer_context.{h,cpp} may test the tracer or build trace events"
+  echo "$trace_hits" >&2
+fi
+
 if [ "$fail" -ne 0 ]; then
   echo "layering: FAILED" >&2
   exit 1

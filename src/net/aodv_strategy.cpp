@@ -134,10 +134,8 @@ void AodvStrategy::on_rreq(RouteRequestPacket packet) {
   const RouteHeader& route = packet.route;
   if (route.origin == ctx_->address) return;  // our own flood relayed back
   if (!valid_control_fields(packet.link, route)) {
-    if (ctx_->tracer != nullptr) {
-      ctx_->trace_packet(trace::EventKind::Drop, Packet{packet},
-                         trace::DropReason::Malformed);
-    }
+    ctx_->trace_packet(trace::EventKind::Drop, packet,
+                       trace::DropReason::Malformed);
     return;
   }
   const TimePoint now = ctx_->local_now();
@@ -147,10 +145,8 @@ void AodvStrategy::on_rreq(RouteRequestPacket packet) {
   table_->upsert(packet.link.src, packet.link.src, 1, roles::kNone, now);
   note_seq(route.origin, packet.origin_seq);
   if (seen_rreqs_.seen_before({route.origin, route.packet_id}, kRreqWindow)) {
-    if (ctx_->tracer != nullptr) {
-      ctx_->trace_packet(trace::EventKind::Drop, Packet{packet},
-                         trace::DropReason::Duplicate);
-    }
+    ctx_->trace_packet(trace::EventKind::Drop, packet,
+                       trace::DropReason::Duplicate);
     return;
   }
   if (route.origin != packet.link.src) {
@@ -185,10 +181,8 @@ void AodvStrategy::on_rrep(RouteReplyPacket packet) {
   const RouteHeader& route = packet.route;
   if (route.origin == ctx_->address) return;
   if (!valid_control_fields(packet.link, route)) {
-    if (ctx_->tracer != nullptr) {
-      ctx_->trace_packet(trace::EventKind::Drop, Packet{packet},
-                         trace::DropReason::Malformed);
-    }
+    ctx_->trace_packet(trace::EventKind::Drop, packet,
+                       trace::DropReason::Malformed);
     return;
   }
   const TimePoint now = ctx_->local_now();

@@ -11,10 +11,8 @@ void FloodingStrategy::handle(Packet packet) {
   if (seen_.seen_before({route->origin, route->packet_id},
                         config_.dedup_cache)) {
     duplicates_suppressed_++;
-    if (ctx_->tracer != nullptr) {
-      ctx_->trace_packet(trace::EventKind::Drop, packet,
-                         trace::DropReason::Duplicate);
-    }
+    ctx_->trace_packet(trace::EventKind::Drop, packet,
+                       trace::DropReason::Duplicate);
     return;
   }
   if (route->final_dst == ctx_->address) {

@@ -129,8 +129,8 @@ struct alignas(64) LayerContext {
   NodeStats stats{};
   /// The owning event loop, fixed for the node's lifetime.
   sim::Simulator& sim;
-  /// Flight recorder; null = detached. Instrumentation sites guard on this
-  /// pointer so the untraced hot path never evaluates arguments.
+  /// Flight recorder; null = detached. Only the trace helpers below read
+  /// it: each tests it inline, so an untraced call costs one compare.
   trace::Tracer* tracer = nullptr;
   /// The node's oscillator (config.clock). Identity by default, in which
   /// case every conversion below is bit-exact passthrough.
@@ -173,15 +173,65 @@ struct alignas(64) LayerContext {
     return sim.schedule_at(when, std::move(fn));
   }
 
-  // Flight-recorder plumbing shared by all layers. Callers guard on
-  // tracer != nullptr.
-  void trace_packet(trace::EventKind kind, const Packet& packet,
+  // --- Flight-recorder seam ---------------------------------------------------
+  // Every trace event src/net emits goes through one of these helpers
+  // (scripts/check_layering.sh lints for tracer tests and hand-built events
+  // elsewhere). Each tests `tracer` inline and builds its event only when
+  // traced; callers pass values they hold anyway. Events are stamped with
+  // true time and this node's address.
+
+  /// A packet's lifecycle step. `packet` is a Packet or one of its
+  /// alternatives; an alternative is copied into a Packet only when traced.
+  template <class P>
+  void trace_packet(trace::EventKind kind, const P& packet,
                     trace::DropReason reason = trace::DropReason::None,
-                    std::int64_t aux_us = 0, double value = 0.0);
+                    std::int64_t aux_us = 0, double value = 0.0) {
+    if (tracer != nullptr) emit_packet(kind, packet, reason, aux_us, value);
+  }
+  /// An application send refused before a packet was built.
   void trace_refusal(PacketType type, Address dst, std::size_t bytes,
-                     trace::DropReason reason);
+                     trace::DropReason reason) {
+    if (tracer != nullptr) {
+      emit({.kind = trace::EventKind::Drop, .reason = reason,
+            .packet_type = static_cast<std::uint8_t>(type), .origin = address,
+            .final_dst = dst, .bytes = static_cast<std::uint32_t>(bytes)});
+    }
+  }
+  /// A step of the reliable transfer `seq` from `origin` to `final_dst`.
+  void trace_transfer(trace::EventKind kind, Address origin, Address final_dst,
+                      std::uint8_t seq, std::size_t bytes) {
+    if (tracer != nullptr) {
+      emit({.kind = kind,
+            .packet_type = static_cast<std::uint8_t>(PacketType::Sync),
+            .origin = origin, .final_dst = final_dst, .packet_id = seq,
+            .bytes = static_cast<std::uint32_t>(bytes)});
+    }
+  }
   /// NodeUp / NodeDown lifecycle marks.
-  void trace_lifecycle(trace::EventKind kind);
+  void trace_lifecycle(trace::EventKind kind) {
+    if (tracer != nullptr) emit({.kind = kind});
+  }
+  /// The routing table adopted or updated the route to `dst`.
+  void trace_route_add(Address dst, Address via, std::uint8_t metric) {
+    if (tracer != nullptr) {
+      emit({.kind = trace::EventKind::RouteAdd, .final_dst = dst, .via = via,
+            .bytes = metric});
+    }
+  }
+  /// A received frame of `bytes` bytes that does not decode.
+  void trace_malformed(std::size_t bytes) {
+    if (tracer != nullptr) {
+      emit({.kind = trace::EventKind::Drop,
+            .reason = trace::DropReason::Malformed,
+            .bytes = static_cast<std::uint32_t>(bytes)});
+    }
+  }
+
+ private:
+  void emit_packet(trace::EventKind kind, const Packet& packet,
+                   trace::DropReason reason, std::int64_t aux_us, double value);
+  /// Stamps time and node on `e` and hands it to the tracer.
+  void emit(trace::TraceEvent e);
 };
 
 }  // namespace lm::net

@@ -208,16 +208,12 @@ bool LinkLayer::enqueue(Packet packet, bool control) {
   support::SlidingQueue<Packet>& queue = control ? control_queue_ : data_queue_;
   if (queue.size() >= ctx_.config.max_queue) {
     ctx_.stats.dropped_queue_full++;
-    if (ctx_.tracer != nullptr) {
-      ctx_.trace_packet(trace::EventKind::QueueDrop, packet,
-                        trace::DropReason::QueueFull);
-    }
+    ctx_.trace_packet(trace::EventKind::QueueDrop, packet,
+                      trace::DropReason::QueueFull);
     callbacks_.on_dropped(packet);
     return false;
   }
-  if (ctx_.tracer != nullptr) {
-    ctx_.trace_packet(trace::EventKind::Enqueue, packet);
-  }
+  ctx_.trace_packet(trace::EventKind::Enqueue, packet);
   queue.push_back(std::move(packet));
   pump();
   return true;
@@ -246,11 +242,9 @@ void LinkLayer::pump() {
     ctx_.stats.duty_cycle_delays++;
     tx_phase_ = TxPhase::WaitingDuty;
     const TimePoint when = duty_.next_allowed(now, airtime);
-    if (ctx_.tracer != nullptr) {
-      ctx_.trace_packet(trace::EventKind::DutyDefer, current_->packet,
-                        trace::DropReason::None, (when - now).us(),
-                        duty_.utilization(now));
-    }
+    ctx_.trace_packet(trace::EventKind::DutyDefer, current_->packet,
+                      trace::DropReason::None, (when - now).us(),
+                      duty_.utilization(now));
     pipeline_timer_ = ctx_.schedule_at_true(when, [this] {
       pipeline_timer_ = 0;
       tx_phase_ = TxPhase::Idle;
@@ -279,17 +273,13 @@ void LinkLayer::channel_busy_backoff() {
   LM_ASSERT(current_.has_value());
   ctx_.stats.cad_busy_events++;
   current_->cad_attempts++;
-  if (ctx_.tracer != nullptr) {
-    ctx_.trace_packet(trace::EventKind::CadBusy, current_->packet,
-                      trace::DropReason::None, current_->cad_attempts);
-  }
+  ctx_.trace_packet(trace::EventKind::CadBusy, current_->packet,
+                    trace::DropReason::None, current_->cad_attempts);
   if (current_->cad_attempts > ctx_.config.max_cad_retries) {
     // The channel never cleared; transmitting anyway beats starving, and the
     // capture effect may still save one of the colliding frames.
     ctx_.stats.forced_transmissions++;
-    if (ctx_.tracer != nullptr) {
-      ctx_.trace_packet(trace::EventKind::ForcedTx, current_->packet);
-    }
+    ctx_.trace_packet(trace::EventKind::ForcedTx, current_->packet);
     transmit_now();
     return;
   }
@@ -332,10 +322,8 @@ void LinkLayer::transmit_now() {
     const auto next = callbacks_.resolve_next_hop(*route);
     if (!next) {
       ctx_.stats.dropped_no_route++;
-      if (ctx_.tracer != nullptr) {
-        ctx_.trace_packet(trace::EventKind::Drop, packet,
-                          trace::DropReason::NoRoute);
-      }
+      ctx_.trace_packet(trace::EventKind::Drop, packet,
+                        trace::DropReason::NoRoute);
       callbacks_.on_dropped(packet);
       current_.reset();
       tx_phase_ = TxPhase::Idle;
@@ -381,10 +369,8 @@ void LinkLayer::transmit_now() {
   // MeshTx must directly precede the radio handoff: the channel emits
   // TxStart at the same timestamp, and the analyzer pairs the two adjacent
   // events to map tx_seq onto the packet identity.
-  if (ctx_.tracer != nullptr) {
-    ctx_.trace_packet(trace::EventKind::MeshTx, packet,
-                      trace::DropReason::None, airtime.us());
-  }
+  ctx_.trace_packet(trace::EventKind::MeshTx, packet,
+                    trace::DropReason::None, airtime.us());
   const bool started = radio_.transmit(tx_frame_);
   LM_ASSERT(started);
 }
@@ -418,15 +404,7 @@ void LinkLayer::on_frame_received(std::span<const std::uint8_t> frame,
   const Packet* decoded = decode_shared(frame);
   if (decoded == nullptr) {
     ctx_.stats.malformed_frames++;
-    if (ctx_.tracer != nullptr) {
-      trace::TraceEvent e;
-      e.t_us = ctx_.true_now().us();
-      e.node = ctx_.address;
-      e.kind = trace::EventKind::Drop;
-      e.reason = trace::DropReason::Malformed;
-      e.bytes = static_cast<std::uint32_t>(frame.size());
-      ctx_.tracer->emit(e);
-    }
+    ctx_.trace_malformed(frame.size());
     return;
   }
   const LinkHeader& link = link_of(*decoded);
@@ -457,10 +435,8 @@ void LinkLayer::on_frame_received(std::span<const std::uint8_t> frame,
     LM_TRACE(kTag, "%s rx %s", to_string(ctx_.address).c_str(),
              describe(*decoded).c_str());
   }
-  if (ctx_.tracer != nullptr) {
-    ctx_.trace_packet(trace::EventKind::RxFrame, *decoded,
-                      trace::DropReason::None, 0, meta.snr_db);
-  }
+  ctx_.trace_packet(trace::EventKind::RxFrame, *decoded,
+                    trace::DropReason::None, 0, meta.snr_db);
   callbacks_.on_packet(*decoded);
 }
 

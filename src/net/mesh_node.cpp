@@ -125,17 +125,13 @@ void MeshNode::start() {
   maintenance_period_ = ctx_.clock.to_true(ctx_.config.maintenance_interval);
   arm_maintenance(next_maintenance_tick(0));
   link_.schedule_rx_cycle();
-  if (ctx_.tracer != nullptr) {
-    ctx_.trace_lifecycle(trace::EventKind::NodeUp);
-  }
+  ctx_.trace_lifecycle(trace::EventKind::NodeUp);
 }
 
 void MeshNode::stop() {
   if (!ctx_.running) return;
   ctx_.running = false;
-  if (ctx_.tracer != nullptr) {
-    ctx_.trace_lifecycle(trace::EventKind::NodeDown);
-  }
+  ctx_.trace_lifecycle(trace::EventKind::NodeDown);
   network_.stop();
   if (maintenance_timer_ != 0) {
     ctx_.sim.cancel(maintenance_timer_);
@@ -215,15 +211,7 @@ void MeshNode::set_tracer(trace::Tracer* tracer) {
     return;
   }
   network_.table().set_observer([this](const RouteEntry& entry) {
-    if (ctx_.tracer == nullptr) return;
-    trace::TraceEvent e;
-    e.t_us = ctx_.true_now().us();
-    e.node = ctx_.address;
-    e.kind = trace::EventKind::RouteAdd;
-    e.final_dst = entry.destination;
-    e.via = entry.via;
-    e.bytes = entry.metric;
-    ctx_.tracer->emit(e);
+    ctx_.trace_route_add(entry.destination, entry.via, entry.metric);
   });
 }
 
@@ -275,18 +263,14 @@ void MeshNode::deliver(Packet packet) {
   if (const auto* data = std::get_if<DataPacket>(&packet)) {
     if (data->route.final_dst == kBroadcast) {
       ctx_.stats.broadcasts_delivered++;
-      if (ctx_.tracer != nullptr) {
-        ctx_.trace_packet(trace::EventKind::Deliver, packet);
-      }
+      ctx_.trace_packet(trace::EventKind::Deliver, packet);
       if (broadcast_handler_) {
         handler_payload_.assign(data->payload.begin(), data->payload.end());
         broadcast_handler_(data->route.origin, handler_payload_);
       }
     } else {
       ctx_.stats.datagrams_delivered++;
-      if (ctx_.tracer != nullptr) {
-        ctx_.trace_packet(trace::EventKind::Deliver, packet);
-      }
+      ctx_.trace_packet(trace::EventKind::Deliver, packet);
       if (datagram_handler_) {
         handler_payload_.assign(data->payload.begin(), data->payload.end());
         // route.hops counts forwards; the app sees links traversed.

@@ -34,74 +34,72 @@ RouteHeader NetworkLayer::make_route(Address final_dst) {
   return r;
 }
 
+bool NetworkLayer::admit(PacketType type, Address destination,
+                         std::size_t bytes, bool fits, trace::DropReason* why,
+                         bool single_hop) {
+  using trace::DropReason;
+  if (!ctx_.running) {
+    return refuse(type, destination, bytes, DropReason::NotRunning, why);
+  }
+  if (!single_hop &&
+      (destination == ctx_.address || destination == kUnassigned ||
+       (destination == kBroadcast &&
+        !(type == PacketType::Data && strategy_->allows_broadcast_destination())))) {
+    return refuse(type, destination, bytes, DropReason::InvalidDestination, why);
+  }
+  if (!fits) return refuse(type, destination, bytes, DropReason::PayloadTooLarge, why);
+  if (!single_hop && !strategy_->has_route(destination)) {
+    strategy_->note_demand(destination);
+    ctx_.stats.dropped_no_route++;
+    return refuse(type, destination, bytes, DropReason::NoRoute, why);
+  }
+  return true;
+}
+
+bool NetworkLayer::refuse(PacketType type, Address destination,
+                          std::size_t bytes, trace::DropReason reason,
+                          trace::DropReason* why) {
+  if (why != nullptr) *why = reason;
+  ctx_.trace_refusal(type, destination, bytes, reason);
+  return false;
+}
+
 bool NetworkLayer::send_datagram(Address destination,
                                  std::vector<std::uint8_t> payload,
                                  trace::DropReason* why) {
-  const auto refuse = [&](trace::DropReason reason) {
-    if (why != nullptr) *why = reason;
-    if (ctx_.tracer != nullptr) {
-      ctx_.trace_refusal(PacketType::Data, destination, payload.size(), reason);
-    }
-    return false;
-  };
-  if (!ctx_.running) return refuse(trace::DropReason::NotRunning);
-  if (destination == ctx_.address || destination == kUnassigned ||
-      (destination == kBroadcast && !strategy_->allows_broadcast_destination())) {
-    return refuse(trace::DropReason::InvalidDestination);
-  }
-  if (payload.size() > max_datagram_payload()) {
-    return refuse(trace::DropReason::PayloadTooLarge);
-  }
-  if (!strategy_->has_route(destination)) {
-    strategy_->note_demand(destination);
-    ctx_.stats.dropped_no_route++;
-    return refuse(trace::DropReason::NoRoute);
-  }
-  DataPacket p;
-  p.link = LinkHeader{kUnassigned, ctx_.address};
-  p.route = make_route(destination);
-  p.payload.assign(payload.begin(), payload.end());
-  Packet packet{std::move(p)};
-  if (ctx_.tracer != nullptr) {
-    ctx_.trace_packet(trace::EventKind::AppSubmit, packet);
-  }
-  if (!link_.enqueue(std::move(packet), /*control=*/false)) {
-    if (why != nullptr) *why = trace::DropReason::QueueFull;
+  if (!admit(PacketType::Data, destination, payload.size(),
+             payload.size() <= max_datagram_payload(), why)) {
     return false;
   }
-  ctx_.stats.datagrams_sent++;
-  return true;
+  return originate(kUnassigned, make_route(destination), payload,
+                   ctx_.stats.datagrams_sent, why);
 }
 
 bool NetworkLayer::send_broadcast(std::vector<std::uint8_t> payload,
                                   trace::DropReason* why) {
-  const auto refuse = [&](trace::DropReason reason) {
-    if (why != nullptr) *why = reason;
-    if (ctx_.tracer != nullptr) {
-      ctx_.trace_refusal(PacketType::Data, kBroadcast, payload.size(), reason);
-    }
+  if (!admit(PacketType::Data, kBroadcast, payload.size(),
+             payload.size() <= max_datagram_payload(), why, /*single_hop=*/true)) {
     return false;
-  };
-  if (!ctx_.running) return refuse(trace::DropReason::NotRunning);
-  if (payload.size() > max_datagram_payload()) {
-    return refuse(trace::DropReason::PayloadTooLarge);
   }
+  RouteHeader route = make_route(kBroadcast);
+  route.ttl = 1;  // single hop by design
+  return originate(kBroadcast, route, payload, ctx_.stats.broadcasts_sent, why);
+}
+
+bool NetworkLayer::originate(Address link_dst, const RouteHeader& route,
+                             std::span<const std::uint8_t> payload,
+                             std::uint64_t& sent, trace::DropReason* why) {
   DataPacket p;
-  p.link = LinkHeader{kBroadcast, ctx_.address};
-  p.route.final_dst = kBroadcast;
-  p.route.origin = ctx_.address;
-  p.route.ttl = 1;  // single hop by design
-  p.route.packet_id = next_packet_id_++;
+  p.link = LinkHeader{link_dst, ctx_.address};
+  p.route = route;
   p.payload.assign(payload.begin(), payload.end());
   Packet packet{std::move(p)};
-  if (ctx_.tracer != nullptr) {
-    ctx_.trace_packet(trace::EventKind::AppSubmit, packet);
-  }
+  ctx_.trace_packet(trace::EventKind::AppSubmit, packet);
   if (!link_.enqueue(std::move(packet), /*control=*/false)) {
     if (why != nullptr) *why = trace::DropReason::QueueFull;
     return false;
   }
-  ctx_.stats.broadcasts_sent++;
+  sent++;
   return true;
 }
 

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "net/layer_context.h"
@@ -40,6 +41,19 @@ class alignas(64) NetworkLayer {
   // --- Origination -----------------------------------------------------------
   /// A fresh route header originated here and bound for `final_dst`.
   RouteHeader make_route(Address final_dst);
+  /// The refusal ladder every application send passes before it builds a
+  /// packet, checked in this order: the node is running; the destination
+  /// is neither this node nor kUnassigned, nor kBroadcast unless `type` is
+  /// DATA and the strategy floods; the payload `fits`; the strategy has a
+  /// route (if not, it hears the demand — AODV starts a discovery — and
+  /// dropped_no_route counts the refusal). A `single_hop` send (the
+  /// one-hop broadcast) skips the destination and route checks.
+  bool admit(PacketType type, Address destination, std::size_t bytes,
+             bool fits, trace::DropReason* why, bool single_hop = false);
+  /// Records a refused send of `bytes` payload bytes: sets *why (when
+  /// non-null) and traces the Drop. Returns false.
+  bool refuse(PacketType type, Address destination, std::size_t bytes,
+              trace::DropReason reason, trace::DropReason* why);
   bool send_datagram(Address destination, std::vector<std::uint8_t> payload,
                      trace::DropReason* why);
   bool send_broadcast(std::vector<std::uint8_t> payload,
@@ -56,18 +70,17 @@ class alignas(64) NetworkLayer {
   }
 
   // --- Introspection ---------------------------------------------------------
-  /// Whether the strategy can currently carry an origination to `dst`
-  /// (the transport layer's refusal ladders ask before queuing).
-  bool has_route(Address dst) const { return strategy_->has_route(dst); }
-  /// Refusal-site companion to has_route: tells an on-demand strategy an
-  /// origination toward `dst` just went unserved.
-  void note_demand(Address dst) { strategy_->note_demand(dst); }
   RoutingTable& table() { return table_; }
   const RoutingTable& table() const { return table_; }
   RoutingStrategy& strategy() { return *strategy_; }
   const RoutingStrategy& strategy() const { return *strategy_; }
 
  private:
+  /// Queues an admitted DATA packet; counts it in `sent` once queued.
+  bool originate(Address link_dst, const RouteHeader& route,
+                 std::span<const std::uint8_t> payload, std::uint64_t& sent,
+                 trace::DropReason* why);
+
   std::unique_ptr<RoutingStrategy> strategy_;
   LayerContext& ctx_;
   RoutingTable table_;

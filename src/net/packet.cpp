@@ -5,6 +5,7 @@
 
 #include "support/assert.h"
 #include "support/byte_codec.h"
+#include "trace/trace_event.h"
 
 namespace lm::net {
 
@@ -123,22 +124,23 @@ std::optional<Packet> decode_as(const LinkHeader& link, ByteReader& r) {
 template <std::size_t... I>
 constexpr auto per_alternative(std::index_sequence<I...>) {
   struct Row {
-    const char* name;
     Plane plane;
     std::optional<Packet> (*decode)(const LinkHeader&, ByteReader&);
   };
-  return std::array{Row{kLayout<std::variant_alternative_t<I, Packet>>.name,
-                        kLayout<std::variant_alternative_t<I, Packet>>.plane, &decode_as<I>}...};
+  return std::array{
+      Row{kLayout<std::variant_alternative_t<I, Packet>>.plane, &decode_as<I>}...};
 }
 
 // Indexed by type byte - 1.
 constexpr auto kRows = per_alternative(std::make_index_sequence<std::variant_size_v<Packet>>{});
+// trace::kPacketTypeNames names every type byte (and 0).
+static_assert(trace::kPacketTypeNames.size() == kRows.size() + 1);
 
 }  // namespace
 
 const char* to_string(PacketType t) {
-  const std::size_t i = static_cast<std::size_t>(t) - 1;
-  return i < kRows.size() ? kRows[i].name : "UNKNOWN";
+  const auto i = static_cast<std::size_t>(t);
+  return i >= 1 && i <= kRows.size() ? trace::kPacketTypeNames[i] : "UNKNOWN";
 }
 
 std::size_t encode_into(const Packet& packet, std::span<std::uint8_t> out) {
@@ -162,6 +164,7 @@ std::vector<std::uint8_t> encode(const Packet& packet) {
 }
 
 std::optional<Packet> decode(std::span<const std::uint8_t> frame) {
+  if (frame.size() > 255) return std::nullopt;  // encode refuses it too
   ByteReader r(frame);
   LinkHeader link;
   get(r, link);

@@ -298,73 +298,72 @@ enum class Plane : bool { Data, Control };
 /// One packet type's row.
 template <class... Fields>
 struct PacketLayout {
-  PacketType type;   // the type byte: the Packet alternative's index + 1
-  const char* name;  // in traces and logs
-  Plane plane;       // queue priority: control jumps the data queue
+  PacketType type;  // the type byte: the Packet alternative's index + 1
+  Plane plane;      // queue priority: control jumps the data queue
   std::tuple<Fields...> fields;  // member pointers, in wire order
 };
 
 template <class... Fields>
-constexpr PacketLayout<Fields...> layout(PacketType type, const char* name, Plane plane,
+constexpr PacketLayout<Fields...> layout(PacketType type, Plane plane,
                                          Fields... fields) {
-  return {type, name, plane, {fields...}};
+  return {type, plane, {fields...}};
 }
 
 template <class P>
 inline constexpr auto kLayout = nullptr;  // not a packet
 template <>
 inline constexpr auto kLayout<RoutingPacket> =
-    layout(PacketType::Routing, "ROUTING", Plane::Control, &RoutingPacket::entries);
+    layout(PacketType::Routing, Plane::Control, &RoutingPacket::entries);
 template <>
 inline constexpr auto kLayout<DataPacket> =
-    layout(PacketType::Data, "DATA", Plane::Data, &DataPacket::route, &DataPacket::payload);
+    layout(PacketType::Data, Plane::Data, &DataPacket::route, &DataPacket::payload);
 template <>
 inline constexpr auto kLayout<SyncPacket> =
-    layout(PacketType::Sync, "SYNC", Plane::Control, &SyncPacket::route, &SyncPacket::seq,
+    layout(PacketType::Sync, Plane::Control, &SyncPacket::route, &SyncPacket::seq,
            &SyncPacket::fragment_count, &SyncPacket::total_bytes);
 template <>
 inline constexpr auto kLayout<SyncAckPacket> = layout(
-    PacketType::SyncAck, "SYNC_ACK", Plane::Control, &SyncAckPacket::route, &SyncAckPacket::seq);
+    PacketType::SyncAck, Plane::Control, &SyncAckPacket::route, &SyncAckPacket::seq);
 template <>
 inline constexpr auto kLayout<FragmentPacket> =
-    layout(PacketType::Fragment, "FRAGMENT", Plane::Data, &FragmentPacket::route,
+    layout(PacketType::Fragment, Plane::Data, &FragmentPacket::route,
            &FragmentPacket::seq, &FragmentPacket::index, &FragmentPacket::payload);
 template <>
 inline constexpr auto kLayout<LostPacket> =
-    layout(PacketType::Lost, "LOST", Plane::Control, &LostPacket::route, &LostPacket::seq,
+    layout(PacketType::Lost, Plane::Control, &LostPacket::route, &LostPacket::seq,
            &LostPacket::missing);
 template <>
 inline constexpr auto kLayout<DonePacket> =
-    layout(PacketType::Done, "DONE", Plane::Control, &DonePacket::route, &DonePacket::seq);
+    layout(PacketType::Done, Plane::Control, &DonePacket::route, &DonePacket::seq);
 template <>
 inline constexpr auto kLayout<PollPacket> =
-    layout(PacketType::Poll, "POLL", Plane::Control, &PollPacket::route, &PollPacket::seq);
+    layout(PacketType::Poll, Plane::Control, &PollPacket::route, &PollPacket::seq);
 template <>
 inline constexpr auto kLayout<AckedDataPacket> =
-    layout(PacketType::AckedData, "ACKED_DATA", Plane::Data, &AckedDataPacket::route,
+    layout(PacketType::AckedData, Plane::Data, &AckedDataPacket::route,
            &AckedDataPacket::payload);
 template <>
 inline constexpr auto kLayout<AckPacket> =
-    layout(PacketType::Ack, "ACK", Plane::Control, &AckPacket::route, &AckPacket::acked_id);
+    layout(PacketType::Ack, Plane::Control, &AckPacket::route, &AckPacket::acked_id);
 template <>
 inline constexpr auto kLayout<RouteRequestPacket> =
-    layout(PacketType::RouteRequest, "RREQ", Plane::Control, &RouteRequestPacket::route,
+    layout(PacketType::RouteRequest, Plane::Control, &RouteRequestPacket::route,
            &RouteRequestPacket::origin_seq, &RouteRequestPacket::dst_seq,
            &RouteRequestPacket::dst_seq_known);
 template <>
 inline constexpr auto kLayout<RouteReplyPacket> =
-    layout(PacketType::RouteReply, "RREP", Plane::Control, &RouteReplyPacket::route,
+    layout(PacketType::RouteReply, Plane::Control, &RouteReplyPacket::route,
            &RouteReplyPacket::dst_seq);
 template <>
 inline constexpr auto kLayout<RouteErrorPacket> =
-    layout(PacketType::RouteError, "RERR", Plane::Control, &RouteErrorPacket::route,
+    layout(PacketType::RouteError, Plane::Control, &RouteErrorPacket::route,
            &RouteErrorPacket::unreachable, &RouteErrorPacket::seq);
 template <>
 inline constexpr auto kLayout<TreeBeaconPacket> =
-    layout(PacketType::TreeBeacon, "TREE_BEACON", Plane::Control, &TreeBeaconPacket::route);
+    layout(PacketType::TreeBeacon, Plane::Control, &TreeBeaconPacket::route);
 template <>
 inline constexpr auto kLayout<TreeReportPacket> =
-    layout(PacketType::TreeReport, "TREE_REPORT", Plane::Control, &TreeReportPacket::route,
+    layout(PacketType::TreeReport, Plane::Control, &TreeReportPacket::route,
            &TreeReportPacket::parent);
 
 /// The members a struct puts on the air, in wire order: a packet's row, or
@@ -411,9 +410,9 @@ void encode_into(const Packet& packet, FrameBuffer& out);
 /// encode_into for tests and cold paths; internal callers use encode_into.
 std::vector<std::uint8_t> encode(const Packet& packet);
 
-/// Parses an on-air frame. Returns nullopt for malformed frames (wrong
-/// length, unknown type, truncated fields) — corrupted radio input is an
-/// expected condition, never an exception.
+/// Parses an on-air frame. Returns nullopt for malformed frames (over 255
+/// bytes, wrong length, unknown type, truncated fields) — corrupted radio
+/// input is an expected condition, never an exception.
 std::optional<Packet> decode(std::span<const std::uint8_t> frame);
 
 /// The link header an on-air frame starts with; nullopt when it is shorter.

@@ -14,33 +14,16 @@ ReliableReceiver::ReliableReceiver(LayerContext& ctx, PacketSink& sink,
       seq_(sync.seq),
       fragment_count_(sync.fragment_count),
       total_bytes_(sync.total_bytes),
-      delivery_(std::move(delivery)),
-      tracer_(ctx.tracer),
-      trace_node_(ctx.address) {
+      delivery_(std::move(delivery)) {
   LM_REQUIRE(fragment_count_ > 0);
   fragments_.resize(fragment_count_);
   have_.assign(fragment_count_, false);
   session_timer_ = ctx_->schedule_local(ctx_->config.receiver_session_timeout,
                                         [this] { on_session_timeout(); });
-  if (tracer_ != nullptr) {
-    trace_session(trace::EventKind::TransferRxStart, fragment_count_);
-  }
+  ctx_->trace_transfer(trace::EventKind::TransferRxStart, origin_, ctx_->address,
+                       seq_, fragment_count_);
   send_sync_ack();
   restart_gap_timer();
-}
-
-void ReliableReceiver::trace_session(trace::EventKind kind,
-                                     std::uint32_t bytes) {
-  trace::TraceEvent e;
-  e.t_us = ctx_->true_now().us();
-  e.node = trace_node_;
-  e.kind = kind;
-  e.packet_type = static_cast<std::uint8_t>(PacketType::Sync);
-  e.origin = origin_;
-  e.final_dst = trace_node_;
-  e.packet_id = seq_;
-  e.bytes = bytes;
-  tracer_->emit(e);
 }
 
 ReliableReceiver::~ReliableReceiver() {
@@ -126,24 +109,16 @@ void ReliableReceiver::on_gap_timeout() {
 void ReliableReceiver::send_lost() {
   ++lost_requests_sent_;
   LostPacket p;
-  if (tracer_ != nullptr) {
-    trace_session(trace::EventKind::LostRequest,
-                  static_cast<std::uint32_t>(missing_indices(kMaxLostIndices).size()));
-  }
   p.link.src = sink_.self_address();
   p.route = sink_.make_route(origin_);
   p.seq = seq_;
-  p.missing = missing_indices(kMaxLostIndices);
-  sink_.submit_control(Packet{std::move(p)});
-}
-
-support::PooledVector<std::uint16_t> ReliableReceiver::missing_indices(
-    std::size_t cap) const {
-  support::PooledVector<std::uint16_t> out;
-  for (std::uint16_t i = 0; i < fragment_count_ && out.size() < cap; ++i) {
-    if (!have_[i]) out.push_back(i);
+  for (std::uint16_t i = 0; i < fragment_count_ && p.missing.size() < kMaxLostIndices;
+       ++i) {
+    if (!have_[i]) p.missing.push_back(i);  // a prefix of the missing indices
   }
-  return out;
+  ctx_->trace_transfer(trace::EventKind::LostRequest, origin_, ctx_->address, seq_,
+                       p.missing.size());
+  sink_.submit_control(Packet{std::move(p)});
 }
 
 void ReliableReceiver::send_done() {

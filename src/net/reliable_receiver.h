@@ -19,8 +19,6 @@
 #include "net/packet.h"
 #include "net/packet_sink.h"
 #include "sim/simulator.h"
-#include "support/pool.h"
-#include "trace/trace_sink.h"
 
 namespace lm::net {
 
@@ -30,8 +28,8 @@ class ReliableReceiver {
   using Delivery = std::function<void(Address origin, std::vector<std::uint8_t> payload)>;
 
   /// `ctx` is the owning node's context: config, local-clock timers and
-  /// (captured at construction) the flight recorder, under which the
-  /// session reports its start and every LOST repair request.
+  /// the flight recorder, to which the session reports its start and every
+  /// LOST repair request.
   ReliableReceiver(LayerContext& ctx, PacketSink& sink, Address origin,
                    const SyncPacket& sync, Delivery delivery);
   ~ReliableReceiver();
@@ -57,7 +55,6 @@ class ReliableReceiver {
   std::uint64_t lost_requests_sent() const { return lost_requests_sent_; }
 
  private:
-  void trace_session(trace::EventKind kind, std::uint32_t bytes);
   void send_sync_ack();
   void send_done();
   void send_lost();
@@ -65,7 +62,6 @@ class ReliableReceiver {
   void on_gap_timeout();
   void on_session_timeout();
   void complete_transfer();
-  support::PooledVector<std::uint16_t> missing_indices(std::size_t cap) const;
 
   LayerContext* ctx_;  // never null
   PacketSink& sink_;
@@ -85,8 +81,6 @@ class ReliableReceiver {
   sim::TimerId gap_timer_ = 0;
   sim::TimerId session_timer_ = 0;
   Delivery delivery_;
-  trace::Tracer* tracer_ = nullptr;
-  std::uint16_t trace_node_ = 0;
 };
 
 }  // namespace lm::net

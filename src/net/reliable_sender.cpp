@@ -19,9 +19,7 @@ ReliableSender::ReliableSender(LayerContext& ctx, PacketSink& sink,
       payload_(std::move(payload)),
       fragment_capacity_(fragment_capacity),
       completion_(std::move(completion)),
-      rng_(seed),
-      tracer_(ctx.tracer),
-      trace_node_(ctx.address) {
+      rng_(seed) {
   LM_REQUIRE(!payload_.empty());
   LM_REQUIRE(destination_ != kBroadcast && destination_ != kUnassigned);
   LM_REQUIRE(fragment_capacity_ >= 1 && fragment_capacity_ <= kMaxFragmentPayload);
@@ -46,19 +44,6 @@ void ReliableSender::cancel_timer() {
   }
 }
 
-void ReliableSender::trace_transfer(trace::EventKind kind, std::uint32_t bytes) {
-  trace::TraceEvent e;
-  e.t_us = ctx_->true_now().us();
-  e.node = trace_node_;
-  e.kind = kind;
-  e.packet_type = static_cast<std::uint8_t>(PacketType::Sync);
-  e.origin = trace_node_;
-  e.final_dst = destination_;
-  e.packet_id = seq_;
-  e.bytes = bytes;
-  tracer_->emit(e);
-}
-
 Duration ReliableSender::jittered_retry_timeout() {
   // Randomized retransmission timers: two senders that start (or lose
   // frames) simultaneously must not keep retrying in lockstep.
@@ -67,9 +52,9 @@ Duration ReliableSender::jittered_retry_timeout() {
 
 void ReliableSender::send_sync() {
   ++sync_attempts_;
-  if (tracer_ != nullptr && sync_attempts_ > 1) {
-    trace_transfer(trace::EventKind::TransferSyncRetry,
-                   static_cast<std::uint32_t>(sync_attempts_));
+  if (sync_attempts_ > 1) {
+    ctx_->trace_transfer(trace::EventKind::TransferSyncRetry, ctx_->address,
+                         destination_, seq_, static_cast<std::size_t>(sync_attempts_));
   }
   SyncPacket p;
   p.link.src = sink_.self_address();
@@ -184,10 +169,8 @@ void ReliableSender::on_status_timeout() {
 
 void ReliableSender::send_poll() {
   ++poll_attempts_;
-  if (tracer_ != nullptr) {
-    trace_transfer(trace::EventKind::TransferPoll,
-                   static_cast<std::uint32_t>(poll_attempts_));
-  }
+  ctx_->trace_transfer(trace::EventKind::TransferPoll, ctx_->address, destination_,
+                       seq_, static_cast<std::size_t>(poll_attempts_));
   PollPacket p;
   p.link.src = sink_.self_address();
   p.route = sink_.make_route(destination_);
@@ -199,9 +182,8 @@ void ReliableSender::send_poll() {
 void ReliableSender::finish(bool success) {
   cancel_timer();
   state_ = State::Finished;
-  if (tracer_ != nullptr) {
-    trace_transfer(trace::EventKind::TransferEnd, success ? 1 : 0);
-  }
+  ctx_->trace_transfer(trace::EventKind::TransferEnd, ctx_->address, destination_,
+                       seq_, success ? 1U : 0U);
   if (completion_) {
     // Move out first: the callback may destroy this session.
     Completion cb = std::move(completion_);

@@ -25,7 +25,6 @@
 #include "net/packet_sink.h"
 #include "sim/simulator.h"
 #include "support/rng.h"
-#include "trace/trace_sink.h"
 
 namespace lm::net {
 
@@ -41,8 +40,8 @@ class ReliableSender {
   /// relay would otherwise phase-lock — both waiting for the relay's
   /// forward, then colliding at it, forever.
   /// `ctx` is the owning node's context: config, local-clock timers and
-  /// (captured at construction) the flight recorder, under which the
-  /// session reports SYNC retries, POLLs and the final outcome.
+  /// the flight recorder, to which the session reports SYNC retries, POLLs
+  /// and the final outcome.
   ReliableSender(LayerContext& ctx, PacketSink& sink, Address destination,
                  std::uint8_t seq, std::vector<std::uint8_t> payload,
                  Completion completion, std::uint64_t seed = 0,
@@ -82,7 +81,6 @@ class ReliableSender {
   };
 
   Duration jittered_retry_timeout();
-  void trace_transfer(trace::EventKind kind, std::uint32_t bytes);
   void send_sync();
   void send_poll();
   void send_next_fragment();
@@ -111,8 +109,6 @@ class ReliableSender {
   sim::TimerId timer_ = 0;
   Completion completion_;
   Rng rng_;
-  trace::Tracer* tracer_ = nullptr;
-  std::uint16_t trace_node_ = 0;
 };
 
 }  // namespace lm::net

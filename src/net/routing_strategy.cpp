@@ -11,19 +11,15 @@ bool RoutingStrategy::drop_if_ttl_expired(const Packet& packet) {
   LM_ASSERT(route != nullptr);
   if (route->ttl > 1) return false;
   ctx_->stats.dropped_ttl++;
-  if (ctx_->tracer != nullptr) {
-    ctx_->trace_packet(trace::EventKind::Drop, packet,
-                       trace::DropReason::TtlExpired);
-  }
+  ctx_->trace_packet(trace::EventKind::Drop, packet,
+                     trace::DropReason::TtlExpired);
   return true;
 }
 
 void RoutingStrategy::drop_no_route(const Packet& packet) {
   ctx_->stats.dropped_no_route++;
-  if (ctx_->tracer != nullptr) {
-    ctx_->trace_packet(trace::EventKind::Drop, packet,
-                       trace::DropReason::NoRoute);
-  }
+  ctx_->trace_packet(trace::EventKind::Drop, packet,
+                     trace::DropReason::NoRoute);
 }
 
 void RoutingStrategy::relay(Packet packet, Address link_dst,
@@ -36,9 +32,7 @@ void RoutingStrategy::relay(Packet packet, Address link_dst,
   link.src = ctx_->address;
   link.dst = link_dst;
   ctx_->stats.packets_forwarded++;
-  if (ctx_->tracer != nullptr) {
-    ctx_->trace_packet(trace::EventKind::Forward, packet);
-  }
+  ctx_->trace_packet(trace::EventKind::Forward, packet);
   enqueue_jittered(std::move(packet), max_jitter);
 }
 

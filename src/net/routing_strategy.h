@@ -65,8 +65,8 @@ class RoutingStrategy {
   /// Whether an origination toward `dst` can currently be carried. A pure
   /// query: introspection and diagnostics may call it freely.
   virtual bool has_route(Address dst) const = 0;
-  /// An origination toward `dst` was refused for lack of a route (the
-  /// refusal ladders call this right after has_route says no). On-demand
+  /// An origination toward `dst` was refused for lack of a route
+  /// (NetworkLayer::admit calls this right after has_route says no). On-demand
   /// strategies treat the refusal as the demand signal and start
   /// discovering here.
   virtual void note_demand(Address) {}

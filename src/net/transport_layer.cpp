@@ -50,26 +50,9 @@ void TransportLayer::submit_data(Packet packet) {
 bool TransportLayer::send_acked(Address destination,
                                 std::vector<std::uint8_t> payload,
                                 SendCallback done, trace::DropReason* why) {
-  const auto refuse = [&](trace::DropReason reason) {
-    if (why != nullptr) *why = reason;
-    if (ctx_.tracer != nullptr) {
-      ctx_.trace_refusal(PacketType::AckedData, destination, payload.size(),
-                         reason);
-    }
+  if (!network_.admit(PacketType::AckedData, destination, payload.size(),
+                      payload.size() <= network_.max_datagram_payload(), why)) {
     return false;
-  };
-  if (!ctx_.running) return refuse(trace::DropReason::NotRunning);
-  if (destination == ctx_.address || destination == kUnassigned ||
-      destination == kBroadcast) {
-    return refuse(trace::DropReason::InvalidDestination);
-  }
-  if (payload.size() > network_.max_datagram_payload()) {
-    return refuse(trace::DropReason::PayloadTooLarge);
-  }
-  if (!network_.has_route(destination)) {
-    network_.note_demand(destination);
-    ctx_.stats.dropped_no_route++;
-    return refuse(trace::DropReason::NoRoute);
   }
   AckedDataPacket p;
   p.link = LinkHeader{kUnassigned, ctx_.address};
@@ -77,9 +60,7 @@ bool TransportLayer::send_acked(Address destination,
   p.payload.assign(payload.begin(), payload.end());
   const std::uint16_t id = p.route.packet_id;
   LM_ASSERT(!pending_acks_.contains(id));  // 16-bit id space, tiny windows
-  if (ctx_.tracer != nullptr) {
-    ctx_.trace_packet(trace::EventKind::AppSubmit, Packet{p});
-  }
+  ctx_.trace_packet(trace::EventKind::AppSubmit, p);
   PendingAck pending;
   pending.packet = std::move(p);
   pending.done = std::move(done);
@@ -110,10 +91,8 @@ void TransportLayer::on_acked_timeout(std::uint16_t packet_id) {
     return;
   }
   ctx_.stats.acked_retransmissions++;
-  if (ctx_.tracer != nullptr) {
-    ctx_.trace_packet(trace::EventKind::AckedRetry, Packet{it->second.packet},
-                      trace::DropReason::None, it->second.attempts);
-  }
+  ctx_.trace_packet(trace::EventKind::AckedRetry, it->second.packet,
+                    trace::DropReason::None, it->second.attempts);
   transmit_acked_attempt(packet_id);
 }
 
@@ -121,13 +100,10 @@ void TransportLayer::finish_acked(std::uint16_t packet_id, bool success) {
   const auto it = pending_acks_.find(packet_id);
   if (it == pending_acks_.end()) return;
   if (it->second.timer != 0) ctx_.sim.cancel(it->second.timer);
-  if (ctx_.tracer != nullptr) {
-    ctx_.trace_packet(success ? trace::EventKind::AckedConfirmed
-                              : trace::EventKind::Drop,
-                      Packet{it->second.packet},
-                      success ? trace::DropReason::None
-                              : trace::DropReason::RetriesExhausted);
-  }
+  ctx_.trace_packet(
+      success ? trace::EventKind::AckedConfirmed : trace::EventKind::Drop,
+      it->second.packet,
+      success ? trace::DropReason::None : trace::DropReason::RetriesExhausted);
   SendCallback done = std::move(it->second.done);
   pending_acks_.erase(it);
   if (success) {
@@ -143,26 +119,11 @@ void TransportLayer::finish_acked(std::uint16_t packet_id, bool success) {
 bool TransportLayer::send_reliable(Address destination,
                                    std::vector<std::uint8_t> payload,
                                    SendCallback done, trace::DropReason* why) {
-  const auto refuse = [&](trace::DropReason reason) {
-    if (why != nullptr) *why = reason;
-    if (ctx_.tracer != nullptr) {
-      ctx_.trace_refusal(PacketType::Sync, destination, payload.size(), reason);
-    }
+  const std::size_t capacity = fragment_payload_within(link_.max_frame_bytes());
+  if (!network_.admit(PacketType::Sync, destination, payload.size(),
+                      !payload.empty() && payload.size() <= capacity * 0xFFFFULL,
+                      why)) {
     return false;
-  };
-  if (!ctx_.running) return refuse(trace::DropReason::NotRunning);
-  if (destination == ctx_.address || destination == kUnassigned ||
-      destination == kBroadcast) {
-    return refuse(trace::DropReason::InvalidDestination);
-  }
-  if (payload.empty() ||
-      payload.size() > fragment_payload_within(link_.max_frame_bytes()) * 0xFFFFULL) {
-    return refuse(trace::DropReason::PayloadTooLarge);
-  }
-  if (!network_.has_route(destination)) {
-    network_.note_demand(destination);
-    ctx_.stats.dropped_no_route++;
-    return refuse(trace::DropReason::NoRoute);
   }
   // Allocate a transfer sequence number free for this destination.
   std::optional<std::uint8_t> seq;
@@ -174,20 +135,13 @@ bool TransportLayer::send_reliable(Address destination,
     }
   }
   // 256 concurrent transfers to one peer exhausts the sequence space.
-  if (!seq) return refuse(trace::DropReason::SessionLimit);
-  ctx_.stats.transfers_started++;
-  if (ctx_.tracer != nullptr) {
-    trace::TraceEvent e;
-    e.t_us = ctx_.true_now().us();
-    e.node = ctx_.address;
-    e.kind = trace::EventKind::TransferStart;
-    e.packet_type = static_cast<std::uint8_t>(PacketType::Sync);
-    e.origin = ctx_.address;
-    e.final_dst = destination;
-    e.packet_id = *seq;
-    e.bytes = static_cast<std::uint32_t>(payload.size());
-    ctx_.tracer->emit(e);
+  if (!seq) {
+    return network_.refuse(PacketType::Sync, destination, payload.size(),
+                           trace::DropReason::SessionLimit, why);
   }
+  ctx_.stats.transfers_started++;
+  ctx_.trace_transfer(trace::EventKind::TransferStart, ctx_.address, destination,
+                      *seq, payload.size());
   auto completion = [this, done = std::move(done)](bool success) {
     if (success) {
       ctx_.stats.transfers_completed++;
@@ -200,8 +154,7 @@ bool TransportLayer::send_reliable(Address destination,
       SessionKey{destination, *seq},
       std::make_unique<ReliableSender>(ctx_, *this, destination, *seq,
                                        std::move(payload), std::move(completion),
-                                       ctx_.rng.next_u64(),
-                                       fragment_payload_within(link_.max_frame_bytes())));
+                                       ctx_.rng.next_u64(), capacity));
   return true;
 }
 
@@ -263,27 +216,15 @@ void TransportLayer::on_deliver(Packet packet) {
           }
           if (rx_sessions_.size() >= kMaxRxSessions) {
             ctx_.stats.rx_sessions_rejected++;
-            if (ctx_.tracer != nullptr) {
-              ctx_.trace_packet(trace::EventKind::Drop, packet,
-                                trace::DropReason::SessionLimit);
-            }
+            ctx_.trace_packet(trace::EventKind::Drop, packet,
+                              trace::DropReason::SessionLimit);
             return;  // no SYNC_ACK: the sender will retry and may find room
           }
           auto delivery = [this, seq = p.seq](Address origin,
                                               std::vector<std::uint8_t> payload) {
             ctx_.stats.transfers_received++;
-            if (ctx_.tracer != nullptr) {
-              trace::TraceEvent e;
-              e.t_us = ctx_.true_now().us();
-              e.node = ctx_.address;
-              e.kind = trace::EventKind::Deliver;
-              e.packet_type = static_cast<std::uint8_t>(PacketType::Sync);
-              e.origin = origin;
-              e.final_dst = ctx_.address;
-              e.packet_id = seq;
-              e.bytes = static_cast<std::uint32_t>(payload.size());
-              ctx_.tracer->emit(e);
-            }
+            ctx_.trace_transfer(trace::EventKind::Deliver, origin, ctx_.address,
+                                seq, payload.size());
             if (delivery_.reliable) delivery_.reliable(origin, std::move(payload));
           };
           rx_sessions_.try_emplace(
@@ -312,23 +253,17 @@ void TransportLayer::on_deliver(Packet packet) {
           ack.route = network_.make_route(p.route.origin);
           ack.acked_id = p.route.packet_id;
           ctx_.stats.acks_sent++;
-          if (ctx_.tracer != nullptr) {
-            ctx_.trace_packet(trace::EventKind::AckSent, packet);
-          }
+          ctx_.trace_packet(trace::EventKind::AckSent, packet);
           submit_control(Packet{ack});
           if (acked_seen_.seen_before({p.route.origin, p.route.packet_id},
                                       kAckedWindow)) {
             ctx_.stats.acked_duplicates++;
-            if (ctx_.tracer != nullptr) {
-              ctx_.trace_packet(trace::EventKind::DuplicateDeliver, packet,
-                                trace::DropReason::Duplicate);
-            }
+            ctx_.trace_packet(trace::EventKind::DuplicateDeliver, packet,
+                              trace::DropReason::Duplicate);
             return;
           }
           ctx_.stats.acked_delivered++;
-          if (ctx_.tracer != nullptr) {
-            ctx_.trace_packet(trace::EventKind::Deliver, packet);
-          }
+          ctx_.trace_packet(trace::EventKind::Deliver, packet);
           if (delivery_.datagram) {
             delivery_.datagram(p.route.origin, p.payload,
                                static_cast<std::uint8_t>(p.route.hops + 1));

@@ -67,27 +67,7 @@ const char* to_string(DropReason r) {
 }
 
 std::string packet_type_name(std::uint8_t raw) {
-  // Mirrors net::PacketType (net/packet.h); kept in sync by
-  // trace tests so lm_trace can stay below lm_net in the layering.
-  switch (raw) {
-    case 0: return "-";
-    case 1: return "ROUTING";
-    case 2: return "DATA";
-    case 3: return "SYNC";
-    case 4: return "SYNC_ACK";
-    case 5: return "FRAGMENT";
-    case 6: return "LOST";
-    case 7: return "DONE";
-    case 8: return "POLL";
-    case 9: return "ACKED_DATA";
-    case 10: return "ACK";
-    case 11: return "RREQ";
-    case 12: return "RREP";
-    case 13: return "RERR";
-    case 14: return "TREE_BEACON";
-    case 15: return "TREE_REPORT";
-    default: break;
-  }
+  if (raw < kPacketTypeNames.size()) return kPacketTypeNames[raw];
   return "T" + std::to_string(raw);
 }
 

@@ -11,6 +11,7 @@
 // floating-point formatting.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 
@@ -113,9 +114,16 @@ struct TraceEvent {
   friend bool operator==(const TraceEvent&, const TraceEvent&) = default;
 };
 
-/// Name of a raw PacketType value ("DATA", "ROUTING", ...); mirrors
-/// net::PacketType without depending on lm_net. Unknown values render as
-/// "T<n>".
+/// The name of each raw net::PacketType value, indexed by the type byte
+/// ("-" at 0: not applicable). The one list of packet names: lm_trace sits
+/// below lm_net, so net::to_string(PacketType) reads it from here, and
+/// net/packet.cpp checks that it names every packet alternative.
+inline constexpr std::array<const char*, 16> kPacketTypeNames = {
+    "-",     "ROUTING", "DATA", "SYNC", "SYNC_ACK", "FRAGMENT", "LOST",        "DONE",
+    "POLL",  "ACKED_DATA", "ACK", "RREQ", "RREP", "RERR", "TREE_BEACON", "TREE_REPORT"};
+
+/// Name of a raw PacketType value ("DATA", "ROUTING", ...); unknown values
+/// render as "T<n>".
 std::string packet_type_name(std::uint8_t raw);
 
 /// One-line JSON rendering (JSONL sinks, docs). Includes `value`.

@@ -206,6 +206,22 @@ TEST(PacketCodec, LostOverCapacityRejected) {
   EXPECT_THROW(encode(Packet{p}), ContractViolation);
 }
 
+TEST(PacketCodec, DecodeRejectsFramesOver255Bytes) {
+  // A LOST frame listing 121 indices is 257 bytes: encode refuses it, so
+  // decode must too, or a decoded packet could not always be sent on.
+  LostPacket p;
+  p.link = LinkHeader{0x0001, 0x0005};
+  p.route = route(0x0001, 0x0005);
+  p.missing.assign(kMaxLostIndices, 9);
+  auto frame = encode(Packet{p});
+  ASSERT_EQ(frame.size(), 255u);
+  ASSERT_TRUE(decode(frame).has_value());
+  frame[kLinkHeaderSize + kRouteHeaderSize + 1] = kMaxLostIndices + 1;
+  frame.insert(frame.end(), {9, 0});
+  EXPECT_EQ(frame.size(), 257u);
+  EXPECT_FALSE(decode(frame).has_value());
+}
+
 TEST(PacketCodec, RoutingOverCapacityRejected) {
   RoutingPacket p;
   p.entries.assign(kMaxRoutingEntries + 1, RoutingEntry{});

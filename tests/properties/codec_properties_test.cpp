@@ -177,6 +177,28 @@ TEST_P(CodecProperty, DecodeIsTotalAndCanonical) {
   }
 }
 
+TEST_P(CodecProperty, FramesOver255BytesAreRejected) {
+  // Whatever they hold — including LOST frames listing 121 to 127 indices,
+  // which parse field by field — frames encode would refuse never decode.
+  Rng rng(GetParam() ^ 0x0FF5);
+  for (int i = 0; i < 100; ++i) {
+    auto frame = random_bytes(rng, 255);
+    frame.resize(256 + rng.index(64), 0x00);
+    EXPECT_FALSE(decode(frame).has_value());
+
+    LostPacket lost;
+    lost.link = {random_address(rng), random_address(rng)};
+    lost.route = random_route(rng);
+    const std::size_t n = kMaxLostIndices + 1 + rng.index(7);
+    auto wire = encode(Packet{lost});
+    wire.back() = static_cast<std::uint8_t>(n);  // the index count
+    for (std::size_t k = 0; k < 2 * n; ++k) {
+      wire.push_back(static_cast<std::uint8_t>(rng.uniform_int(0, 255)));
+    }
+    EXPECT_FALSE(decode(wire).has_value());
+  }
+}
+
 TEST_P(CodecProperty, RandomPacketsRoundTrip) {
   Rng rng(GetParam() ^ 0xBEEF);
   for (int i = 0; i < 300; ++i) {
