@@ -154,7 +154,8 @@ int main(int argc, char** argv) {
     metrics::PacketTracker tracker;
     testbed::attach_tracker(s, tracker);
     s.start_all();
-    s.run_until_converged(Duration::hours(2), Duration::seconds(10), 0.9, false);
+    s.run_until_converged(Duration::hours(2), Duration::seconds(10),
+                          /*exact_metric=*/false);
     std::vector<std::unique_ptr<testbed::DatagramTraffic>> flows;
     for (std::size_t f = 0; f < 3; ++f) {
       flows.push_back(std::make_unique<testbed::DatagramTraffic>(

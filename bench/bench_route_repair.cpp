@@ -38,7 +38,7 @@ Repair run(int timeout_intervals, std::uint64_t seed) {
   s.add_node({bench::kChainSpacing, -150.0});
   s.add_node({2 * bench::kChainSpacing, 0.0});
   s.start_all();
-  if (!s.run_until_converged(Duration::hours(2), Duration::seconds(5), 0.9,
+  if (!s.run_until_converged(Duration::hours(2), Duration::seconds(5),
                              /*exact_metric=*/false)) {
     return {};
   }
@@ -81,7 +81,7 @@ Repair run(int timeout_intervals, std::uint64_t seed) {
   for (int i = 0; i < 180; ++i) {  // 1 h of post-failure traffic
     send_one();
     s.run_for(Duration::seconds(20));
-    if (r.reconverge_s < 0 && s.converged(0.9, false)) {
+    if (r.reconverge_s < 0 && s.converged(false)) {
       r.reconverge_s = (s.simulator().now() - failure_time).seconds_d();
     }
   }

@@ -144,7 +144,7 @@ int main(int argc, char** argv) {
 
   const auto converged = mesh.run_until_converged(
       Duration::from_seconds(o.hours * 3600.0 / 2.0), Duration::seconds(10),
-      0.9, /*exact_metric=*/false);
+      /*exact_metric=*/false);
   std::printf("convergence: %s\n",
               converged ? converged->to_string().c_str()
                         : "not reached (strict oracle: every pair routed "

@@ -112,7 +112,7 @@ void EndDeviceNode::transmit_now() {
 
 void EndDeviceNode::on_tx_done() {
   busy_ = false;
-  if (config_.sleep_between_uplinks && queue_.empty()) radio_.sleep();
+  if (queue_.empty()) radio_.sleep();
   // Queued traffic keeps us awake and transmitting.
   pump();
 }

@@ -61,12 +61,11 @@ struct EndDeviceConfig {
   std::size_t max_queue = 16;
   double duty_cycle_limit = 0.01;
   Duration duty_cycle_window = Duration::hours(1);
-  /// Class-A behaviour: the radio sleeps whenever no uplink is pending
-  /// (the energy story LoRaWAN is built on; see radio/energy.h).
-  bool sleep_between_uplinks = true;
 };
 
 /// Class-A-style end device: fire-and-forget uplinks, no listen-before-talk.
+/// The radio sleeps whenever no uplink is pending (the energy story
+/// LoRaWAN is built on; see radio/energy.h).
 class EndDeviceNode final : public radio::RadioListener {
  public:
   EndDeviceNode(sim::Simulator& sim, radio::Radio& radio,

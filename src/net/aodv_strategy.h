@@ -32,20 +32,15 @@
 
 namespace lm::net {
 
-struct AodvConfig {
-  /// Wait for a RouteReply before re-flooding the RouteRequest.
-  Duration rreq_retry_timeout = Duration::seconds(6);
-  /// RouteRequest floods per discovery before giving up (the next
-  /// origination toward the destination starts a fresh discovery).
-  int rreq_max_retries = 2;
-  /// Random delay before relaying a RouteRequest re-broadcast,
-  /// desynchronizing parallel relays of the discovery flood.
-  Duration rreq_jitter = Duration::milliseconds(500);
-};
-
 class AodvStrategy final : public RoutingStrategy {
  public:
-  explicit AodvStrategy(AodvConfig config = {}) : config_(config) {}
+  /// Wait for a RouteReply before re-flooding the RouteRequest.
+  static constexpr Duration kRreqRetryTimeout = Duration::seconds(6);
+  /// RouteRequest re-floods after the first before a discovery gives up,
+  /// so a discovery floods 1 + kRreqRefloods times (the next origination
+  /// toward the destination starts a fresh discovery).
+  static constexpr int kRreqRefloods = 2;
+
   ~AodvStrategy() override;
 
   void stop() override;
@@ -90,15 +85,6 @@ class AodvStrategy final : public RoutingStrategy {
   void send_rerr(Address unreachable);
   void forward(Packet packet);
 
-  /// Wire fields feed RoutingTable::upsert's contract checks; a crafted or
-  /// corrupted control frame must be dropped as malformed, not allowed to
-  /// trip them. decode() checks framing only, so the strategy validates.
-  bool valid_control_fields(const LinkHeader& link,
-                            const RouteHeader& route) const {
-    return link.src != kBroadcast && link.src != kUnassigned &&
-           link.src != ctx_->address && route.origin != kBroadcast &&
-           route.origin != kUnassigned;
-  }
   /// hops+1 as a table metric, saturating so hops == 255 cannot wrap to a
   /// zero metric.
   static std::uint8_t hop_metric(std::uint8_t hops) {
@@ -111,7 +97,6 @@ class AodvStrategy final : public RoutingStrategy {
   /// Adopt-or-refresh the remembered sequence number for `addr`.
   void note_seq(Address addr, std::uint16_t seq);
 
-  AodvConfig config_;
   std::uint16_t own_seq_ = 0;
   std::uint16_t next_rreq_id_ = 1;
   std::uint16_t next_ctrl_id_ = 1;  // RREP / RERR packet ids

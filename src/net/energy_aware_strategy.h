@@ -4,9 +4,9 @@
 //
 // The node inflates the metrics it advertises for every destination it
 // would *relay* to (its own entry stays at 0, so the node remains directly
-// reachable) by up to `max_penalty` hops as its battery drains:
+// reachable) by up to 4 hops as its battery drains:
 //
-//   penalty = round(max_penalty * (1 - state_of_charge))
+//   penalty = round(4 * (1 - state_of_charge))
 //
 // Neighbors then prefer detours around low-battery relays exactly through
 // the normal RIP merge — no new packet types, no extra state. With an
@@ -20,17 +20,9 @@ namespace lm::net {
 
 class EnergyAwareStrategy final : public DistanceVectorStrategy {
  public:
-  /// `max_penalty`: extra advertised hops at 0% charge; the penalty scales
-  /// linearly with depth of discharge and saturates below kInfiniteMetric.
-  explicit EnergyAwareStrategy(std::uint8_t max_penalty = 4)
-      : max_penalty_(max_penalty) {}
-
   const char* name() const override { return "energy-aware"; }
 
   std::uint8_t advertised_penalty() const override;
-
- private:
-  const std::uint8_t max_penalty_;
 };
 
 }  // namespace lm::net

@@ -22,18 +22,10 @@
 
 namespace lm::net {
 
-struct FloodingStrategyConfig {
-  /// Random delay before relaying, desynchronizing parallel relays (the
-  /// dominant collision source in flooding).
-  Duration rebroadcast_jitter = Duration::milliseconds(500);
-  /// Remembered (origin, packet_id) pairs for duplicate suppression.
-  std::size_t dedup_cache = 512;
-};
-
 class FloodingStrategy final : public RoutingStrategy {
  public:
-  explicit FloodingStrategy(FloodingStrategyConfig config = {})
-      : config_(config) {}
+  /// Remembered (origin, packet_id) pairs for duplicate suppression.
+  static constexpr std::size_t kDedupWindow = 512;
 
   const char* name() const override { return "flooding"; }
 
@@ -53,7 +45,6 @@ class FloodingStrategy final : public RoutingStrategy {
   std::uint64_t duplicates_suppressed() const { return duplicates_suppressed_; }
 
  private:
-  FloodingStrategyConfig config_;
   std::uint64_t duplicates_suppressed_ = 0;
   support::DuplicateFilter<std::pair<Address, std::uint16_t>> seen_;
 };

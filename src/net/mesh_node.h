@@ -156,6 +156,7 @@ class MeshNode final : public PacketSink {
   const DutyCycleLimiter& duty_cycle() const { return link_.duty_cycle(); }
   radio::Radio& radio() { return radio_; }
   std::size_t queued_packets() const { return link_.queued_packets(); }
+  std::size_t rx_sessions() const { return transport_.rx_sessions(); }
 
   // --- PacketSink (also used by tests to inject protocol packets) -------------
   void submit_control(Packet packet) override;

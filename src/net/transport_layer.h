@@ -84,6 +84,8 @@ class TransportLayer final : public PacketSink {
   bool has_sessions() const {
     return !tx_sessions_.empty() || !rx_sessions_.empty();
   }
+  /// Receive sessions held; never more than kMaxRxSessions.
+  std::size_t rx_sessions() const { return rx_sessions_.size(); }
 
   /// Facade stop(): aborts transmit sessions, drops receive sessions and
   /// fails every pending acked datagram.

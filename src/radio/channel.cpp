@@ -611,7 +611,7 @@ void Channel::evaluate_reception(Transmission& t, VirtualRadio& rx,
     return;
   }
 
-  const double snr = phy::snr_db(rssi, t.mod.bw, config_.noise_figure_db);
+  const double snr = phy::snr_db(rssi, t.mod.bw);
   if (!rng_.bernoulli(phy::decode_probability(snr, t.mod.sf))) {
     stats_.dropped_snr++;
     if (tracer_ != nullptr) {
@@ -717,8 +717,7 @@ double Channel::link_quality(const VirtualRadio& tx, const VirtualRadio& rx) con
   const double rssi = mean_rssi_dbm(tx, rx);
   const auto& mod = tx.modulation();
   if (rssi < phy::sensitivity_dbm(mod.sf, mod.bw)) return 0.0;
-  double quality = phy::decode_probability(
-      phy::snr_db(rssi, mod.bw, config_.noise_figure_db), mod.sf);
+  double quality = phy::decode_probability(phy::snr_db(rssi, mod.bw), mod.sf);
   const auto loss_it = extra_loss_.find(link_key(tx.id(), rx.id()));
   if (loss_it != extra_loss_.end()) quality *= 1.0 - loss_it->second;
   return quality;

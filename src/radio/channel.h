@@ -49,8 +49,6 @@ struct PropagationConfig {
   double shadowing_sigma_db = 0.0;
   /// Per-packet fast-fading sigma (dB).
   double fading_sigma_db = 0.0;
-  /// Receiver noise figure (dB) used for SNR computation.
-  double noise_figure_db = 6.0;
 
   static PropagationConfig campus();     // log-distance n=3.0, sigma 3 dB
   static PropagationConfig free_space(); // Friis, no shadowing or fading

@@ -31,9 +31,7 @@ Duration lifetime(const VirtualRadio& radio) {
 
 /// Position of `t` within the harvesting period, in [0, period) µs.
 std::int64_t harvest_phase_us(const HarvestingProfile& h, TimePoint t) {
-  const std::int64_t period = h.period.us();
-  const std::int64_t pos = ((t - TimePoint::origin()) - h.phase).us() % period;
-  return pos < 0 ? pos + period : pos;
+  return (t - TimePoint::origin()).us() % h.period.us();
 }
 
 /// Panel current (mA) flowing at `t`.
@@ -62,21 +60,20 @@ double EnergyProfile::current_for(RadioState state) const {
   LM_ASSERT(false);
 }
 
-double charge_consumed_mah(const VirtualRadio& radio, RadioState state,
-                           const EnergyProfile& profile) {
-  return profile.current_for(state) * hours_of(radio.time_in_state(state));
+double charge_consumed_mah(const VirtualRadio& radio, RadioState state) {
+  return kSx1276.current_for(state) * hours_of(radio.time_in_state(state));
 }
 
-double charge_consumed_mah(const VirtualRadio& radio, const EnergyProfile& profile) {
+double charge_consumed_mah(const VirtualRadio& radio) {
   double mah = 0.0;
-  for (RadioState state : kStates) mah += charge_consumed_mah(radio, state, profile);
+  for (RadioState state : kStates) mah += charge_consumed_mah(radio, state);
   return mah;
 }
 
-double average_current_ma(const VirtualRadio& radio, const EnergyProfile& profile) {
+double average_current_ma(const VirtualRadio& radio) {
   const Duration total = lifetime(radio);
   if (total.is_zero()) return 0.0;
-  return charge_consumed_mah(radio, profile) / hours_of(total);
+  return charge_consumed_mah(radio) / hours_of(total);
 }
 
 double battery_life_days(double average_ma, double capacity_mah) {
@@ -127,7 +124,7 @@ void EnergyModel::on_state_change(RadioState from, RadioState to,
     e.bytes = state_index(from);
     e.aux_us = in_state.us();
     e.value = config_.battery.finite() ? residual_mah_
-                                       : charge_consumed_mah(*radio_, config_.profile);
+                                       : charge_consumed_mah(*radio_);
     tracer_->emit(e);
   }
   arm_depletion_timer(to);
@@ -151,11 +148,11 @@ double EnergyModel::soc() const {
 }
 
 double EnergyModel::consumed_mah() const {
-  return charge_consumed_mah(settled_radio(), config_.profile);
+  return charge_consumed_mah(settled_radio());
 }
 
 double EnergyModel::consumed_mah(RadioState state) const {
-  return charge_consumed_mah(settled_radio(), state, config_.profile);
+  return charge_consumed_mah(settled_radio(), state);
 }
 
 double EnergyModel::harvested_mah() const {
@@ -164,13 +161,13 @@ double EnergyModel::harvested_mah() const {
 }
 
 double EnergyModel::average_current_ma() const {
-  return radio::average_current_ma(settled_radio(), config_.profile);
+  return radio::average_current_ma(settled_radio());
 }
 
 void EnergyModel::settle(TimePoint now, RadioState state) const {
   if (!config_.battery.finite() || depleted_) return;
   const HarvestingProfile& h = config_.harvesting;
-  const double draw = config_.profile.current_for(state);
+  const double draw = kSx1276.current_for(state);
   while (settled_at_ < now) {
     TimePoint seg_end = now;
     if (h.enabled()) {
@@ -196,7 +193,7 @@ void EnergyModel::arm_depletion_timer(RadioState state) {
   depletion_timer_ = 0;
   if (!config_.battery.finite() || depleted_) return;
   const HarvestingProfile& h = config_.harvesting;
-  const double draw = config_.profile.current_for(state);
+  const double draw = kSx1276.current_for(state);
   const double capacity = config_.battery.capacity_mah;
   TimePoint t = settled_at_;
   double charge = residual_mah_;

@@ -5,7 +5,7 @@
 // class A, a mesh router must always listen.
 //
 // One ledger: VirtualRadio::time_in_state is the only integrator of radio
-// time, and every charge is profile.current_for(s) × time_in_state(s),
+// time, and every charge is kSx1276.current_for(s) × time_in_state(s),
 // computed in charge_consumed_mah alone (SX1276 draws: band 1, PA_BOOST at
 // +13 dBm, LnaBoost off). EnergyModel is a live per-node battery on top of
 // that clock; it keeps only what the clock cannot give: a finite battery's
@@ -30,30 +30,33 @@ class VirtualRadio;
 
 /// Current draw (mA) per radio state.
 struct EnergyProfile {
-  double sleep_ma = 0.0002;   // 0.2 uA register-retention sleep
-  double standby_ma = 1.6;    // crystal running
-  double rx_ma = 11.5;        // RxContinuous, band 1
-  double tx_ma = 28.0;        // +13 dBm on PA_BOOST
-  double cad_ma = 11.5;       // receiver path active
-
-  /// SX1276 datasheet values (table 10), the radio in the paper's testbed.
-  static EnergyProfile sx1276() { return {}; }
+  double sleep_ma;
+  double standby_ma;
+  double rx_ma;
+  double tx_ma;
+  double cad_ma;
 
   double current_for(RadioState state) const;
 };
 
+/// SX1276 datasheet values (table 10), the radio in the paper's testbed.
+inline constexpr EnergyProfile kSx1276{
+    .sleep_ma = 0.0002,  // 0.2 uA register-retention sleep
+    .standby_ma = 1.6,   // crystal running
+    .rx_ma = 11.5,       // RxContinuous, band 1
+    .tx_ma = 28.0,       // +13 dBm on PA_BOOST
+    .cad_ma = 11.5,      // receiver path active
+};
+
 /// Charge `radio` has drawn in `state` since construction, in mAh: the one
 /// place a charge is computed.
-double charge_consumed_mah(const VirtualRadio& radio, RadioState state,
-                           const EnergyProfile& profile = EnergyProfile::sx1276());
+double charge_consumed_mah(const VirtualRadio& radio, RadioState state);
 
 /// Charge consumed by `radio` since construction, in mAh.
-double charge_consumed_mah(const VirtualRadio& radio,
-                           const EnergyProfile& profile = EnergyProfile::sx1276());
+double charge_consumed_mah(const VirtualRadio& radio);
 
 /// Average current over the radio's lifetime so far, in mA.
-double average_current_ma(const VirtualRadio& radio,
-                          const EnergyProfile& profile = EnergyProfile::sx1276());
+double average_current_ma(const VirtualRadio& radio);
 
 /// Days a battery of `capacity_mah` lasts at `average_ma` constant draw.
 double battery_life_days(double average_ma, double capacity_mah);
@@ -76,13 +79,12 @@ struct BatteryConfig {
 
 /// Periodic square-wave charging (a solar panel's day/night cycle, smart-
 /// campus style): `charge_ma` flows into the battery during the first
-/// `on_time` of every `period`, shifted by `phase`. Surplus beyond the
-/// battery's capacity is discarded (the charge controller clamps).
+/// `on_time` of every `period`, counted from simulated time zero. Surplus
+/// beyond the battery's capacity is discarded (the charge controller clamps).
 struct HarvestingProfile {
   double charge_ma = 0.0;  // 0 disables harvesting
   Duration period = Duration::hours(24);
   Duration on_time = Duration::hours(12);
-  Duration phase = Duration::zero();
 
   bool enabled() const {
     return charge_ma > 0.0 && on_time > Duration::zero() &&
@@ -93,7 +95,6 @@ struct HarvestingProfile {
 /// Everything the testbed needs to switch live energy modeling on.
 struct EnergyConfig {
   bool enabled = false;
-  EnergyProfile profile = EnergyProfile::sx1276();
   BatteryConfig battery;
   HarvestingProfile harvesting;
 };

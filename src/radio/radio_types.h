@@ -42,7 +42,6 @@ struct RadioConfig {
   double frequency_hz = 868.1e6;
   double tx_power_dbm = 14.0;   // EU868 ERP limit
   double antenna_gain_db = 0.0; // applied on both TX and RX
-  double noise_figure_db = 6.0;
 };
 
 /// Callbacks from the radio to the protocol stack. All callbacks fire from

@@ -148,9 +148,9 @@ class alignas(64) VirtualRadio final : public Radio {
   std::uint32_t channel_ordinal_ = 0;
   RadioStats stats_;           // rx_frames and rx_bytes end the hot line
   // The rest of stats_ fills the second line's head, the configuration
-  // ends it, and position_ opens the third.
+  // follows, and position_ opens the third.
   RadioConfig config_;
-  phy::Position position_;
+  alignas(64) phy::Position position_;
   sim::Simulator& sim_;
   Channel& channel_;
   EnergyModel* energy_ = nullptr;

@@ -3,13 +3,18 @@
 #include "support/assert.h"
 
 namespace lm::testbed {
+namespace {
+
+/// Uplink payload size range (uniform), LoRaWAN-typical.
+constexpr std::int64_t kMinPayload = 12;
+constexpr std::int64_t kMaxPayload = 51;
+
+}  // namespace
 
 BackgroundTraffic::BackgroundTraffic(sim::Simulator& sim, radio::Channel& channel,
                                      BackgroundConfig config, std::uint64_t seed)
     : sim_(sim), config_(std::move(config)), rng_(seed) {
   LM_REQUIRE(config_.devices > 0);
-  LM_REQUIRE(config_.min_payload >= 1);
-  LM_REQUIRE(config_.max_payload >= config_.min_payload);
   LM_REQUIRE(config_.mean_uplink_interval > Duration::zero());
   for (std::size_t i = 0; i < config_.devices; ++i) {
     radio::RadioConfig rc = config_.radio;
@@ -50,9 +55,8 @@ void BackgroundTraffic::schedule_uplink(std::size_t device) {
   timers_[device] = sim_.schedule_after(gap, [this, device] {
     timers_[device] = 0;
     if (!running_) return;
-    const auto size = static_cast<std::size_t>(
-        rng_.uniform_int(static_cast<std::int64_t>(config_.min_payload),
-                         static_cast<std::int64_t>(config_.max_payload)));
+    const auto size =
+        static_cast<std::size_t>(rng_.uniform_int(kMinPayload, kMaxPayload));
     // Class-A ALOHA: fire blindly; the radio refuses only if still mid-TX
     // (possible at extreme rates — the uplink is then simply skipped).
     if (devices_[device]->transmit(std::vector<std::uint8_t>(size, 0x5A))) {

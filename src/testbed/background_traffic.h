@@ -25,9 +25,6 @@ struct BackgroundConfig {
   std::size_t devices = 10;
   /// Mean time between uplinks per device (Poisson).
   Duration mean_uplink_interval = Duration::minutes(10);
-  /// Uplink payload size range (uniform), LoRaWAN-typical.
-  std::size_t min_payload = 12;
-  std::size_t max_payload = 51;
   /// Area the devices are scattered over.
   double area_width_m = 2000.0;
   double area_height_m = 2000.0;

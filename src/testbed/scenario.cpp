@@ -338,17 +338,18 @@ double MeshScenario::pair_link_quality(std::size_t a, std::size_t b) const {
   return channels_[node_region_.at(b)]->link_quality(tx, rx);
 }
 
-bool MeshScenario::good_link(std::size_t a, std::size_t b, double threshold) const {
+bool MeshScenario::good_link(std::size_t a, std::size_t b) const {
+  constexpr double kGoodLinkQuality = 0.9;  // decode probability, each way
   if (a == b) return false;
-  return pair_link_quality(a, b) >= threshold &&
-         pair_link_quality(b, a) >= threshold;
+  return pair_link_quality(a, b) >= kGoodLinkQuality &&
+         pair_link_quality(b, a) >= kGoodLinkQuality;
 }
 
-std::vector<std::vector<int>> MeshScenario::expected_hops(double threshold) const {
+std::vector<std::vector<int>> MeshScenario::expected_hops() const {
   const std::size_t n = nodes_.size();
   auto hops = hop_matrix(n, [&](std::size_t a, std::size_t b) {
     return nodes_[a]->running() && nodes_[b]->running() &&
-           good_link(a, b, threshold);
+           good_link(a, b);
   });
   for (std::size_t i = 0; i < n; ++i) {
     if (!nodes_[i]->running()) {
@@ -358,8 +359,7 @@ std::vector<std::vector<int>> MeshScenario::expected_hops(double threshold) cons
   return hops;
 }
 
-bool MeshScenario::route_usable(std::size_t from, std::size_t to,
-                                double threshold) const {
+bool MeshScenario::route_usable(std::size_t from, std::size_t to) const {
   LM_REQUIRE(from < nodes_.size() && to < nodes_.size());
   if (from == to) return true;
   std::size_t cur = from;
@@ -370,15 +370,15 @@ bool MeshScenario::route_usable(std::size_t from, std::size_t to,
     if (!via) return false;
     const auto next = index_of(*via);
     if (!next || !nodes_[*next]->running()) return false;
-    if (!good_link(cur, *next, threshold)) return false;
+    if (!good_link(cur, *next)) return false;
     if (*next == to) return true;
     cur = *next;
   }
   return false;  // looped
 }
 
-bool MeshScenario::converged(double threshold, bool exact_metric) const {
-  const auto expected = expected_hops(threshold);
+bool MeshScenario::converged(bool exact_metric) const {
+  const auto expected = expected_hops();
   const std::size_t n = nodes_.size();
   for (std::size_t i = 0; i < n; ++i) {
     if (!nodes_[i]->running()) continue;
@@ -387,7 +387,7 @@ bool MeshScenario::converged(double threshold, bool exact_metric) const {
       const auto route = nodes_[i]->routing_table().route_to(address_of(j));
       if (!route) return false;
       if (exact_metric && route->metric != expected[i][j]) return false;
-      if (!route_usable(i, j, threshold)) return false;
+      if (!route_usable(i, j)) return false;
     }
   }
   return true;
@@ -395,19 +395,18 @@ bool MeshScenario::converged(double threshold, bool exact_metric) const {
 
 std::optional<Duration> MeshScenario::run_until_converged(Duration deadline,
                                                           Duration check_every,
-                                                          double threshold,
                                                           bool exact_metric) {
   LM_REQUIRE(check_every > Duration::zero());
   finalize();
   const TimePoint begin = now();
   const TimePoint limit = begin + deadline;
   while (now() < limit) {
-    if (converged(threshold, exact_metric)) return now() - begin;
+    if (converged(exact_metric)) return now() - begin;
     Duration step = check_every;
     if (now() + step > limit) step = limit - now();
     run_for(step);
   }
-  if (converged(threshold, exact_metric)) return now() - begin;
+  if (converged(exact_metric)) return now() - begin;
   return std::nullopt;
 }
 

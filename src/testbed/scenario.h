@@ -146,29 +146,29 @@ class MeshScenario {
   void run_until(TimePoint t);
 
   // --- Convergence oracle ------------------------------------------------------------
-  /// True when both directions of (a, b) decode with probability >= threshold.
-  bool good_link(std::size_t a, std::size_t b, double threshold = 0.9) const;
+  /// True when both directions of (a, b) decode with probability >= 0.9.
+  bool good_link(std::size_t a, std::size_t b) const;
 
   /// Ground-truth hop counts over good links between *running* nodes;
   /// -1 for unreachable or stopped endpoints.
-  std::vector<std::vector<int>> expected_hops(double threshold = 0.9) const;
+  std::vector<std::vector<int>> expected_hops() const;
 
   /// True when the tables at `from` actually carry a packet to `to`:
   /// follows next_hop() node by node, requiring every hop to be a running
   /// node over a good link, without loops. This is the data-plane truth —
   /// a stale route pointing at a dead relay fails it.
-  bool route_usable(std::size_t from, std::size_t to, double threshold = 0.9) const;
+  bool route_usable(std::size_t from, std::size_t to) const;
 
   /// True when every running node has a *usable* route (see route_usable)
   /// to every reachable running peer. With `exact_metric`, the route metric
   /// must additionally equal the BFS optimum.
-  bool converged(double threshold = 0.9, bool exact_metric = true) const;
+  bool converged(bool exact_metric = true) const;
 
   /// Runs until converged() or `deadline` elapses, probing every
   /// `check_every`. Returns simulated time elapsed (from call) on success.
   std::optional<Duration> run_until_converged(
       Duration deadline, Duration check_every = Duration::seconds(5),
-      double threshold = 0.9, bool exact_metric = true);
+      bool exact_metric = true);
 
   /// Multi-line dump of every routing table (demo output).
   std::string dump_routing_tables() const;

@@ -118,10 +118,10 @@ CellResult run_cell(const StrategySpec& strategy,
   const std::uint64_t seed = cell_seed(config, strategy, topology);
   trace::VectorSink sink;
   trace::Tracer tracer;
-  if (config.check_invariants) tracer.attach(&sink);
+  tracer.attach(&sink);
 
   MeshScenario scenario(scenario_config(seed, strategy));
-  if (config.check_invariants) scenario.attach_tracer(tracer);
+  scenario.attach_tracer(tracer);
 
   Rng layout_rng(seed ^ 0x10F0);
   const std::vector<phy::Position> positions = topology.layout(layout_rng);
@@ -187,7 +187,7 @@ CellResult run_cell(const StrategySpec& strategy,
   scenario.start_all();
   if (mover) mover->start();
   if (strategy.proactive) {
-    scenario.run_until_converged(config.warmup, Duration::seconds(5), 0.9,
+    scenario.run_until_converged(config.warmup, Duration::seconds(5),
                                  /*exact_metric=*/false);
   } else {
     scenario.run_for(config.warmup);
@@ -247,13 +247,11 @@ CellResult run_cell(const StrategySpec& strategy,
     }
   }
 
-  if (config.check_invariants) {
-    trace::TraceAnalyzer analyzer(sink.take());
-    trace::InvariantOptions opts;
-    opts.duty_cycle_limit = 1.0;  // disabled in the cell config
-    opts.check_routes = true;
-    cell.invariant_violations = analyzer.check_invariants(opts).size();
-  }
+  trace::TraceAnalyzer analyzer(sink.take());
+  trace::InvariantOptions opts;
+  opts.duty_cycle_limit = 1.0;  // disabled in the cell config
+  opts.check_routes = true;
+  cell.invariant_violations = analyzer.check_invariants(opts).size();
   return cell;
 }
 

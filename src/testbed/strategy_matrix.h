@@ -57,8 +57,6 @@ struct MatrixConfig {
   /// Post-traffic drain so queued relays finish before metrics are read.
   Duration drain = Duration::minutes(1);
   Duration mean_interval = Duration::seconds(20);
-  /// Run the trace analyzer's cross-layer invariants on every cell.
-  bool check_invariants = true;
 };
 
 struct FlowResult {

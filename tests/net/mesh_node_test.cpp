@@ -183,7 +183,7 @@ TEST(MeshNodeIntegration, RouteRepairsOverAlternatePath) {
   // The parallel relays can hear each other (300 m) — that is fine.
   s.start_all();
   ASSERT_TRUE(s.run_until_converged(Duration::minutes(5), Duration::seconds(5),
-                                    0.9, /*exact_metric=*/false)
+                                    /*exact_metric=*/false)
                   .has_value());
   const auto first = s.node(0).routing_table().route_to(s.address_of(3));
   ASSERT_TRUE(first.has_value());

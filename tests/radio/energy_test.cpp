@@ -62,10 +62,9 @@ TEST_F(EnergyTest, ChargeComputation) {
   VirtualRadio r(sim_, channel_, 1, {0, 0}, {});
   r.start_receive();
   sim_.run_for(Duration::hours(1));
-  const EnergyProfile profile = EnergyProfile::sx1276();
   // One hour of RX at 11.5 mA = 11.5 mAh.
-  EXPECT_NEAR(charge_consumed_mah(r, profile), 11.5, 1e-6);
-  EXPECT_NEAR(average_current_ma(r, profile), 11.5, 1e-6);
+  EXPECT_NEAR(charge_consumed_mah(r), 11.5, 1e-6);
+  EXPECT_NEAR(average_current_ma(r), 11.5, 1e-6);
 }
 
 TEST_F(EnergyTest, MixedStateCharge) {
@@ -92,13 +91,13 @@ TEST_F(EnergyTest, RxDominatesAnAlwaysOnNode) {
     r.start_receive();
   }
   const double total = charge_consumed_mah(r);
-  const double rx_part = EnergyProfile::sx1276().rx_ma *
+  const double rx_part = kSx1276.rx_ma *
                          r.time_in_state(RadioState::Rx).seconds_d() / 3600.0;
   EXPECT_GT(rx_part / total, 0.99);
 }
 
 TEST_F(EnergyTest, ProfileCurrents) {
-  const EnergyProfile p = EnergyProfile::sx1276();
+  const EnergyProfile& p = kSx1276;
   EXPECT_DOUBLE_EQ(p.current_for(RadioState::Rx), p.rx_ma);
   EXPECT_DOUBLE_EQ(p.current_for(RadioState::Tx), p.tx_ma);
   EXPECT_GT(p.tx_ma, p.rx_ma);
@@ -133,7 +132,7 @@ TEST_F(EnergyTest, LiveModelMatchesPostHocAccounting) {
   EXPECT_EQ(model.consumed_mah(), charge_consumed_mah(r));
   EXPECT_EQ(model.average_current_ma(), average_current_ma(r));
   EXPECT_NEAR(model.consumed_mah(RadioState::Tx),
-              EnergyProfile::sx1276().tx_ma *
+              kSx1276.tx_ma *
                   r.time_in_state(RadioState::Tx).seconds_d() / 3600.0,
               1e-9);
   EXPECT_DOUBLE_EQ(model.soc(), 1.0);  // infinite battery pins at full
@@ -193,7 +192,7 @@ TEST_F(EnergyTest, AttachRequiresARadioThatHasSpentNoTime) {
 TEST_F(EnergyTest, RadioDestroyedFirstCancelsDepletionAndRefusesReads) {
   EnergyConfig cfg;
   cfg.enabled = true;
-  cfg.battery.capacity_mah = EnergyProfile::sx1276().rx_ma * 2.0 / 3600.0;
+  cfg.battery.capacity_mah = kSx1276.rx_ma * 2.0 / 3600.0;
   EnergyModel model(sim_, cfg, 1);
   int brownouts = 0;
   model.set_brownout([&] { ++brownouts; });
@@ -243,7 +242,7 @@ TEST_F(EnergyTest, ConservationHoldsUnderHarvestingAndClamp) {
 
 TEST_F(EnergyTest, BrownoutFiresMidTransmitAtExactlyZero) {
   VirtualRadio r(sim_, channel_, 1, {0, 0}, {});
-  const EnergyProfile p = EnergyProfile::sx1276();
+  const EnergyProfile& p = kSx1276;
   const Duration airtime = phy::time_on_air(r.modulation(), 20);
   // Charge for exactly 1 s of RX plus half the frame's worth of TX: the
   // battery hits zero mid-transmission, not at a state boundary.
@@ -277,7 +276,7 @@ TEST_F(EnergyTest, BrownoutFiresMidTransmitAtExactlyZero) {
 
 TEST_F(EnergyTest, DeadRadioRefusesTransmit) {
   VirtualRadio r(sim_, channel_, 1, {0, 0}, {});
-  const EnergyProfile p = EnergyProfile::sx1276();
+  const EnergyProfile& p = kSx1276;
   EnergyConfig cfg;
   cfg.enabled = true;
   cfg.battery.capacity_mah = p.rx_ma * 2.0 / 3600.0;  // 2 s of RX

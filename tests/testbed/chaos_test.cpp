@@ -79,7 +79,7 @@ TEST(ChaosMonkey, MeshRecoversAfterChurnStops) {
   attach_tracker(s, tracker);
   s.start_all();
   ASSERT_TRUE(s.run_until_converged(Duration::minutes(10), Duration::seconds(5),
-                                    0.9, false)
+                                    /*exact_metric=*/false)
                   .has_value());
 
   ChaosConfig chaos;
@@ -100,7 +100,7 @@ TEST(ChaosMonkey, MeshRecoversAfterChurnStops) {
 
   // Post-chaos: full function restored.
   ASSERT_TRUE(s.run_until_converged(Duration::minutes(15), Duration::seconds(5),
-                                    0.9, false)
+                                    /*exact_metric=*/false)
                   .has_value());
   metrics::PacketTracker after;
   attach_tracker(s, after);
